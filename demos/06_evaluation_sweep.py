@@ -14,10 +14,10 @@ from pathlib import Path
 
 from taskrank import (
     ExpansionConfig,
+    Pipeline,
     PipelineConfig,
     RunVariant,
     evaluate_run,
-    execute_run,
     parse_qrels,
     sweep,
 )
@@ -75,8 +75,8 @@ base = PipelineConfig(
 )
 qrels = parse_qrels(workdir / "qrels.txt")
 
-plain = evaluate_run(execute_run(replace(base, variant=RunVariant.QUERY,
-                                         manual_map_path=None)), qrels, k=20)
+plain_config = replace(base, variant=RunVariant.QUERY, manual_map_path=None)
+plain = evaluate_run(Pipeline(plain_config).run(), qrels, k=20)
 print(f"plain query baseline: NDCG@20={plain.mean_ndcg:.4f} MAP={plain.mean_ap:.4f}\n")
 
 grid = [
@@ -84,7 +84,7 @@ grid = [
     for dup in (1, 2, 3)
     for n in (3, 5)
 ]
-rows = sweep(grid, lambda cfg: execute_run(replace(base, expansion=cfg)), qrels, k=20)
+rows = sweep(grid, lambda cfg: Pipeline(replace(base, expansion=cfg)).run(), qrels, k=20)
 print(f"{'ndcg@20':<9} {'map':<9} weighting")
 for row in rows:
     label = (f"{row.config.dup_query} query : {row.config.dup_question} question "

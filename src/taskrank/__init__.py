@@ -33,7 +33,7 @@ from .indexing import (
     search,
     tokenize,
 )
-from .pipeline import Pipeline, PipelineConfig, RunVariant, execute_run
+from .pipeline import Pipeline, PipelineConfig, RunVariant
 from .querygen import (
     ConfidenceMode,
     ExpansionConfig,

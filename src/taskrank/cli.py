@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: index-stats, run, eval, classify, select-terms, priors, sweep.
-Option precedence is flags > --config file (JSON) > built-in defaults. The
-TASKRANK_THREADS environment variable bounds the per-topic worker pool.
+
+``run`` and ``sweep`` build their PipelineConfig from one flat settings dict:
+flags over a --config JSON file over the dataclass defaults. Each line of a
+sweep grid is a flat dict of ExpansionConfig settings over that class's
+defaults. ``SETTINGS`` lists the accepted keys. Topics run one after another
+in a single thread, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -11,14 +15,16 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import replace
+from enum import Enum
 
 from .corpus import load_collection
 from .errors import TaskRankError
 from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, sweep, write_run
 from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant, InvertedIndex
-from .pipeline import PipelineConfig, RunVariant, execute_run
+from .pipeline import Pipeline, PipelineConfig, RunVariant
 from .querygen import ConfidenceMode, ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
 from .rerank import RerankConfig, build_journal_priors, build_per_task_priors, export_priors
 from .tasks import (
@@ -27,69 +33,101 @@ from .tasks import (
     TaskClassifier,
     agreement,
     default_framework,
+    json_objects,
     load_manual_map,
     load_tasks,
     load_topics,
 )
 
+# Flat setting key -> (dataclass that holds the setting, field name). The keys
+# are the --config file keys and the flag names with "_" for "-"; the
+# ExpansionConfig keys are also the sweep grid keys.
+SETTINGS: dict[str, tuple[type, str]] = {
+    "corpus": (PipelineConfig, "corpus_path"),
+    "topics": (PipelineConfig, "topics_path"),
+    "variant": (PipelineConfig, "variant"),
+    "tasks": (PipelineConfig, "tasks_path"),
+    "manual_map": (PipelineConfig, "manual_map_path"),
+    "lexicon": (PipelineConfig, "lexicon_path"),
+    "qrels": (PipelineConfig, "qrels_path"),
+    "vectors": (PipelineConfig, "vectors_path"),
+    "run_tag": (PipelineConfig, "run_tag"),
+    "top_k": (PipelineConfig, "top_k"),
+    "k1": (Bm25Params, "k1"),
+    "b": (Bm25Params, "b"),
+    "rrf_k": (FusionConfig, "rrf_k"),
+    "alpha": (RerankConfig, "alpha"),
+    "n_task_terms": (ExpansionConfig, "n_task_terms"),
+    "dup_query": (ExpansionConfig, "dup_query"),
+    "dup_question": (ExpansionConfig, "dup_question"),
+    "dup_task": (ExpansionConfig, "dup_task"),
+    "confidence_mode": (ExpansionConfig, "confidence_mode"),
+    "gate_threshold": (ExpansionConfig, "gate_threshold"),
+    "route_task_terms": (ExpansionConfig, "route_task_terms_fulltext_only"),
+}
+# The PipelineConfig field that holds each part.
+_PARTS = {Bm25Params: "bm25", FusionConfig: "fusion", RerankConfig: "rerank",
+          ExpansionConfig: "expansion"}
+_SWEEP_VARIANT = RunVariant.QUERY_TASK
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise TaskRankError("config file must contain a JSON object")
-    return data
 
-
-def _pick(args, file_cfg: dict, key: str, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
+def _convert(owner: type, name: str, value):
+    """Convert a JSON or flag value to the type the dataclass field declares."""
+    kind = typing.get_type_hints(owner)[name]
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
         return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+    if kind in (int, float) or isinstance(kind, type) and issubclass(kind, Enum):
+        return kind(value)
+    return value
 
 
-def _expansion_from(args, file_cfg: dict) -> ExpansionConfig:
-    return ExpansionConfig(
-        n_task_terms=int(_pick(args, file_cfg, "n_task_terms", 3)),
-        dup_query=int(_pick(args, file_cfg, "dup_query", 3)),
-        dup_question=int(_pick(args, file_cfg, "dup_question", 3)),
-        dup_task=int(_pick(args, file_cfg, "dup_task", 1)),
-        confidence_mode=ConfidenceMode(
-            _pick(args, file_cfg, "confidence_mode", "ignore")
-        ),
-        gate_threshold=int(_pick(args, file_cfg, "gate_threshold", 3)),
-        route_task_terms_fulltext_only=bool(
-            _pick(args, file_cfg, "route_task_terms", True)
-        ),
+def build_config(cls: type, settings: dict, source: str):
+    """Build PipelineConfig, or one of its parts, from a flat settings dict.
+
+    Fields absent from ``settings`` keep their dataclass defaults. A key that
+    is not a setting of ``cls``, a value that does not convert to the field's
+    type, or a value the dataclass rejects raises TaskRankError naming
+    ``source``.
+    """
+    fields: dict[type, dict] = {}
+    for key, value in settings.items():
+        owner, name = SETTINGS.get(key, (None, None))
+        if owner is None or cls not in (owner, PipelineConfig):
+            raise TaskRankError(f"{source}: unknown {cls.__name__} setting {key!r}")
+        try:
+            fields.setdefault(owner, {})[name] = _convert(owner, name, value)
+        except (TypeError, ValueError) as exc:
+            raise TaskRankError(f"{source}: {key}: {exc}") from exc
+    try:
+        if cls is not PipelineConfig:
+            return cls(**fields.get(cls, {}))
+        top = fields.pop(PipelineConfig, {})
+        top.update((_PARTS[owner], owner(**part)) for owner, part in fields.items())
+        return PipelineConfig(**top)
+    except ValueError as exc:
+        raise TaskRankError(f"{source}: {exc}") from exc
+
+
+def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> PipelineConfig:
+    """Settings from flags over the --config file, then build_config."""
+    settings = {"variant": variant.value}
+    source = "command line"
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            file_settings = json.load(fh)
+        if not isinstance(file_settings, dict):
+            raise TaskRankError(f"{args.config}: config file must contain a JSON object")
+        settings.update(file_settings)
+        source = args.config
+    settings.update(
+        (key, value) for key, value in vars(args).items()
+        if key in SETTINGS and value is not None
     )
-
-
-def _pipeline_config(args, default_variant: str = "query") -> PipelineConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    alpha = _pick(args, file_cfg, "alpha", None)
-    return PipelineConfig(
-        corpus_path=_pick(args, file_cfg, "corpus", None),
-        topics_path=_pick(args, file_cfg, "topics", None),
-        variant=RunVariant(_pick(args, file_cfg, "variant", default_variant)),
-        tasks_path=_pick(args, file_cfg, "tasks", None),
-        manual_map_path=_pick(args, file_cfg, "manual_map", None),
-        lexicon_path=_pick(args, file_cfg, "lexicon", None),
-        qrels_path=_pick(args, file_cfg, "qrels", None),
-        vectors_path=_pick(args, file_cfg, "vectors", None),
-        run_tag=_pick(args, file_cfg, "run_tag", None),
-        bm25=Bm25Params(
-            k1=float(_pick(args, file_cfg, "k1", 0.9)),
-            b=float(_pick(args, file_cfg, "b", 0.4)),
-        ),
-        fusion=FusionConfig(rrf_k=float(_pick(args, file_cfg, "rrf_k", 60.0))),
-        expansion=_expansion_from(args, file_cfg),
-        rerank=None if alpha is None else RerankConfig(alpha=float(alpha)),
-        top_k=int(_pick(args, file_cfg, "top_k", 1000)),
-    )
+    if not settings.get("corpus") or not settings.get("topics"):
+        raise TaskRankError(f"{args.command} requires --corpus and --topics")
+    return build_config(PipelineConfig, settings, source)
 
 
 def cmd_index_stats(args) -> int:
@@ -108,10 +146,7 @@ def cmd_index_stats(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _pipeline_config(args)
-    if not config.corpus_path or not config.topics_path:
-        raise TaskRankError("run requires --corpus and --topics")
-    run = execute_run(config, threads=args.threads)
+    run = Pipeline(_pipeline_config(args)).run()
     try:
         write_run(run, args.output)
     except BaseException:
@@ -213,30 +248,17 @@ def cmd_priors(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid: list[ExpansionConfig] = []
-    with open(args.grid, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            grid.append(
-                ExpansionConfig(
-                    n_task_terms=int(record.get("n_task_terms", 3)),
-                    dup_query=int(record.get("dup_query", 3)),
-                    dup_question=int(record.get("dup_question", 3)),
-                    dup_task=int(record.get("dup_task", 1)),
-                    confidence_mode=ConfidenceMode(record.get("confidence_mode", "ignore")),
-                    gate_threshold=int(record.get("gate_threshold", 3)),
-                    route_task_terms_fulltext_only=bool(record.get("route_task_terms", True)),
-                )
-            )
-    base = _pipeline_config(args, default_variant="query+task")
-    if not base.corpus_path or not base.topics_path:
-        raise TaskRankError("sweep requires --corpus and --topics")
-    qrels = parse_qrels(args.qrels)
+    grid = [
+        build_config(ExpansionConfig, record, f"{args.grid} line {line_no}")
+        for line_no, _line, record in json_objects(args.grid)
+    ]
+    base = _pipeline_config(args, _SWEEP_VARIANT)
+    if not base.qrels_path:
+        raise TaskRankError("sweep requires --qrels")
+    qrels = parse_qrels(base.qrels_path)
 
     def run_cell(expansion: ExpansionConfig):
-        return execute_run(replace(base, expansion=expansion), threads=args.threads)
+        return Pipeline(replace(base, expansion=expansion)).run()
 
     rows = sweep(grid, run_cell, qrels, k=args.k)
     header = f"{'ndcg@' + str(args.k):<10} {'map':<10} config"
@@ -258,39 +280,36 @@ def _expansion_label(config: ExpansionConfig) -> str:
     )
 
 
-def _add_pipeline_options(p: argparse.ArgumentParser) -> None:
+def _add_pipeline_options(p: argparse.ArgumentParser, variant: RunVariant) -> None:
     p.add_argument("--corpus", help="corpus file (JSON lines)")
     p.add_argument("--topics", help="topics file (JSON lines)")
+    p.add_argument("--variant", choices=[v.value for v in RunVariant],
+                   help=f"run variant (default {variant.value})")
     p.add_argument("--tasks", help="task framework file; default: shipped tasks")
-    p.add_argument("--manual-map", dest="manual_map", help="manual topic-task map")
+    p.add_argument("--manual-map", help="manual topic-task map")
     p.add_argument("--lexicon", help="term lexicon file; default: shipped lexicon")
     p.add_argument("--qrels", help="qrels file (journal prior variants)")
     p.add_argument("--vectors", help="vectors file (vector variant)")
     p.add_argument("--config", help="JSON config file; flags take precedence")
-    p.add_argument("--run-tag", dest="run_tag", help="run tag; default: variant name")
-    p.add_argument("--k1", type=float, help="BM25 k1 (default 0.9)")
-    p.add_argument("--b", type=float, help="BM25 b (default 0.4)")
-    p.add_argument("--rrf-k", dest="rrf_k", type=float, help="RRF constant (default 60)")
-    p.add_argument("--top-k", dest="top_k", type=int, help="results per topic (default 1000)")
-    p.add_argument("--n-task-terms", dest="n_task_terms", type=int)
-    p.add_argument("--dup-query", dest="dup_query", type=int)
-    p.add_argument("--dup-question", dest="dup_question", type=int)
-    p.add_argument("--dup-task", dest="dup_task", type=int)
-    p.add_argument(
-        "--confidence-mode",
-        dest="confidence_mode",
-        choices=[m.value for m in ConfidenceMode],
-    )
-    p.add_argument("--gate-threshold", dest="gate_threshold", type=int)
+    p.add_argument("--run-tag", help="run tag; default: variant name")
+    p.add_argument("--k1", type=float, help=f"BM25 k1 (default {Bm25Params.k1})")
+    p.add_argument("--b", type=float, help=f"BM25 b (default {Bm25Params.b})")
+    p.add_argument("--rrf-k", type=float, help=f"RRF constant (default {FusionConfig.rrf_k})")
+    p.add_argument("--top-k", type=int,
+                   help=f"results per topic (default {PipelineConfig.top_k})")
+    p.add_argument("--n-task-terms", type=int)
+    p.add_argument("--dup-query", type=int)
+    p.add_argument("--dup-question", type=int)
+    p.add_argument("--dup-task", type=int)
+    p.add_argument("--confidence-mode", choices=[m.value for m in ConfidenceMode])
+    p.add_argument("--gate-threshold", type=int)
     p.add_argument(
         "--route-task-terms",
-        dest="route_task_terms",
         action=argparse.BooleanOptionalAction,
-        default=None,
-        help="restrict task terms to the full-text index (default on)",
+        help="restrict task terms to the full-text index "
+             f"(default {ExpansionConfig.route_task_terms_fulltext_only})",
     )
     p.add_argument("--alpha", type=float, help="re-rank retrieval weight")
-    p.add_argument("--threads", type=int, help="worker pool size; TASKRANK_THREADS otherwise")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index_stats)
 
     p = sub.add_parser("run", help="produce a TREC-format run file")
-    _add_pipeline_options(p)
-    p.add_argument("--variant", choices=[v.value for v in RunVariant])
+    _add_pipeline_options(p, PipelineConfig.variant)
     p.add_argument("--output", required=True, help="run file to write")
     p.set_defaults(func=cmd_run)
 
@@ -330,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--tasks")
     p.add_argument("--lexicon")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=ExpansionConfig.n_task_terms)
     p.set_defaults(func=cmd_select_terms)
 
     p = sub.add_parser("priors", help="build journal prior tables from qrels")
@@ -343,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_priors)
 
     p = sub.add_parser("sweep", help="grid-sweep expansion configs")
-    _add_pipeline_options(p)
-    p.add_argument("--variant", choices=[v.value for v in RunVariant])
+    _add_pipeline_options(p, _SWEEP_VARIANT)
     p.add_argument("--grid", required=True, help="JSON-lines grid of expansion configs")
     p.add_argument("--k", type=int, default=20)
     p.set_defaults(func=cmd_sweep)

@@ -75,7 +75,9 @@ class MissingTaskVector(TaskRankError):
 
 
 class MalformedRow(TaskRankError):
-    def __init__(self, line_no: int, line: str):
-        super().__init__(f"line {line_no}: cannot parse {line!r}")
+    def __init__(self, line_no: int, line: str, path=None):
+        where = f"{path} line {line_no}" if path is not None else f"line {line_no}"
+        super().__init__(f"{where}: cannot parse {line!r}")
         self.line_no = line_no
         self.line = line
+        self.path = path

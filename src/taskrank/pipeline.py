@@ -2,15 +2,12 @@
 reciprocal rank fusion and optional re-ranking, per topic.
 
 A Pipeline is built once per invocation (indices are rebuilt, not cached) and
-then executed over all topics with a bounded worker pool. Per-topic work is
-pure, and results are emitted in topic-id order, so output is deterministic
-regardless of the pool size.
+then runs its topics one after another in a single thread. Per-topic work is
+pure and rankings are emitted in topic-id order, so output is deterministic.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -49,21 +46,6 @@ from .tasks import (
     load_topics,
 )
 
-DEFAULT_THREADS = 4
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Resolve the worker pool size; TASKRANK_THREADS bounds it when set."""
-    if requested is not None and requested >= 1:
-        return requested
-    env = os.environ.get("TASKRANK_THREADS", "")
-    try:
-        value = int(env)
-    except ValueError:
-        return DEFAULT_THREADS
-    return value if value >= 1 else DEFAULT_THREADS
-
-
 class RunVariant(Enum):
     QUERY = "query"
     QUERY_UDEL = "query+udel"
@@ -96,7 +78,6 @@ class PipelineConfig:
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
     rerank: RerankConfig | None = None
     top_k: int = 1000
-    strict_corpus: bool = False
 
     def resolved_tag(self) -> str:
         return self.run_tag or self.variant.value
@@ -129,7 +110,7 @@ class Pipeline:
         config.validate()
         self.config = config
         self.tokenizer = tokenizer or Tokenizer()
-        self.collection = load_collection(config.corpus_path, strict=config.strict_corpus)
+        self.collection = load_collection(config.corpus_path, strict=False)
         self.topics = load_topics(config.topics_path)
         self.framework = (
             load_tasks(config.tasks_path) if config.tasks_path else default_framework()
@@ -243,20 +224,10 @@ class Pipeline:
             )
         return fused
 
-    def run(self, threads: int | None = None) -> Run:
-        """Execute all topics on a bounded pool; emit in topic-id order."""
-        pool_size = worker_count(threads)
-        run = Run(run_tag=self.config.resolved_tag())
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            results = pool.map(self.run_topic, self.topics)
-            by_topic = {
-                topic.topic_id: ranking
-                for topic, ranking in zip(self.topics, results)
-            }
-        for topic_id in sorted(by_topic):
-            run.rankings[topic_id] = by_topic[topic_id]
-        return run
-
-
-def execute_run(config: PipelineConfig, threads: int | None = None) -> Run:
-    return Pipeline(config).run(threads)
+    def run(self) -> Run:
+        """Run every topic in file order; emit rankings in topic-id order."""
+        by_topic = {topic.topic_id: self.run_topic(topic) for topic in self.topics}
+        return Run(
+            run_tag=self.config.resolved_tag(),
+            rankings={topic_id: by_topic[topic_id] for topic_id in sorted(by_topic)},
+        )

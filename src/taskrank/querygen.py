@@ -9,23 +9,20 @@ full-text index only, leaving the other index variants' queries untouched.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from importlib import resources
 
 from .errors import EmptyQuery
-from .indexing import InvertedIndex, IndexVariant, Tokenizer
+from .indexing import _TOKEN_RUN, InvertedIndex, IndexVariant, Tokenizer
 from .tasks import Task, TaskAssignment, Topic
-
-_RAW_TOKEN = re.compile(r"[0-9a-z]+")
 
 
 def _raw_tokens(text: str) -> list[str]:
     # Matching stream for the lexicon: lowercase alphanumeric runs with
     # nothing dropped, so multi-token lexicon entries can match in place.
-    return _RAW_TOKEN.findall(text.lower())
+    return _TOKEN_RUN.findall(text.lower())
 
 
 class TermExtractor:

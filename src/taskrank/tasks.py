@@ -172,24 +172,39 @@ def agreement(a: list[TaskAssignment], b: list[TaskAssignment]) -> float:
     return matches / len(map_a)
 
 
-def load_tasks(path) -> TaskFramework:
-    """Load a task file: one JSON record per line with task_id/title/description."""
-    tasks = []
+def json_objects(path):
+    """Yield ``(line_no, line, record)`` per non-blank line of a JSON-lines file.
+
+    A line that is not a JSON object raises MalformedRow.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            line = line.rstrip("\n")
             try:
-                tasks.append(
-                    Task(
-                        task_id=record["task_id"],
-                        title=record.get("title", ""),
-                        description=record["description"],
-                    )
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRow(line_no, line, path) from exc
+            if not isinstance(record, dict):
+                raise MalformedRow(line_no, line, path)
+            yield line_no, line, record
+
+
+def load_tasks(path) -> TaskFramework:
+    """Load a task file: one JSON record per line with task_id/title/description."""
+    tasks = []
+    for line_no, line, record in json_objects(path):
+        try:
+            tasks.append(
+                Task(
+                    task_id=record["task_id"],
+                    title=record.get("title", ""),
+                    description=record["description"],
                 )
-            except KeyError as exc:
-                raise MalformedRow(line_no, line.rstrip("\n")) from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRow(line_no, line, path) from exc
     return TaskFramework(tasks=tuple(tasks))
 
 
@@ -197,24 +212,20 @@ def load_topics(path) -> list[Topic]:
     """Load a topic file: one JSON record per line with topic_id/query/question/narrative."""
     topics = []
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            try:
-                topic = Topic(
-                    topic_id=int(record["topic_id"]),
-                    query=record["query"],
-                    question=record.get("question", ""),
-                    narrative=record.get("narrative", ""),
-                )
-            except KeyError as exc:
-                raise MalformedRow(line_no, line.rstrip("\n")) from exc
-            if topic.topic_id in seen:
-                raise DuplicateTopic(topic.topic_id)
-            seen.add(topic.topic_id)
-            topics.append(topic)
+    for line_no, line, record in json_objects(path):
+        try:
+            topic = Topic(
+                topic_id=int(record["topic_id"]),
+                query=record["query"],
+                question=record.get("question", ""),
+                narrative=record.get("narrative", ""),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRow(line_no, line, path) from exc
+        if topic.topic_id in seen:
+            raise DuplicateTopic(topic.topic_id)
+        seen.add(topic.topic_id)
+        topics.append(topic)
     return topics
 
 
@@ -222,32 +233,32 @@ def load_manual_map(path, framework: TaskFramework) -> list[TaskAssignment]:
     """Load manual topic-to-task rows: ``topic_id task_id [confidence]``.
 
     Task ids are validated against the framework; confidence defaults to 3.
+    A row that does not parse raises MalformedRow.
     """
     assignments: list[TaskAssignment] = []
     valid_ids = set(framework.task_ids())
     seen: set[int] = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            topic_id = int(parts[0])
-            task_id = parts[1]
-            confidence = int(parts[2]) if len(parts) > 2 else 3
-            if task_id not in valid_ids:
-                raise UnknownTaskId(task_id)
-            if topic_id in seen:
-                raise DuplicateTopic(topic_id)
-            seen.add(topic_id)
-            assignments.append(
-                TaskAssignment(
-                    topic_id=topic_id,
+            try:
+                topic_id, task_id, *rest = line.split()
+                assignment = TaskAssignment(
+                    topic_id=int(topic_id),
                     task_id=task_id,
                     source=AssignmentSource.MANUAL,
-                    confidence=confidence,
+                    confidence=int(rest[0]) if rest else 3,
                 )
-            )
+            except ValueError as exc:
+                raise MalformedRow(line_no, line, path) from exc
+            if task_id not in valid_ids:
+                raise UnknownTaskId(task_id)
+            if assignment.topic_id in seen:
+                raise DuplicateTopic(assignment.topic_id)
+            seen.add(assignment.topic_id)
+            assignments.append(assignment)
     return assignments
 
 

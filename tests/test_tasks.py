@@ -6,6 +6,7 @@ import pytest
 from taskrank.errors import (
     DuplicateTopic,
     EmptyQuery,
+    MalformedRow,
     TopicSetMismatch,
     UnknownTaskId,
 )
@@ -190,6 +191,32 @@ def test_manual_map_confidence_defaults_to_three(tmp_path):
     loaded = load_manual_map(path, default_framework())
     assert loaded[0].confidence == 3
     assert loaded[1].confidence == 1
+
+
+@pytest.mark.parametrize("row", ["0", "x vaccines", "1 vaccines high", "1 vaccines 5"])
+def test_manual_map_malformed_row_names_line(tmp_path, row):
+    path = tmp_path / "map.txt"
+    path.write_text(f"# header\n4 vaccines\n{row}\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as excinfo:
+        load_manual_map(path, default_framework())
+    assert excinfo.value.line_no == 3
+    assert excinfo.value.line == row
+    assert f"{path} line 3" in str(excinfo.value)
+
+
+TASK_LINE = '{"task_id": "a", "title": "A", "description": "alpha words"}'
+TOPIC_LINE = '{"topic_id": 1, "query": "alpha"}'
+
+
+@pytest.mark.parametrize("loader, good", [(load_tasks, TASK_LINE), (load_topics, TOPIC_LINE)])
+@pytest.mark.parametrize("bad", ["[1, 2]", '{"topic_id": ', '"text"', "{}"])
+def test_json_lines_loaders_reject_bad_line_with_its_number(tmp_path, loader, good, bad):
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as excinfo:
+        loader(path)
+    assert excinfo.value.line_no == 3
+    assert f"{path} line 3" in str(excinfo.value)
 
 
 def test_load_tasks_and_topics_roundtrip(tmp_path):
