@@ -2,7 +2,8 @@
 
 Shows how the same BM25 query behaves on the full-text, title+abstract and
 title+abstract+paragraph indices, and how paragraph units aggregate back to
-documents.
+documents. The corpus is tokenized once; all three indices are assembled
+from the same token ids.
 """
 
 from taskrank import (
@@ -10,8 +11,9 @@ from taskrank import (
     Collection,
     Document,
     IndexVariant,
+    InvertedIndex,
+    TokenizedCollection,
     Tokenizer,
-    build_index,
     search,
 )
 
@@ -45,10 +47,12 @@ params = Bm25Params()  # k1=0.9, b=0.4
 query = tokenizer.tokenize("coronavirus transmission masks")
 print(f"query tokens: {query}\n")
 
+tokens = TokenizedCollection(collection, tokenizer)
 for variant in IndexVariant:
-    index = build_index(collection, variant, tokenizer)
+    index = InvertedIndex(tokens, variant)
     print(f"{variant.value}: {index.unit_count} units over {index.doc_count} docs, "
-          f"avg unit length {index.avg_unit_length:.1f}")
+          f"avg unit length {index.avg_unit_length:.1f}, {index.vocab_size} terms, "
+          f"{index.nbytes} array bytes")
     for doc_id, score in search(index, params, query, top_k=5):
         print(f"  {score:8.4f}  {doc_id}")
     print()

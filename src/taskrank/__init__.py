@@ -27,6 +27,7 @@ from .indexing import (
     Bm25Params,
     IndexVariant,
     InvertedIndex,
+    TokenizedCollection,
     Tokenizer,
     bm25_score,
     build_index,

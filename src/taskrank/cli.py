@@ -23,7 +23,7 @@ from .corpus import load_collection
 from .errors import TaskRankError
 from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, sweep, write_run
 from .fusion import FusionConfig
-from .indexing import Bm25Params, IndexVariant, InvertedIndex
+from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, build_index
 from .pipeline import Pipeline, PipelineConfig, RunVariant
 from .querygen import ConfidenceMode, ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
 from .rerank import RerankConfig, build_journal_priors, build_per_task_priors, export_priors
@@ -135,12 +135,14 @@ def cmd_index_stats(args) -> int:
     if collection.skipped_records:
         print(f"skipped {collection.skipped_records} malformed records", file=sys.stderr)
     variants = list(IndexVariant) if args.variant == "all" else [IndexVariant(args.variant)]
-    print(f"{'variant':<16} {'docs':>8} {'units':>8} {'avg_len':>10} {'vocab':>8}")
+    tokens = TokenizedCollection(collection)
+    print(f"{'variant':<16} {'docs':>8} {'units':>8} {'avg_len':>10} {'vocab':>8} "
+          f"{'bytes':>12}")
     for variant in variants:
-        index = InvertedIndex(collection, variant)
+        index = InvertedIndex(tokens, variant)
         print(
             f"{variant.value:<16} {index.doc_count:>8} {index.unit_count:>8} "
-            f"{index.avg_unit_length:>10.2f} {len(index.postings):>8}"
+            f"{index.avg_unit_length:>10.2f} {index.vocab_size:>8} {index.nbytes:>12}"
         )
     return 0
 
@@ -215,7 +217,7 @@ def cmd_select_terms(args) -> int:
     extractor = (
         LexiconExtractor.from_file(args.lexicon) if args.lexicon else default_lexicon()
     )
-    abstracts_index = InvertedIndex(collection, IndexVariant.TITLE_ABSTRACT)
+    abstracts_index = build_index(collection, IndexVariant.TITLE_ABSTRACT)
     for task in framework:
         terms = select_task_terms(task, abstracts_index, extractor, args.n)
         print(f"{task.task_id}\t{', '.join(terms)}")

@@ -75,9 +75,10 @@ class MissingTaskVector(TaskRankError):
 
 
 class MalformedRow(TaskRankError):
-    def __init__(self, line_no: int, line: str, path=None):
+    def __init__(self, line_no: int, line: str, path=None, reason: str | None = None):
         where = f"{path} line {line_no}" if path is not None else f"line {line_no}"
-        super().__init__(f"{where}: cannot parse {line!r}")
+        because = f" ({reason})" if reason else ""
+        super().__init__(f"{where}: cannot parse {line!r}{because}")
         self.line_no = line_no
         self.line = line
         self.path = path

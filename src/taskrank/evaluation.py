@@ -50,14 +50,14 @@ def parse_qrels(path) -> Qrels:
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise MalformedRow(line_no, line.rstrip("\n"))
+                raise MalformedRow(line_no, line.rstrip("\n"), path)
             try:
                 topic_id = int(parts[0])
                 grade = int(parts[3])
             except ValueError as exc:
-                raise MalformedRow(line_no, line.rstrip("\n")) from exc
+                raise MalformedRow(line_no, line.rstrip("\n"), path) from exc
             if grade < 0:
-                raise MalformedRow(line_no, line.rstrip("\n"))
+                raise MalformedRow(line_no, line.rstrip("\n"), path)
             key = (topic_id, parts[2])
             if key in qrels.judgments:
                 qrels.duplicate_rows += 1
@@ -89,8 +89,12 @@ def write_run(run: Run, path) -> None:
 
 
 def parse_run(path) -> Run:
-    """Parse a TREC run file; per-topic order follows the rank column."""
+    """Parse a TREC run file; per-topic order follows the rank column.
+
+    A doc_id listed twice for one topic raises MalformedRow at the repeat.
+    """
     rows: dict[int, list[tuple[int, str, float]]] = {}
+    seen: set[tuple[int, str]] = set()
     run_tag = ""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -98,30 +102,40 @@ def parse_run(path) -> Run:
                 continue
             parts = line.split()
             if len(parts) != 6:
-                raise MalformedRow(line_no, line.rstrip("\n"))
+                raise MalformedRow(line_no, line.rstrip("\n"), path)
             try:
                 topic_id = int(parts[0])
                 rank = int(parts[3])
                 score = float(parts[4])
             except ValueError as exc:
-                raise MalformedRow(line_no, line.rstrip("\n")) from exc
+                raise MalformedRow(line_no, line.rstrip("\n"), path) from exc
+            if (topic_id, parts[2]) in seen:
+                raise MalformedRow(line_no, line.rstrip("\n"), path,
+                                   f"topic {topic_id} repeats doc_id {parts[2]!r}")
+            seen.add((topic_id, parts[2]))
             run_tag = parts[5]
             rows.setdefault(topic_id, []).append((rank, parts[2], score))
     run = Run(run_tag=run_tag)
     for topic_id, entries in rows.items():
         entries.sort(key=lambda item: item[0])
-        docs = [doc for _, doc, _ in entries]
-        if len(set(docs)) != len(docs):
-            raise MalformedRow(0, f"topic {topic_id} repeats a doc_id")
         run.rankings[topic_id] = [(doc, score) for _, doc, score in entries]
     return run
 
 
+def _grades_by_topic(qrels: Qrels) -> dict[int, dict[str, int]]:
+    """One pass over the judgments: topic -> {doc_id: grade}, in file order."""
+    by_topic: dict[int, dict[str, int]] = {}
+    for (topic_id, doc_id), grade in qrels.judgments.items():
+        by_topic.setdefault(topic_id, {})[doc_id] = grade
+    return by_topic
+
+
 def residual_filter(run: Run, prior_qrels: Qrels) -> Run:
     """Drop documents already judged in prior rounds; ranks close up."""
+    by_topic = _grades_by_topic(prior_qrels)
     filtered = Run(run_tag=run.run_tag)
     for topic_id, ranking in run.rankings.items():
-        judged = prior_qrels.judged(topic_id)
+        judged = by_topic.get(topic_id, {})
         filtered.rankings[topic_id] = [
             (doc, score) for doc, score in ranking if doc not in judged
         ]
@@ -132,13 +146,14 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int) -> dict[int, float]:
     """Per-topic NDCG@k. Topics with no relevant judged documents score 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    by_topic = _grades_by_topic(qrels)
     out: dict[int, float] = {}
     for topic_id in run.topic_ids():
-        ranking = run.rankings[topic_id]
+        grades = by_topic.get(topic_id, {})
         dcg = 0.0
-        for i, (doc_id, _) in enumerate(ranking[:k], start=1):
-            dcg += qrels.grade(topic_id, doc_id) / math.log2(i + 1)
-        ideal = sorted(qrels.grades_for_topic(topic_id), reverse=True)[:k]
+        for i, (doc_id, _) in enumerate(run.rankings[topic_id][:k], start=1):
+            dcg += grades.get(doc_id, 0) / math.log2(i + 1)
+        ideal = sorted(grades.values(), reverse=True)[:k]
         idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
         out[topic_id] = dcg / idcg if idcg > 0 else 0.0
     return out
@@ -146,16 +161,18 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int) -> dict[int, float]:
 
 def map_metric(run: Run, qrels: Qrels) -> dict[int, float]:
     """Per-topic average precision over the full ranking depth."""
+    by_topic = _grades_by_topic(qrels)
     out: dict[int, float] = {}
     for topic_id in run.topic_ids():
-        total_relevant = sum(1 for g in qrels.grades_for_topic(topic_id) if g >= 1)
+        grades = by_topic.get(topic_id, {})
+        total_relevant = sum(1 for g in grades.values() if g >= 1)
         if total_relevant == 0:
             out[topic_id] = 0.0
             continue
         hits = 0
         precision_sum = 0.0
         for rank, (doc_id, _) in enumerate(run.rankings[topic_id], start=1):
-            if qrels.grade(topic_id, doc_id) >= 1:
+            if grades.get(doc_id, 0) >= 1:
                 hits += 1
                 precision_sum += hits / rank
         out[topic_id] = precision_sum / total_relevant

@@ -1,27 +1,44 @@
-"""Tokenization and an immutable in-memory inverted index with BM25 scoring.
+"""Tokenization and an immutable array-backed inverted index with BM25 scoring.
 
 Three index variants are supported: full text (title+abstract+body as one
 unit per document), title+abstract, and title+abstract+paragraph where every
 body paragraph becomes its own index unit mapped back to the parent document.
+
+A ``TokenizedCollection`` tokenizes each document's title+abstract ("head")
+once and each body paragraph once, into token ids over one vocabulary. Every
+variant is assembled from those arrays: full text = head + all paragraphs,
+title+abstract = head, paragraph = head + paragraph_i (the head alone for a
+document without a body). An ``InvertedIndex`` stores its postings in CSR
+form: per term, a contiguous run of ascending ``int32`` unit ids and their
+term frequencies, located by ``offsets``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from itertools import count, filterfalse
 
-from .corpus import Collection, Document
+import numpy as np
+
+from .corpus import Collection
 from .errors import EmptyCollection, UnknownUnit
 
 _TOKEN_RUN = re.compile(r"[0-9a-z]+")
+# Maximal runs of two or more characters: a one-character run never matches,
+# so a match cannot start inside a longer run.
+_LONG_TOKEN_RUN = re.compile(r"[0-9a-z]{2,}")
 
 # Unit ids are (doc_id, unit_index) pairs; unit_index is always 0 for the
 # single-unit variants.
 UnitId = tuple[str, int]
+
+_NO_POSTINGS = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8))
 
 
 @lru_cache(maxsize=1)
@@ -46,11 +63,8 @@ class Tokenizer:
             object.__setattr__(self, "stopwords", default_stopwords())
 
     def tokenize(self, text: str) -> list[str]:
-        return [
-            t
-            for t in _TOKEN_RUN.findall(text.lower())
-            if len(t) >= 2 and t not in self.stopwords
-        ]
+        return list(filterfalse(self.stopwords.__contains__,
+                                _LONG_TOKEN_RUN.findall(text.lower())))
 
 
 def tokenize(text: str, tokenizer: Tokenizer | None = None) -> list[str]:
@@ -78,64 +92,191 @@ class Bm25Params:
             raise ValueError("b must be in [0, 1]")
 
 
-def _unit_texts(doc: Document, variant: IndexVariant) -> list[str]:
-    head = f"{doc.title} {doc.abstract}"
-    if variant is IndexVariant.FULL_TEXT:
-        return [" ".join([head, *doc.body])]
-    if variant is IndexVariant.TITLE_ABSTRACT:
-        return [head]
-    if not doc.body:
-        return [head]
-    return [f"{head} {para}" for para in doc.body]
+class TokenizedCollection:
+    """Token ids of a collection, one tokenizer call per head and paragraph.
+
+    Segments are laid out per document in collection order: the head
+    (``f"{title} {abstract}"``) and then each body paragraph. Segment ``s``
+    is ``tokens[seg_offsets[s]:seg_offsets[s + 1]]``. Tokenizing the joined
+    texts a variant indexes gives the concatenation of these segments, because
+    the joining space never belongs to a token. With ``bodies=False`` only
+    heads are tokenized, which suffices for the title+abstract variant.
+    """
+
+    def __init__(self, collection: Collection, tokenizer: Tokenizer | None = None,
+                 bodies: bool = True):
+        if len(collection) == 0:
+            raise EmptyCollection("cannot index an empty collection")
+        self.tokenizer = tokenizer or Tokenizer()
+        self.bodies = bodies
+        self.doc_ids = tuple(doc.doc_id for doc in collection)
+        self.doc_position = collection.by_id
+        split = self.tokenizer.tokenize
+        # Each token is stored as the position of its term's first occurrence,
+        # so no token strings outlive their text; the positions are renumbered
+        # to dense term ids below.
+        first_position: dict[str, int] = {}
+        intern = first_position.setdefault
+        position = count()
+        raw = array("q")
+        seg_lengths: list[int] = []
+        paragraphs: list[int] = []
+        for doc in collection:
+            head = f"{doc.title} {doc.abstract}"
+            texts = [head, *doc.body] if bodies else [head]
+            paragraphs.append(len(texts) - 1)
+            for text in texts:
+                tokens = split(text)
+                seg_lengths.append(len(tokens))
+                raw.extend(map(intern, tokens, position))
+        dense = np.empty(len(raw), dtype=np.int32)
+        dense[np.fromiter(first_position.values(), dtype=np.int64)] = np.arange(
+            len(first_position), dtype=np.int32)
+        self.tokens = dense[np.frombuffer(raw, dtype=np.int64)]
+        self.vocab = dict(zip(first_position, range(len(first_position))))
+        self.seg_offsets = np.zeros(len(seg_lengths) + 1, dtype=np.int64)
+        np.cumsum(seg_lengths, out=self.seg_offsets[1:])
+        self.paragraphs = np.array(paragraphs, dtype=np.int64)
+        # Segment index of each document's head; its paragraphs follow it.
+        self.head_segment = np.cumsum(self.paragraphs + 1) - (self.paragraphs + 1)
+        order = sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__)
+        self.doc_rank = np.empty(len(order), dtype=np.int32)
+        self.doc_rank[order] = np.arange(len(order), dtype=np.int32)
+
+
+def _gather(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], ends[i])`` over i."""
+    lengths = ends - starts
+    before = np.cumsum(lengths) - lengths
+    return np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()))
 
 
 class InvertedIndex:
-    """Immutable inverted index over one variant of a collection.
+    """Immutable inverted index over one variant of a tokenized collection.
 
     Statistics are unit-level: for the paragraph variant a "unit" is one
-    title+abstract+paragraph block, otherwise one document.
+    title+abstract+paragraph block, otherwise one document. Units are
+    numbered in collection order and ``parent[u]`` is the position of unit
+    ``u``'s document; ``first_unit[d]`` is document ``d``'s first unit.
+    The postings of term id ``t`` are ``post_units[offsets[t]:offsets[t+1]]``
+    (ascending) with frequencies ``post_tfs`` at the same positions.
     """
 
-    def __init__(self, collection: Collection, variant: IndexVariant,
-                 tokenizer: Tokenizer | None = None):
-        if len(collection) == 0:
-            raise EmptyCollection("cannot index an empty collection")
+    def __init__(self, tokens: TokenizedCollection, variant: IndexVariant):
+        if variant is not IndexVariant.TITLE_ABSTRACT and not tokens.bodies:
+            raise ValueError(f"the {variant.value} variant needs tokenized bodies")
         self.variant = variant
-        self.tokenizer = tokenizer or Tokenizer()
-        self.postings: dict[str, list[tuple[UnitId, int]]] = {}
-        self.unit_lengths: dict[UnitId, int] = {}
-        self.unit_parent: dict[UnitId, str] = {}
-        for doc in collection:
-            for k, text in enumerate(_unit_texts(doc, variant)):
-                unit_id: UnitId = (doc.doc_id, k)
-                tokens = self.tokenizer.tokenize(text)
-                self.unit_lengths[unit_id] = len(tokens)
-                self.unit_parent[unit_id] = doc.doc_id
-                counts: dict[str, int] = {}
-                for t in tokens:
-                    counts[t] = counts.get(t, 0) + 1
-                for t, tf in counts.items():
-                    self.postings.setdefault(t, []).append((unit_id, tf))
-        self.unit_count = len(self.unit_lengths)
-        self.doc_count = len(collection)
-        # Lengths are ints, so the mean is independent of insertion order.
-        self.avg_unit_length = sum(self.unit_lengths.values()) / self.unit_count
+        self.tokenizer = tokens.tokenizer
+        self.vocab = tokens.vocab
+        self.doc_ids = tokens.doc_ids
+        self.doc_position = tokens.doc_position
+        self.doc_rank = tokens.doc_rank
+        offsets, head, paragraphs = tokens.seg_offsets, tokens.head_segment, tokens.paragraphs
+        if variant is IndexVariant.TITLE_ABSTRACT_PARAGRAPH:
+            units_per_doc = np.maximum(paragraphs, 1)
+        else:
+            units_per_doc = np.ones(len(head), dtype=np.int64)
+        self.doc_count = len(head)
+        self.unit_count = int(units_per_doc.sum())
+        first_unit = np.cumsum(units_per_doc) - units_per_doc
+        self.first_unit = first_unit.astype(np.int32)
+        self.parent = np.repeat(np.arange(self.doc_count, dtype=np.int32), units_per_doc)
+        if variant is IndexVariant.FULL_TEXT:
+            parts = [(offsets[head], offsets[head + 1 + paragraphs])]
+        elif variant is IndexVariant.TITLE_ABSTRACT:
+            parts = [(offsets[head], offsets[head + 1])]
+        else:
+            # Unit u is its document's head plus paragraph local[u], if any.
+            parent = self.parent
+            local = np.arange(self.unit_count) - first_unit[parent]
+            with_body = paragraphs[parent] > 0
+            segment = (head[parent] + 1 + local)[with_body]
+            para_starts = np.zeros(self.unit_count, dtype=np.int64)
+            para_ends = np.zeros(self.unit_count, dtype=np.int64)
+            para_starts[with_body] = offsets[segment]
+            para_ends[with_body] = offsets[segment + 1]
+            parts = [(offsets[head[parent]], offsets[head[parent] + 1]),
+                     (para_starts, para_ends)]
+        self.unit_lengths = sum(ends - starts for starts, ends in parts).astype(np.int32)
+        keys = np.concatenate([self._pair_keys(tokens.tokens, s, e) for s, e in parts])
+        # Sorted (term, unit) keys; each run of equal keys is one posting.
+        keys.sort()
+        new = np.empty(len(keys), dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        del new
+        tfs = np.diff(starts, append=len(keys))
+        keys = keys[starts]
+        self.post_units = (keys % self.unit_count).astype(np.int32)
+        self.post_tfs = tfs.astype(np.min_scalar_type(int(tfs.max(initial=1))))
+        df = np.bincount(keys // self.unit_count, minlength=len(self.vocab))
+        self.offsets = np.zeros(len(self.vocab) + 1, dtype=np.int64)
+        np.cumsum(df, out=self.offsets[1:])
+        self.vocab_size = int(np.count_nonzero(df))
+        # Lengths are ints, so the mean is exact and independent of unit order.
+        self.avg_unit_length = int(self.unit_lengths.sum()) / self.unit_count
+
+    def _pair_keys(self, token_ids: np.ndarray, starts: np.ndarray,
+                   ends: np.ndarray) -> np.ndarray:
+        """``term * unit_count + unit`` for every token of the given ranges."""
+        keys = token_ids[_gather(starts, ends)].astype(np.int64)
+        keys *= self.unit_count
+        keys += np.repeat(np.arange(self.unit_count, dtype=np.int64), ends - starts)
+        return keys
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in this index's arrays (the shared vocabulary excluded)."""
+        return sum(a.nbytes for a in (self.offsets, self.post_units, self.post_tfs,
+                                      self.parent, self.first_unit,
+                                      self.unit_lengths, self.doc_rank))
+
+    def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending unit ids containing ``term`` and their term frequencies."""
+        t = self.vocab.get(term)
+        if t is None:
+            return _NO_POSTINGS
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        return self.post_units[lo:hi], self.post_tfs[lo:hi]
 
     def doc_freq(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        t = self.vocab.get(term)
+        return 0 if t is None else int(self.offsets[t + 1] - self.offsets[t])
 
     def idf(self, term: str) -> float:
         # Lucene-style formulation: non-negative for every df <= N.
         df = self.doc_freq(term)
         return math.log(1.0 + (self.unit_count - df + 0.5) / (df + 0.5))
 
-    def units_containing(self, term: str) -> set[UnitId]:
-        return {unit_id for unit_id, _ in self.postings.get(term, ())}
+    def unit_ids(self) -> list[UnitId]:
+        """``(doc_id, unit_index)`` of every unit, in unit order."""
+        local = np.arange(self.unit_count) - self.first_unit[self.parent]
+        return [(self.doc_ids[d], k)
+                for d, k in zip(self.parent.tolist(), local.tolist())]
+
+    def unit_position(self, unit_id: UnitId) -> int:
+        """Unit number of ``(doc_id, unit_index)``; UnknownUnit if absent."""
+        try:
+            doc_id, k = unit_id
+            d = self.doc_position[doc_id]
+        except (KeyError, TypeError, ValueError):
+            raise UnknownUnit(unit_id) from None
+        last = self.first_unit[d + 1] if d + 1 < self.doc_count else self.unit_count
+        if not isinstance(k, int) or not 0 <= k < last - self.first_unit[d]:
+            raise UnknownUnit(unit_id)
+        return int(self.first_unit[d]) + k
 
 
 def build_index(collection: Collection, variant: IndexVariant,
                 tokenizer: Tokenizer | None = None) -> InvertedIndex:
-    return InvertedIndex(collection, variant, tokenizer)
+    """Tokenize ``collection`` and index one variant of it.
+
+    To build several variants of one collection, make one
+    TokenizedCollection and pass it to InvertedIndex per variant.
+    """
+    bodies = variant is not IndexVariant.TITLE_ABSTRACT
+    return InvertedIndex(TokenizedCollection(collection, tokenizer, bodies), variant)
 
 
 def bm25_score(index: InvertedIndex, params: Bm25Params,
@@ -145,20 +286,17 @@ def bm25_score(index: InvertedIndex, params: Bm25Params,
     Repeated query tokens contribute once per occurrence, which is what makes
     duplication-based query term weighting work.
     """
-    if unit_id not in index.unit_lengths:
-        raise UnknownUnit(unit_id)
+    unit = index.unit_position(unit_id)
     length_norm = params.k1 * (
-        1.0 - params.b + params.b * index.unit_lengths[unit_id] / index.avg_unit_length
+        1.0 - params.b + params.b * int(index.unit_lengths[unit]) / index.avg_unit_length
     )
     score = 0.0
     for token in query_tokens:
-        tf = 0
-        for uid, freq in index.postings.get(token, ()):
-            if uid == unit_id:
-                tf = freq
-                break
-        if tf == 0:
+        units, tfs = index.term_postings(token)
+        i = int(np.searchsorted(units, unit))
+        if i == len(units) or units[i] != unit:
             continue
+        tf = int(tfs[i])
         score += index.idf(token) * tf * (params.k1 + 1.0) / (tf + length_norm)
     return score
 
@@ -170,29 +308,42 @@ def search(index: InvertedIndex, params: Bm25Params,
     Units are scored, aggregated to their parent document by maximum unit
     score, then sorted by score descending with ties broken by ascending
     doc_id. Zero-score documents are excluded.
+
+    Each query-token occurrence adds its contribution to the unit scores in
+    query order, so every unit's score is the same float sum a per-unit loop
+    computes.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    unit_scores: dict[UnitId, float] = {}
+    unit_scores = np.zeros(index.unit_count)
+    length_norm = None
+    contributions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for token in query_tokens:
-        plist = index.postings.get(token)
-        if not plist:
-            continue
-        idf = index.idf(token)
-        for unit_id, tf in plist:
-            length_norm = params.k1 * (
-                1.0 - params.b
-                + params.b * index.unit_lengths[unit_id] / index.avg_unit_length
+        if token not in contributions:
+            units, tfs = index.term_postings(token)
+            if len(units) == 0:
+                contributions[token] = (units, np.zeros(0))
+                continue
+            if length_norm is None:
+                length_norm = params.k1 * (
+                    1.0 - params.b + params.b * index.unit_lengths / index.avg_unit_length
+                )
+            contributions[token] = (
+                units,
+                index.idf(token) * tfs * (params.k1 + 1.0) / (tfs + length_norm[units]),
             )
-            contrib = idf * tf * (params.k1 + 1.0) / (tf + length_norm)
-            unit_scores[unit_id] = unit_scores.get(unit_id, 0.0) + contrib
-    doc_scores: dict[str, float] = {}
-    for unit_id, score in unit_scores.items():
-        doc_id = index.unit_parent[unit_id]
-        if doc_id not in doc_scores or score > doc_scores[doc_id]:
-            doc_scores[doc_id] = score
-    ranked = sorted(
-        ((d, s) for d, s in doc_scores.items() if s > 0.0),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranked[:top_k]
+        units, contrib = contributions[token]
+        unit_scores[units] += contrib
+    if index.unit_count == index.doc_count:
+        doc_scores = unit_scores
+    else:
+        doc_scores = np.maximum.reduceat(unit_scores, index.first_unit)
+    hits = np.flatnonzero(doc_scores > 0.0)
+    scores = doc_scores[hits]
+    if len(hits) > top_k:
+        cut = len(hits) - top_k
+        keep = scores >= np.partition(scores, cut)[cut]
+        hits, scores = hits[keep], scores[keep]
+    order = np.lexsort((index.doc_rank[hits], -scores))[:top_k]
+    doc_ids = index.doc_ids
+    return list(zip([doc_ids[d] for d in hits[order].tolist()], scores[order].tolist()))

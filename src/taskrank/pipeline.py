@@ -1,9 +1,11 @@
 """End-to-end run construction: query generation, three-index search,
 reciprocal rank fusion and optional re-ranking, per topic.
 
-A Pipeline is built once per invocation (indices are rebuilt, not cached) and
-then runs its topics one after another in a single thread. Per-topic work is
-pure and rankings are emitted in topic-id order, so output is deterministic.
+A Pipeline is built once per invocation (indices are rebuilt, not cached):
+every title+abstract and every body paragraph is tokenized once, and the
+three index variants are assembled from those token ids. It then runs its
+topics one after another in a single thread. Per-topic work is pure and
+rankings are emitted in topic-id order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .corpus import load_collection
 from .errors import TaskRankError
 from .evaluation import Run, parse_qrels
 from .fusion import FusionConfig, rrf_fuse
-from .indexing import Bm25Params, IndexVariant, InvertedIndex, Tokenizer, search
+from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, Tokenizer, search
 from .querygen import (
     ExpansionConfig,
     GeneratedQuery,
@@ -120,10 +122,8 @@ class Pipeline:
             if config.lexicon_path
             else default_lexicon()
         )
-        self.indices = {
-            variant: InvertedIndex(self.collection, variant, self.tokenizer)
-            for variant in IndexVariant
-        }
+        tokens = TokenizedCollection(self.collection, self.tokenizer)
+        self.indices = {variant: InvertedIndex(tokens, variant) for variant in IndexVariant}
         self._assignments = self._resolve_assignments()
         self._task_terms = self._select_all_task_terms()
         self._priors = None

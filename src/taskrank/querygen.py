@@ -14,6 +14,8 @@ from enum import Enum
 from functools import reduce
 from importlib import resources
 
+import numpy as np
+
 from .errors import EmptyQuery
 from .indexing import _TOKEN_RUN, InvertedIndex, IndexVariant, Tokenizer
 from .tasks import Task, TaskAssignment, Topic
@@ -228,8 +230,8 @@ def select_task_terms(task: Task, abstracts_index: InvertedIndex,
         tokens = abstracts_index.tokenizer.tokenize(term)
         if not tokens:
             continue
-        token_sets = [abstracts_index.units_containing(t) for t in tokens]
-        df = len(reduce(set.intersection, token_sets))
+        unit_lists = [abstracts_index.term_postings(t)[0] for t in tokens]
+        df = len(reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), unit_lists))
         scored.append((tf * math.log(total_units / (1 + df)), term))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return [term for _score, term in scored[:n]]

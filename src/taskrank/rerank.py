@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,11 +22,13 @@ _PUNCT = re.compile(r"[^0-9a-z\s]+")
 _SPACE = re.compile(r"\s+")
 
 
+@lru_cache(maxsize=1 << 16)
 def normalize_journal(name: str) -> str:
     """Lowercase, strip punctuation and collapse whitespace.
 
     Journal names come in many spellings; this keeps prior lookups from
-    fragmenting across them. Idempotent.
+    fragmenting across them. Idempotent. Memoized per raw string, because
+    re-ranking looks up the same few journals for every fused document.
     """
     return _SPACE.sub(" ", _PUNCT.sub(" ", name.lower())).strip()
 

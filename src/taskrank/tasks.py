@@ -22,7 +22,7 @@ from .errors import (
     TopicSetMismatch,
     UnknownTaskId,
 )
-from .indexing import Bm25Params, IndexVariant, InvertedIndex, Tokenizer, search
+from .indexing import Bm25Params, IndexVariant, Tokenizer, build_index, search
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class TaskClassifier:
         self.params = params or Bm25Params()
         self.tokenizer = tokenizer or Tokenizer()
         docs = [Document(doc_id=t.task_id, abstract=t.description) for t in framework]
-        self._index = InvertedIndex(
+        self._index = build_index(
             Collection.from_documents(docs), IndexVariant.TITLE_ABSTRACT, self.tokenizer
         )
 

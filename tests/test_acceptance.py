@@ -305,7 +305,7 @@ def test_criterion_6_expansion_weighting():
             Document(doc_id="b", title="x x other words"),
         ])
         index = build_index(coll, IndexVariant.FULL_TEXT)
-        for unit in index.unit_lengths:
+        for unit in index.unit_ids():
             once = bm25_score(index, PARAMS, ["x"], unit)
             twice = bm25_score(index, PARAMS, ["x", "x"], unit)
             assert twice == pytest.approx(2.0 * once, abs=1e-12)

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taskrank.cli import main
 from taskrank.errors import MalformedRow
 from taskrank.evaluation import (
     Qrels,
@@ -277,3 +280,77 @@ def test_sweep_marks_failed_cells_and_sorts_them_last():
     assert rows[0].error is None
     assert rows[1].error == "boom"
     assert rows[1].mean_ndcg is None
+
+
+VALID_RUN = "1 Q0 a 1 0.5 t\n"
+VALID_QRELS = "1 0 a 1\n"
+
+
+@pytest.mark.parametrize(
+    "bad_file, run_text, qrels_text, line_no",
+    [
+        ("qrels", VALID_RUN, "1 0 a\n", 1),
+        ("qrels", VALID_RUN, "1 0 a 1\n\n1 0 b x\n", 3),
+        ("qrels", VALID_RUN, "1 0 a 1\n1 0 b -1\n", 2),
+        ("run", "1 Q0 a 1 0.5 t\n1 Q0 a 2 0.4 t\n", VALID_QRELS, 2),
+        ("run", "1 Q0 a 1 0.5 t\n2 Q0 a 1 0.5 t\n1 Q0 b 2 0.4 t\n1 Q0 a 3 0.3 t\n",
+         VALID_QRELS, 4),
+        ("run", "1 Q0 a 1 0.5\n", VALID_QRELS, 1),
+        ("run", "1 Q0 a 1 0.5 t\nx Q0 b 2 0.4 t\n", VALID_QRELS, 2),
+    ],
+    ids=["qrels-three-columns", "qrels-bad-grade", "qrels-negative-grade",
+         "run-repeated-doc", "run-repeated-doc-later", "run-five-columns", "run-bad-topic"],
+)
+def test_eval_errors_name_file_and_line(tmp_path, capsys, bad_file, run_text, qrels_text,
+                                        line_no):
+    run_path, qrels_path = tmp_path / "in.run", tmp_path / "in.qrels"
+    run_path.write_text(run_text, encoding="utf-8")
+    qrels_path.write_text(qrels_text, encoding="utf-8")
+    assert main(["eval", "--run", str(run_path), "--qrels", str(qrels_path)]) == 1
+    bad_path = run_path if bad_file == "run" else qrels_path
+    assert f"error: {bad_path} line {line_no}: cannot parse" in capsys.readouterr().err
+    parse = parse_run if bad_file == "run" else parse_qrels
+    with pytest.raises(MalformedRow) as info:
+        parse(bad_path)
+    assert (info.value.path, info.value.line_no) == (bad_path, line_no)
+
+
+judgments = st.dictionaries(
+    st.tuples(st.integers(1, 5), st.sampled_from("abcdefgh")), st.integers(0, 3),
+    max_size=30,
+)
+rankings = st.dictionaries(
+    st.integers(1, 6),
+    st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=10).map(
+        lambda docs: [(d, 1.0 / (i + 1)) for i, d in enumerate(docs)]
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(judged=judgments, ranked=rankings, k=st.integers(1, 12))
+def test_grouped_metrics_equal_per_topic_definitions(judged, ranked, k):
+    qrels = Qrels(judgments=dict(judged))
+    run = make_run(ranked)
+    want_ndcg, want_ap, want_residual = {}, {}, {}
+    for topic_id, ranking in run.rankings.items():
+        grades = qrels.grades_for_topic(topic_id)
+        dcg = sum(qrels.grade(topic_id, d) / math.log2(i + 1)
+                  for i, (d, _) in enumerate(ranking[:k], start=1))
+        ideal = sorted(grades, reverse=True)[:k]
+        idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+        want_ndcg[topic_id] = dcg / idcg if idcg > 0 else 0.0
+        relevant = sum(1 for g in grades if g >= 1)
+        hits, precision_sum = 0, 0.0
+        for rank, (d, _) in enumerate(ranking, start=1):
+            if qrels.grade(topic_id, d) >= 1:
+                hits += 1
+                precision_sum += hits / rank
+        want_ap[topic_id] = precision_sum / relevant if relevant else 0.0
+        want_residual[topic_id] = [
+            (d, s) for d, s in ranking if d not in qrels.judged(topic_id)
+        ]
+    assert ndcg_at_k(run, qrels, k) == want_ndcg
+    assert map_metric(run, qrels) == want_ap
+    assert residual_filter(run, qrels).rankings == want_residual

@@ -1,7 +1,11 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskrank.corpus import Collection, Document
 from taskrank.errors import EmptyCollection, UnknownUnit
@@ -14,6 +18,8 @@ from taskrank.indexing import (
     search,
     tokenize,
 )
+from taskrank.querygen import LexiconExtractor, select_task_terms
+from taskrank.tasks import Task
 
 PARAMS = Bm25Params()
 
@@ -65,7 +71,8 @@ def test_paragraph_variant_units():
     coll = make_collection({"d1": "head"}, {"d1": ("para one", "para two")})
     index = build_index(coll, IndexVariant.TITLE_ABSTRACT_PARAGRAPH)
     assert index.unit_count == 2
-    assert set(index.unit_parent.values()) == {"d1"}
+    assert index.unit_ids() == [("d1", 0), ("d1", 1)]
+    assert {index.doc_ids[d] for d in index.parent.tolist()} == {"d1"}
 
 
 def test_fulltext_variant_single_unit():
@@ -148,11 +155,22 @@ def test_doc_freq_matches_brute_force_containment(variant):
 def test_index_statistics_invariants(variant):
     coll = synthetic_corpus(50, seed=9)
     index = build_index(coll, variant)
-    for term, plist in index.postings.items():
-        assert index.doc_freq(term) == len(plist)
-    mean = sum(index.unit_lengths.values()) / index.unit_count
+    unit_ids = index.unit_ids()
+    assert len(set(unit_ids)) == len(unit_ids) == index.unit_count
+    postings = 0
+    for term in index.vocab:
+        units, tfs = index.term_postings(term)
+        assert index.doc_freq(term) == len(units) == len(tfs)
+        assert all(0 <= u < index.unit_count for u in units.tolist())
+        assert np.all(np.diff(units) > 0) and np.all(tfs >= 1)
+        postings += len(units)
+    assert postings == len(index.post_units)
+    mean = sum(index.unit_lengths.tolist()) / index.unit_count
     assert abs(index.avg_unit_length - mean) < 1e-9
-    assert set(index.unit_lengths) == set(index.unit_parent)
+    assert len(index.unit_lengths) == len(index.parent) == index.unit_count
+    parents = [index.doc_ids[d] for d in index.parent.tolist()]
+    assert parents == [doc_id for doc_id, _k in unit_ids]
+    assert set(parents) == {doc.doc_id for doc in coll}
 
 
 def test_bm25_zero_match_scores_zero():
@@ -176,7 +194,7 @@ def test_bm25_closed_form_single_doc():
 def test_duplicated_query_token_doubles_score():
     coll = synthetic_corpus(30, seed=11)
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    for unit_id in list(index.unit_lengths)[:10]:
+    for unit_id in index.unit_ids()[:10]:
         single = bm25_score(index, PARAMS, ["term05"], unit_id)
         double = bm25_score(index, PARAMS, ["term05", "term05"], unit_id)
         assert double == pytest.approx(2.0 * single, abs=1e-12)
@@ -293,3 +311,96 @@ def test_bm25_params_validation():
         Bm25Params(k1=0.0)
     with pytest.raises(ValueError):
         Bm25Params(b=1.5)
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "the", "x", "Alpha-2", "b3"]
+texts = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+# Doc ids in arbitrary string order, so ties exercise the doc_id tie-break.
+documents = st.lists(
+    st.tuples(st.text("aAb1", min_size=1, max_size=3), texts, texts,
+              st.lists(texts, max_size=3)),
+    min_size=1, max_size=12, unique_by=lambda doc: doc[0],
+)
+
+
+def oracle_unit_scores(units, params, query_tokens):
+    """BM25 of every unit from raw token lists, in the library's float order."""
+    n = len(units)
+    avg = sum(len(tokens) for tokens in units.values()) / n
+    scores = {}
+    for unit_id, tokens in units.items():
+        length_norm = params.k1 * (1.0 - params.b + params.b * len(tokens) / avg)
+        score = 0.0
+        for token in query_tokens:
+            tf = tokens.count(token)
+            if tf:
+                df = sum(1 for other in units.values() if token in other)
+                idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                score += idf * tf * (params.k1 + 1.0) / (tf + length_norm)
+        scores[unit_id] = score
+    return scores
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=documents,
+    query=st.lists(st.sampled_from(WORDS + ["unknown", "beta"]), max_size=8),
+    k1=st.floats(0.1, 3.0),
+    b=st.floats(0.0, 1.0),
+    top_k=st.integers(1, 15),
+)
+def test_random_corpora_search_and_scores_match_oracle(docs, query, k1, b, top_k):
+    coll = Collection.from_documents(
+        Document(doc_id=doc_id, title=title, abstract=abstract,
+                 body=tuple(p for p in body if p.strip()))
+        for doc_id, title, abstract, body in docs
+    )
+    tok = Tokenizer()
+    params = Bm25Params(k1=k1, b=b)
+    query_tokens = [t for word in query for t in tok.tokenize(word)] + ["unknown"]
+    last_doc = coll.docs[-1].doc_id
+    for variant in IndexVariant:
+        units = oracle_unit_tokens(coll, variant, tok)
+        index = build_index(coll, variant, tok)
+        assert index.unit_ids() == list(units)
+        if not any(units.values()):
+            # No tokens anywhere: the mean unit length is 0 and nothing matches.
+            assert search(index, params, query_tokens, top_k) == []
+            continue
+        assert search(index, params, query_tokens, top_k) == oracle_search(
+            coll, variant, tok, params, query_tokens, top_k
+        )
+        want = oracle_unit_scores(units, params, query_tokens)
+        for unit_id in units:
+            assert bm25_score(index, params, query_tokens, unit_id) == want[unit_id]
+        past_last_unit = (last_doc, sum(doc_id == last_doc for doc_id, _k in units))
+        with pytest.raises(UnknownUnit):
+            bm25_score(index, params, query_tokens, past_last_unit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=documents, description=st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),
+       n=st.integers(1, 6))
+def test_random_corpora_select_task_terms_match_brute_force_df(docs, description, n):
+    coll = Collection.from_documents(
+        Document(doc_id=doc_id, title=title, abstract=abstract)
+        for doc_id, title, abstract, _body in docs
+    )
+    tok = Tokenizer()
+    index = build_index(coll, IndexVariant.TITLE_ABSTRACT, tok)
+    # Bigram terms make the df an intersection of two posting lists.
+    extractor = LexiconExtractor(
+        {" ".join(pair) for pair in zip(description, description[1:])} | set(description)
+    )
+    task = Task(task_id="t", title="", description=" ".join(description))
+    unit_tokens = [set(tokens) for tokens in oracle_unit_tokens(
+        coll, IndexVariant.TITLE_ABSTRACT, tok).values()]
+    counts = Counter(extractor.extract(task.description))
+    scored = []
+    for term, tf in counts.items():
+        tokens = tok.tokenize(term)
+        if tokens:
+            df = sum(1 for unit in unit_tokens if set(tokens) <= unit)
+            scored.append((tf * math.log(len(unit_tokens) / (1 + df)), term))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    assert select_task_terms(task, index, extractor, n) == [t for _, t in scored[:n]]

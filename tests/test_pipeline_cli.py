@@ -4,8 +4,10 @@ import pytest
 
 from taskrank import cli
 from taskrank.cli import main
+from taskrank.corpus import load_collection
 from taskrank.evaluation import Run, parse_run, write_run
-from taskrank.pipeline import PipelineConfig, RunVariant
+from taskrank.indexing import IndexVariant, InvertedIndex, TokenizedCollection, Tokenizer
+from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import ConfidenceMode, ExpansionConfig
 
 
@@ -286,6 +288,37 @@ def test_index_stats_cli(mini, capsys):
     assert "fulltext" in out and "paragraph" in out
     # 15 units: nine docs with paragraphs plus one body-less doc.
     assert " 15 " in out
+    header, *rows = out.splitlines()
+    assert header.split() == ["variant", "docs", "units", "avg_len", "vocab", "bytes"]
+    collection = load_collection(mini["corpus"])
+    tok = Tokenizer()
+    heads = {t for doc in collection for t in tok.tokenize(f"{doc.title} {doc.abstract}")}
+    bodies = {t for doc in collection for p in doc.body for t in tok.tokenize(p)}
+    want_vocab = {"fulltext": heads | bodies, "title-abstract": heads, "paragraph": heads | bodies}
+    tokens = TokenizedCollection(collection)
+    for row in rows:
+        name, _docs, _units, _avg, vocab, nbytes = row.split()
+        assert int(vocab) == len(want_vocab[name])
+        assert int(nbytes) == InvertedIndex(tokens, IndexVariant(name)).nbytes > 0
+
+
+def test_pipeline_setup_tokenizes_each_head_and_paragraph_once(mini):
+    texts = []
+
+    class CountingTokenizer(Tokenizer):
+        def tokenize(self, text):
+            texts.append(text)
+            return super().tokenize(text)
+
+    config = PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"])
+    pipeline = Pipeline(config, tokenizer=CountingTokenizer())
+    collection = pipeline.collection
+    paragraphs = sum(len(doc.body) for doc in collection)
+    assert paragraphs > 0
+    assert len(texts) == len(collection) + paragraphs
+    assert sorted(texts) == sorted(
+        text for doc in collection for text in (f"{doc.title} {doc.abstract}", *doc.body)
+    )
 
 
 def test_select_terms_cli(mini, capsys):
