@@ -3,7 +3,9 @@
 Builds a synthetic experiment where documents are drawn from task-specific
 vocabularies and queries are deliberately under-specified, then compares the
 plain query pipeline against task-term expansion across a small weighting
-grid - the duplication-count grid with 3 or 5 task terms.
+grid - the duplication-count grid with 3 or 5 task terms. The sweep builds
+one pipeline and runs each grid cell through ``Pipeline.with_expansion``, so
+the corpus is loaded and indexed once for the whole grid.
 """
 
 import json
@@ -84,7 +86,8 @@ grid = [
     for dup in (1, 2, 3)
     for n in (3, 5)
 ]
-rows = sweep(grid, lambda cfg: Pipeline(replace(base, expansion=cfg)).run(), qrels, k=20)
+pipeline = Pipeline(base)
+rows = sweep(grid, lambda cfg: pipeline.with_expansion(cfg).run(), qrels, k=20)
 print(f"{'ndcg@20':<9} {'map':<9} weighting")
 for row in rows:
     label = (f"{row.config.dup_query} query : {row.config.dup_question} question "

@@ -10,6 +10,8 @@ so published-scale numbers require the real inputs:
      (https://ir.nist.gov/trec-covid/data.html)
   3. optionally, a lexicon exported from a real entity recognizer such as
      ScispaCy (one lowercase term per line) via --lexicon
+  4. for the journal.task variant, a manual topic-task map via --manual-map;
+     for the vector variant, a vectors file via --vectors
 
 It converts the inputs into the corpus/topic formats this package reads,
 then produces and scores fusion runs for the requested variants.
@@ -91,6 +93,9 @@ def main() -> int:
     parser.add_argument("--workdir", required=True, type=Path)
     parser.add_argument("--variants", nargs="+", default=["query", "query+task"])
     parser.add_argument("--lexicon", type=Path, help="richer term lexicon (optional)")
+    parser.add_argument("--manual-map", type=Path,
+                        help="manual topic-task map (required by journal.task)")
+    parser.add_argument("--vectors", type=Path, help="vectors file (required by vector)")
     parser.add_argument("--topic-id-offset", type=int, default=-1)
     parser.add_argument("--k", type=int, default=20)
     args = parser.parse_args()
@@ -114,6 +119,10 @@ def main() -> int:
         ]
         if args.lexicon:
             cmd += ["--lexicon", str(args.lexicon)]
+        if args.manual_map:
+            cmd += ["--manual-map", str(args.manual_map)]
+        if args.vectors:
+            cmd += ["--vectors", str(args.vectors)]
         if variant in ("journal.prior", "journal.task"):
             cmd += ["--qrels", str(args.qrels)]
         print("+", " ".join(cmd))

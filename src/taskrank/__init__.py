@@ -32,7 +32,6 @@ from .indexing import (
     bm25_score,
     build_index,
     search,
-    tokenize,
 )
 from .pipeline import Pipeline, PipelineConfig, RunVariant
 from .querygen import (
@@ -70,7 +69,6 @@ from .tasks import (
     TaskPrediction,
     Topic,
     agreement,
-    classify_query,
     classify_topics,
     default_framework,
     default_manual_map,

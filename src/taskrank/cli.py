@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import typing
-from dataclasses import replace
 from enum import Enum
 
 from .corpus import load_collection
@@ -258,11 +257,8 @@ def cmd_sweep(args) -> int:
     if not base.qrels_path:
         raise TaskRankError("sweep requires --qrels")
     qrels = parse_qrels(base.qrels_path)
-
-    def run_cell(expansion: ExpansionConfig):
-        return Pipeline(replace(base, expansion=expansion)).run()
-
-    rows = sweep(grid, run_cell, qrels, k=args.k)
+    pipeline = Pipeline(base)
+    rows = sweep(grid, lambda e: pipeline.with_expansion(e).run(), qrels, k=args.k)
     header = f"{'ndcg@' + str(args.k):<10} {'map':<10} config"
     print(header)
     for row in rows:

@@ -67,11 +67,6 @@ class Tokenizer:
                                 _LONG_TOKEN_RUN.findall(text.lower())))
 
 
-def tokenize(text: str, tokenizer: Tokenizer | None = None) -> list[str]:
-    """Tokenize with the given tokenizer, or the shipped default."""
-    return (tokenizer or Tokenizer()).tokenize(text)
-
-
 class IndexVariant(Enum):
     FULL_TEXT = "fulltext"
     TITLE_ABSTRACT = "title-abstract"

@@ -1,16 +1,19 @@
 """End-to-end run construction: query generation, three-index search,
 reciprocal rank fusion and optional re-ranking, per topic.
 
-A Pipeline is built once per invocation (indices are rebuilt, not cached):
-every title+abstract and every body paragraph is tokenized once, and the
-three index variants are assembled from those token ids. It then runs its
-topics one after another in a single thread. Per-topic work is pure and
+A Pipeline is built once per invocation: every title+abstract and every
+body paragraph is tokenized once, and the three index variants are assembled
+from those token ids. Set-up does not read the expansion settings (each
+task's terms are ranked once; a run takes the first ``n_task_terms``), so a
+sweep builds one pipeline and runs each grid cell through ``with_expansion``.
+Topics run one after another in a single thread. Per-topic work is pure and
 rankings are emitted in topic-id order, so output is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .corpus import load_collection
@@ -124,7 +127,10 @@ class Pipeline:
         )
         tokens = TokenizedCollection(self.collection, self.tokenizer)
         self.indices = {variant: InvertedIndex(tokens, variant) for variant in IndexVariant}
-        self._assignments = self._resolve_assignments()
+        manual = None
+        if config.variant in _NEEDS_ASSIGNMENT and config.manual_map_path:
+            manual = load_manual_map(config.manual_map_path, self.framework)
+        self._assignments = self._resolve_assignments(manual)
         self._task_terms = self._select_all_task_terms()
         self._priors = None
         self._per_task_priors = None
@@ -134,19 +140,26 @@ class Pipeline:
             if config.variant is RunVariant.JOURNAL_PRIOR:
                 self._priors = build_journal_priors(qrels, self.collection)
             else:
-                manual = load_manual_map(config.manual_map_path, self.framework)
                 self._per_task_priors = build_per_task_priors(
                     qrels, self.collection, manual
                 )
         if config.variant is RunVariant.VECTOR:
             self._vectors = InMemoryVectorProvider.from_file(config.vectors_path)
 
-    def _resolve_assignments(self) -> dict[int, TaskAssignment]:
+    def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
+        """A copy that shares this pipeline's collection, indices, task
+        assignments and priors and runs under other expansion settings."""
+        other = copy.copy(self)
+        other.config = replace(self.config, expansion=expansion)
+        return other
+
+    def _resolve_assignments(
+        self, manual: list[TaskAssignment] | None
+    ) -> dict[int, TaskAssignment]:
         if self.config.variant not in _NEEDS_ASSIGNMENT:
             return {}
-        if self.config.manual_map_path:
-            assignments = load_manual_map(self.config.manual_map_path, self.framework)
-            by_topic = {a.topic_id: a for a in assignments}
+        if manual is not None:
+            by_topic = {a.topic_id: a for a in manual}
             unmapped = [t.topic_id for t in self.topics if t.topic_id not in by_topic]
             if unmapped:
                 raise TaskRankError(
@@ -157,13 +170,12 @@ class Pipeline:
         return {a.topic_id: a for a in automatic}
 
     def _select_all_task_terms(self) -> dict[str, list[str]]:
+        """Every candidate term of each task, best first."""
         if self.config.variant not in _TASK_EXPANDED:
             return {}
         abstracts_index = self.indices[IndexVariant.TITLE_ABSTRACT]
         return {
-            task.task_id: select_task_terms(
-                task, abstracts_index, self.extractor, self.config.expansion.n_task_terms
-            )
+            task.task_id: select_task_terms(task, abstracts_index, self.extractor, None)
             for task in self.framework
         }
 
@@ -181,7 +193,7 @@ class Pipeline:
             return generate_task_expanded(
                 topic,
                 base,
-                self._task_terms[assignment.task_id],
+                self._task_terms[assignment.task_id][:self.config.expansion.n_task_terms],
                 self.config.expansion,
                 assignment=assignment,
                 extractor=self.extractor,

@@ -206,15 +206,16 @@ def generate_udel(topic: Topic, extractor: TermExtractor,
 
 
 def select_task_terms(task: Task, abstracts_index: InvertedIndex,
-                      extractor: TermExtractor, n: int) -> list[str]:
+                      extractor: TermExtractor, n: int | None) -> list[str]:
     """Pick the top-n extracted task-description terms by TF-IDF.
 
     TF is the term's occurrence count in the task description; IDF is
     ln(N/(1+df)) over the abstracts index, where a multi-token term's df is
     the number of units containing all of its tokens. Ties break
-    lexicographically.
+    lexicographically, so the order is total and the top n is a prefix of
+    the full ranking that ``n=None`` returns.
     """
-    if n <= 0:
+    if n is not None and n <= 0:
         return []
     candidates = extractor.extract(task.description)
     if not candidates:

@@ -133,12 +133,6 @@ class TaskClassifier:
         return TaskPrediction(task_id=task_id, score=score, low_confidence=False)
 
 
-def classify_query(framework: TaskFramework, query: str,
-                   params: Bm25Params | None = None) -> TaskPrediction:
-    """One-off classification; build a TaskClassifier to reuse the index."""
-    return TaskClassifier(framework, params).classify(query)
-
-
 def classify_topics(framework: TaskFramework, topics: list[Topic],
                     params: Bm25Params | None = None) -> list[TaskAssignment]:
     classifier = TaskClassifier(framework, params)

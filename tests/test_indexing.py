@@ -16,7 +16,6 @@ from taskrank.indexing import (
     build_index,
     bm25_score,
     search,
-    tokenize,
 )
 from taskrank.querygen import LexiconExtractor, select_task_terms
 from taskrank.tasks import Task
@@ -49,12 +48,13 @@ def character_scanner_tokens(text, stopwords):
 
 
 def test_tokenize_case_and_split():
-    assert tokenize("COVID-19 spreads") == ["covid", "19", "spreads"]
+    assert Tokenizer().tokenize("COVID-19 spreads") == ["covid", "19", "spreads"]
 
 
 def test_tokenize_drops_stopwords_and_short_tokens():
-    assert tokenize("the of and") == []
-    assert tokenize("a I x viral") == ["viral"]
+    tok = Tokenizer()
+    assert tok.tokenize("the of and") == []
+    assert tok.tokenize("a I x viral") == ["viral"]
 
 
 def test_tokenize_matches_character_scanner_oracle():
@@ -404,3 +404,7 @@ def test_random_corpora_select_task_terms_match_brute_force_df(docs, description
             scored.append((tf * math.log(len(unit_tokens) / (1 + df)), term))
     scored.sort(key=lambda item: (-item[0], item[1]))
     assert select_task_terms(task, index, extractor, n) == [t for _, t in scored[:n]]
+    full = select_task_terms(task, index, extractor, None)
+    assert full == [t for _, t in scored]
+    for m in range(len(full) + 2):
+        assert select_task_terms(task, index, extractor, m) == full[:m]

@@ -1,14 +1,21 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from taskrank import cli
+from taskrank import cli, pipeline as pipeline_module
 from taskrank.cli import main
 from taskrank.corpus import load_collection
 from taskrank.evaluation import Run, parse_run, write_run
 from taskrank.indexing import IndexVariant, InvertedIndex, TokenizedCollection, Tokenizer
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
-from taskrank.querygen import ConfidenceMode, ExpansionConfig
+from taskrank.querygen import (
+    ConfidenceMode,
+    ExpansionConfig,
+    LexiconExtractor,
+    select_task_terms,
+)
+from taskrank.tasks import load_manual_map, load_tasks
 
 
 def mini_args(mini, *extra):
@@ -359,6 +366,105 @@ def test_config_file_with_flag_precedence(mini, tmp_path):
     assert out2.read_text().splitlines()[0].endswith("fromflag")
 
 
+def counting(monkeypatch, name):
+    """Replace ``taskrank.pipeline.<name>`` with a wrapper; return its call list."""
+    calls = []
+    original = getattr(pipeline_module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, name, wrapper)
+    return calls
+
+
+def test_sweep_builds_each_index_once(mini, monkeypatch, tmp_path, capsys):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text(
+        "".join(json.dumps({"n_task_terms": n}) + "\n" for n in (0, 1, 3, 5)),
+        encoding="utf-8",
+    )
+    builds = counting(monkeypatch, "InvertedIndex")
+    assert main([
+        "sweep", *mini_args(mini, "--manual-map", mini["manual_map"]),
+        "--qrels", mini["qrels"], "--grid", str(grid),
+    ]) == 0
+    assert capsys.readouterr().out.count("task, n=") == 4
+    assert sorted(variant.value for _tokens, variant in builds) == sorted(
+        variant.value for variant in IndexVariant
+    )
+
+
+def test_journal_task_loads_the_manual_map_once(mini, monkeypatch):
+    loads = counting(monkeypatch, "load_manual_map")
+    Pipeline(PipelineConfig(
+        corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
+        variant=RunVariant.JOURNAL_TASK, qrels_path=mini["qrels"],
+        manual_map_path=mini["manual_map"],
+    ))
+    assert len(loads) == 1
+
+
+@pytest.mark.parametrize("variant", [RunVariant.QUERY_TASK, RunVariant.QUERY_UDEL_TASK])
+def test_with_expansion_runs_equal_fresh_pipelines(mini, monkeypatch, variant):
+    base = PipelineConfig(
+        corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
+        lexicon_path=mini["lexicon"], manual_map_path=mini["manual_map"], variant=variant,
+    )
+    extractor = LexiconExtractor.from_file(mini["lexicon"])
+    framework = load_tasks(mini["tasks"])
+    task_of = {a.topic_id: a.task_id for a in load_manual_map(mini["manual_map"], framework)}
+    most_terms = max(len(set(extractor.extract(task.description))) for task in framework)
+    pipeline = Pipeline(base)
+    abstracts = pipeline.indices[IndexVariant.TITLE_ABSTRACT]
+    generated = counting(monkeypatch, "generate_task_expanded")
+    for n in range(most_terms + 2):
+        for route in (True, False):
+            for mode in ConfidenceMode:
+                expansion = ExpansionConfig(n_task_terms=n, confidence_mode=mode,
+                                            route_task_terms_fulltext_only=route)
+                generated.clear()
+                rankings = pipeline.with_expansion(expansion).run().rankings
+                # Each topic gets its task's top n terms, as a direct selection picks them.
+                assert len(generated) == len(pipeline.topics)
+                for topic, _base, task_terms, _expansion in generated:
+                    task = framework.get(task_of[topic.topic_id])
+                    assert task_terms == select_task_terms(task, abstracts, extractor, n)
+                fresh = Pipeline(replace(base, expansion=expansion)).run()
+                assert rankings == fresh.rankings
+
+
+def test_with_expansion_leaves_the_original_untouched(mini):
+    config = PipelineConfig(
+        corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
+        manual_map_path=mini["manual_map"], variant=RunVariant.QUERY_TASK,
+    )
+    before = replace(config)
+    pipeline = Pipeline(config)
+    expansion = ExpansionConfig(n_task_terms=1, dup_query=1)
+    other = pipeline.with_expansion(expansion)
+    assert pipeline.config is config and config == before
+    assert other.config == replace(before, expansion=expansion)
+    assert other.indices is pipeline.indices and other.collection is pipeline.collection
+
+
+def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text('{"n_task_terms": 1}\n{"n_task_terms": 2}\n', encoding="utf-8")
+    absent = tmp_path / "absent.jsonl"
+    code = main([
+        "sweep", "--corpus", mini["corpus"], "--topics", str(absent),
+        "--qrels", mini["qrels"], "--grid", str(grid),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "FAILED" not in captured.out
+    errors = captured.err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error:") and str(absent) in errors[0]
+
+
 def test_unreadable_grid_fails(mini, tmp_path):
     code = main([
         "sweep", *mini_args(mini), "--qrels", mini["qrels"],
@@ -368,13 +474,19 @@ def test_unreadable_grid_fails(mini, tmp_path):
 
 
 class RecordingPipeline:
-    """Stands in for Pipeline: records each config and returns an empty run."""
+    """Stands in for Pipeline: records the config it is built with and each
+    with_expansion config, and returns an empty run."""
 
     def __init__(self, configs):
         self.configs = configs
 
     def __call__(self, config):
         self.configs.append(config)
+        self.config = config
+        return self
+
+    def with_expansion(self, expansion):
+        self.configs.append(replace(self.config, expansion=expansion))
         return self
 
     def run(self):
@@ -404,7 +516,9 @@ def test_sweep_grid_lines_map_onto_expansion_defaults(mini, monkeypatch, tmp_pat
         "sweep", "--corpus", "c.jsonl", "--topics", "t.jsonl",
         "--qrels", mini["qrels"], "--grid", str(grid),
     ]) == 0
-    assert [c.expansion for c in configs] == [
+    built, *cells = configs
+    assert built.expansion == ExpansionConfig()
+    assert [c.expansion for c in cells] == [
         ExpansionConfig(),
         ExpansionConfig(dup_query=2, confidence_mode=ConfidenceMode.GATE,
                         route_task_terms_fulltext_only=False),

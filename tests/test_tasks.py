@@ -18,7 +18,6 @@ from taskrank.tasks import (
     TaskFramework,
     Topic,
     agreement,
-    classify_query,
     classify_topics,
     default_framework,
     default_manual_map,
@@ -58,14 +57,14 @@ def disjoint_framework(n_tasks=10, words_per_task=12):
 
 def test_classify_unique_terms_picks_that_task():
     framework = disjoint_framework(3)
-    pred = classify_query(framework, "task1word0 task1word5")
+    pred = TaskClassifier(framework).classify("task1word0 task1word5")
     assert pred.task_id == "synthetic-1"
     assert not pred.low_confidence
 
 
 def test_classify_no_overlap_falls_back_to_first_task():
     framework = disjoint_framework(3)
-    pred = classify_query(framework, "completely unrelated words")
+    pred = TaskClassifier(framework).classify("completely unrelated words")
     assert pred.task_id == "synthetic-0"
     assert pred.low_confidence
     assert pred.score == 0.0
@@ -74,7 +73,7 @@ def test_classify_no_overlap_falls_back_to_first_task():
 def test_classify_empty_query_rejected():
     framework = disjoint_framework(2)
     with pytest.raises(EmptyQuery):
-        classify_query(framework, "the of and")
+        TaskClassifier(framework).classify("the of and")
 
 
 def test_disjoint_vocabularies_classify_perfectly():
@@ -95,8 +94,8 @@ def test_classification_invariant_to_task_order():
     for t in range(5):
         query = f"task{t}word0 task{t}word1"
         assert (
-            classify_query(framework, query).task_id
-            == classify_query(reversed_framework, query).task_id
+            TaskClassifier(framework).classify(query).task_id
+            == TaskClassifier(reversed_framework).classify(query).task_id
         )
 
 
