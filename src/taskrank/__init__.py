@@ -29,7 +29,6 @@ from .indexing import (
     InvertedIndex,
     TokenizedCollection,
     Tokenizer,
-    bm25_score,
     build_index,
     search,
 )
@@ -39,9 +38,7 @@ from .querygen import (
     ExpansionConfig,
     GeneratedQuery,
     LexiconExtractor,
-    PassthroughExtractor,
     QueryBase,
-    TermExtractor,
     default_lexicon,
     generate_plain,
     generate_task_expanded,
@@ -52,7 +49,6 @@ from .rerank import (
     InMemoryVectorProvider,
     JournalPriorTable,
     RerankConfig,
-    VectorProvider,
     build_journal_priors,
     build_per_task_priors,
     cosine_proximity,

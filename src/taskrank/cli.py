@@ -130,9 +130,7 @@ def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> Pipe
 
 
 def cmd_index_stats(args) -> int:
-    collection = load_collection(args.corpus, strict=False)
-    if collection.skipped_records:
-        print(f"skipped {collection.skipped_records} malformed records", file=sys.stderr)
+    collection = load_collection(args.corpus)
     variants = list(IndexVariant) if args.variant == "all" else [IndexVariant(args.variant)]
     tokens = TokenizedCollection(collection)
     print(f"{'variant':<16} {'docs':>8} {'units':>8} {'avg_len':>10} {'vocab':>8} "
@@ -164,9 +162,13 @@ def cmd_eval(args) -> int:
     qrels = parse_qrels(args.qrels)
     if args.residual_qrels:
         run = residual_filter(run, parse_qrels(args.residual_qrels))
-    unjudged = [t for t in run.topic_ids() if t not in qrels.topic_ids()]
+    judged = qrels.topic_ids()
+    unjudged = [t for t in run.topic_ids() if t not in judged]
     if unjudged:
         print(f"warning: no judgments for topics {unjudged}; scored 0", file=sys.stderr)
+    absent = sorted(judged.difference(run.rankings))
+    if absent:
+        print(f"warning: judged topics {absent} not in the run; not scored", file=sys.stderr)
     report = evaluate_run(run, qrels, k=args.k)
     if args.json:
         print(
@@ -211,7 +213,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_select_terms(args) -> int:
-    collection = load_collection(args.corpus, strict=False)
+    collection = load_collection(args.corpus)
     framework = load_tasks(args.tasks) if args.tasks else default_framework()
     extractor = (
         LexiconExtractor.from_file(args.lexicon) if args.lexicon else default_lexicon()
@@ -225,7 +227,7 @@ def cmd_select_terms(args) -> int:
 
 def cmd_priors(args) -> int:
     qrels = parse_qrels(args.qrels)
-    collection = load_collection(args.corpus, strict=False)
+    collection = load_collection(args.corpus)
     if args.per_task:
         if not args.manual_map:
             raise TaskRankError("--per-task requires --manual-map")

@@ -4,6 +4,8 @@ The corpus file is UTF-8, line-delimited JSON: one record per line with the
 fields ``doc_id``, ``title``, ``abstract``, ``body``, ``journal`` and ``date``.
 Absent fields are treated as empty. ``body`` may be a single string (split
 into paragraphs on blank lines) or a pre-split list of paragraph strings.
+A malformed line raises MalformedRecord and a repeated ``doc_id`` raises
+DuplicateDocId, each naming the file and the line; blank lines are skipped.
 """
 
 from __future__ import annotations
@@ -47,17 +49,16 @@ class Collection:
 
     docs: tuple[Document, ...]
     by_id: dict[str, int] = field(compare=False)
-    skipped_records: int = 0
 
     @classmethod
-    def from_documents(cls, docs, skipped_records: int = 0) -> "Collection":
+    def from_documents(cls, docs) -> "Collection":
         docs = tuple(docs)
         by_id: dict[str, int] = {}
         for i, doc in enumerate(docs):
             if doc.doc_id in by_id:
                 raise DuplicateDocId(doc.doc_id)
             by_id[doc.doc_id] = i
-        return cls(docs=docs, by_id=by_id, skipped_records=skipped_records)
+        return cls(docs=docs, by_id=by_id)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -94,16 +95,10 @@ def _record_to_document(record: dict) -> Document:
     )
 
 
-def load_collection(path, strict: bool = True) -> Collection:
-    """Load a line-delimited corpus file.
-
-    In strict mode any malformed line or duplicate doc_id aborts the load.
-    In lenient mode malformed lines and duplicate ids (first occurrence kept)
-    are skipped; the skip count is reported on the returned collection.
-    """
+def load_collection(path) -> Collection:
+    """Load a corpus file; every line must be a valid, new record."""
     docs: list[Document] = []
     seen: set[str] = set()
-    skipped = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -113,16 +108,10 @@ def load_collection(path, strict: bool = True) -> Collection:
                 if not isinstance(record, dict):
                     raise ValueError("record is not an object")
                 doc = _record_to_document(record)
-            except (json.JSONDecodeError, ValueError) as exc:
-                if strict:
-                    raise MalformedRecord(line_no, str(exc)) from exc
-                skipped += 1
-                continue
+            except (ValueError, RecursionError) as exc:
+                raise MalformedRecord(line_no, str(exc), path) from exc
             if doc.doc_id in seen:
-                if strict:
-                    raise DuplicateDocId(doc.doc_id)
-                skipped += 1
-                continue
+                raise DuplicateDocId(doc.doc_id, path, line_no)
             seen.add(doc.doc_id)
             docs.append(doc)
-    return Collection.from_documents(docs, skipped_records=skipped)
+    return Collection.from_documents(docs)

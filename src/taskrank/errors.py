@@ -8,26 +8,24 @@ class TaskRankError(Exception):
 class MalformedRecord(TaskRankError):
     """A corpus line could not be parsed into a document record."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no: int, reason: str, path):
+        super().__init__(f"{path} line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
+        self.path = path
 
 
 class DuplicateDocId(TaskRankError):
-    def __init__(self, doc_id: str):
-        super().__init__(f"duplicate doc_id {doc_id!r}")
+    def __init__(self, doc_id: str, path=None, line_no: int | None = None):
+        where = f"{path} line {line_no}: " if path is not None else ""
+        super().__init__(f"{where}duplicate doc_id {doc_id!r}")
         self.doc_id = doc_id
+        self.path = path
+        self.line_no = line_no
 
 
 class EmptyCollection(TaskRankError):
     """An index build was attempted over a collection with no documents."""
-
-
-class UnknownUnit(TaskRankError):
-    def __init__(self, unit_id):
-        super().__init__(f"unknown index unit {unit_id!r}")
-        self.unit_id = unit_id
 
 
 class EmptyInput(TaskRankError):

@@ -27,9 +27,6 @@ class Qrels:
     def judged(self, topic_id: int) -> set[str]:
         return {doc for (topic, doc) in self.judgments if topic == topic_id}
 
-    def grades_for_topic(self, topic_id: int) -> list[int]:
-        return [g for (topic, _), g in self.judgments.items() if topic == topic_id]
-
     def topic_ids(self) -> set[int]:
         return {topic for (topic, _) in self.judgments}
 
@@ -190,7 +187,10 @@ class MetricReport:
 
 
 def evaluate_run(run: Run, qrels: Qrels, k: int = 20) -> MetricReport:
-    """NDCG@k and MAP over the run's topics, with arithmetic means."""
+    """NDCG@k and MAP over the run's topics; the means divide by their count.
+
+    Judged topics absent from the run are not scored; ``trec_eval -c`` would
+    score them 0 and divide by the number of judged topics."""
     ndcg = ndcg_at_k(run, qrels, k)
     ap = map_metric(run, qrels)
     n = len(ndcg)

@@ -1,4 +1,4 @@
-"""Tokenization and an immutable array-backed inverted index with BM25 scoring.
+"""Tokenization, an immutable array-backed inverted index and BM25 search.
 
 Three index variants are supported: full text (title+abstract+body as one
 unit per document), title+abstract, and title+abstract+paragraph where every
@@ -10,7 +10,8 @@ variant is assembled from those arrays: full text = head + all paragraphs,
 title+abstract = head, paragraph = head + paragraph_i (the head alone for a
 document without a body). An ``InvertedIndex`` stores its postings in CSR
 form: per term, a contiguous run of ascending ``int32`` unit ids and their
-term frequencies, located by ``offsets``.
+term frequencies, located by ``offsets``. ``search`` is the one BM25 scorer:
+it scores the units a query touches and ranks documents by their best unit.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ from itertools import count, filterfalse
 import numpy as np
 
 from .corpus import Collection
-from .errors import EmptyCollection, UnknownUnit
+from .errors import EmptyCollection
 
 _TOKEN_RUN = re.compile(r"[0-9a-z]+")
 # Maximal runs of two or more characters: a one-character run never matches,
 # so a match cannot start inside a longer run.
 _LONG_TOKEN_RUN = re.compile(r"[0-9a-z]{2,}")
-
-# Unit ids are (doc_id, unit_index) pairs; unit_index is always 0 for the
-# single-unit variants.
-UnitId = tuple[str, int]
 
 _NO_POSTINGS = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8))
 
@@ -105,7 +102,6 @@ class TokenizedCollection:
         self.tokenizer = tokenizer or Tokenizer()
         self.bodies = bodies
         self.doc_ids = tuple(doc.doc_id for doc in collection)
-        self.doc_position = collection.by_id
         split = self.tokenizer.tokenize
         # Each token is stored as the position of its term's first occurrence,
         # so no token strings outlive their text; the positions are renumbered
@@ -164,7 +160,6 @@ class InvertedIndex:
         self.tokenizer = tokens.tokenizer
         self.vocab = tokens.vocab
         self.doc_ids = tokens.doc_ids
-        self.doc_position = tokens.doc_position
         self.doc_rank = tokens.doc_rank
         offsets, head, paragraphs = tokens.seg_offsets, tokens.head_segment, tokens.paragraphs
         if variant is IndexVariant.TITLE_ABSTRACT_PARAGRAPH:
@@ -244,24 +239,6 @@ class InvertedIndex:
         df = self.doc_freq(term)
         return math.log(1.0 + (self.unit_count - df + 0.5) / (df + 0.5))
 
-    def unit_ids(self) -> list[UnitId]:
-        """``(doc_id, unit_index)`` of every unit, in unit order."""
-        local = np.arange(self.unit_count) - self.first_unit[self.parent]
-        return [(self.doc_ids[d], k)
-                for d, k in zip(self.parent.tolist(), local.tolist())]
-
-    def unit_position(self, unit_id: UnitId) -> int:
-        """Unit number of ``(doc_id, unit_index)``; UnknownUnit if absent."""
-        try:
-            doc_id, k = unit_id
-            d = self.doc_position[doc_id]
-        except (KeyError, TypeError, ValueError):
-            raise UnknownUnit(unit_id) from None
-        last = self.first_unit[d + 1] if d + 1 < self.doc_count else self.unit_count
-        if not isinstance(k, int) or not 0 <= k < last - self.first_unit[d]:
-            raise UnknownUnit(unit_id)
-        return int(self.first_unit[d]) + k
-
 
 def build_index(collection: Collection, variant: IndexVariant,
                 tokenizer: Tokenizer | None = None) -> InvertedIndex:
@@ -272,28 +249,6 @@ def build_index(collection: Collection, variant: IndexVariant,
     """
     bodies = variant is not IndexVariant.TITLE_ABSTRACT
     return InvertedIndex(TokenizedCollection(collection, tokenizer, bodies), variant)
-
-
-def bm25_score(index: InvertedIndex, params: Bm25Params,
-               query_tokens: list[str], unit_id: UnitId) -> float:
-    """BM25 score of one unit for a token list.
-
-    Repeated query tokens contribute once per occurrence, which is what makes
-    duplication-based query term weighting work.
-    """
-    unit = index.unit_position(unit_id)
-    length_norm = params.k1 * (
-        1.0 - params.b + params.b * int(index.unit_lengths[unit]) / index.avg_unit_length
-    )
-    score = 0.0
-    for token in query_tokens:
-        units, tfs = index.term_postings(token)
-        i = int(np.searchsorted(units, unit))
-        if i == len(units) or units[i] != unit:
-            continue
-        tf = int(tfs[i])
-        score += index.idf(token) * tf * (params.k1 + 1.0) / (tf + length_norm)
-    return score
 
 
 def search(index: InvertedIndex, params: Bm25Params,

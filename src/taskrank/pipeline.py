@@ -115,7 +115,7 @@ class Pipeline:
         config.validate()
         self.config = config
         self.tokenizer = tokenizer or Tokenizer()
-        self.collection = load_collection(config.corpus_path, strict=False)
+        self.collection = load_collection(config.corpus_path)
         self.topics = load_topics(config.topics_path)
         self.framework = (
             load_tasks(config.tasks_path) if config.tasks_path else default_framework()

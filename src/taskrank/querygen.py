@@ -27,23 +27,13 @@ def _raw_tokens(text: str) -> list[str]:
     return _TOKEN_RUN.findall(text.lower())
 
 
-class TermExtractor:
-    """Extracts candidate terms (1..4 tokens each) from text.
+class LexiconExtractor:
+    """Extracts candidate terms by matching a fixed term lexicon against text.
 
-    Stand-in for a biomedical named-entity recognizer; implementations return
-    every occurrence, so repeated terms stay repeated.
-    """
-
-    def extract(self, text: str) -> list[str]:
-        raise NotImplementedError
-
-
-class LexiconExtractor(TermExtractor):
-    """Matches a fixed term lexicon against the text.
-
-    Scanning is greedy longest-match (up to 4 tokens) over the normalized
-    token stream; matched terms are returned in normalized form, one entry
-    per occurrence.
+    Stand-in for a biomedical named-entity recognizer. Scanning is greedy
+    longest-match (up to 4 tokens) over the normalized token stream; matched
+    terms are returned in normalized form, one entry per occurrence, so
+    repeated terms stay repeated.
     """
 
     def __init__(self, terms):
@@ -76,16 +66,6 @@ class LexiconExtractor(TermExtractor):
                     break
             i += matched or 1
         return found
-
-
-class PassthroughExtractor(TermExtractor):
-    """Every non-stopword token is a candidate term."""
-
-    def __init__(self, tokenizer: Tokenizer | None = None):
-        self.tokenizer = tokenizer or Tokenizer()
-
-    def extract(self, text: str) -> list[str]:
-        return self.tokenizer.tokenize(text)
 
 
 def default_lexicon() -> LexiconExtractor:
@@ -166,7 +146,7 @@ def _base_plain(topic: Topic, tokenizer: Tokenizer) -> _BaseTokens:
     return _BaseTokens(query_tokens=tuple(tokens), question_tokens=())
 
 
-def _base_udel(topic: Topic, extractor: TermExtractor, tokenizer: Tokenizer) -> _BaseTokens:
+def _base_udel(topic: Topic, extractor: LexiconExtractor, tokenizer: Tokenizer) -> _BaseTokens:
     """Entity-filtered query+question terms, kept separated by source.
 
     The two fields are extracted independently so that query- and
@@ -195,7 +175,7 @@ def generate_plain(topic: Topic, tokenizer: Tokenizer | None = None) -> Generate
     return _uniform(base.query_tokens)
 
 
-def generate_udel(topic: Topic, extractor: TermExtractor,
+def generate_udel(topic: Topic, extractor: LexiconExtractor,
                   tokenizer: Tokenizer | None = None) -> GeneratedQuery:
     """Query+question concatenation filtered down to lexicon terms.
 
@@ -206,7 +186,7 @@ def generate_udel(topic: Topic, extractor: TermExtractor,
 
 
 def select_task_terms(task: Task, abstracts_index: InvertedIndex,
-                      extractor: TermExtractor, n: int | None) -> list[str]:
+                      extractor: LexiconExtractor, n: int | None) -> list[str]:
     """Pick the top-n extracted task-description terms by TF-IDF.
 
     TF is the term's occurrence count in the task description; IDF is
@@ -252,7 +232,7 @@ def _effective_dup_task(config: ExpansionConfig,
 def generate_task_expanded(topic: Topic, base: QueryBase, task_terms: list[str],
                            config: ExpansionConfig,
                            assignment: TaskAssignment | None = None,
-                           extractor: TermExtractor | None = None,
+                           extractor: LexiconExtractor | None = None,
                            tokenizer: Tokenizer | None = None) -> GeneratedQuery:
     """Base query with task terms appended under duplication weighting.
 

@@ -3,11 +3,13 @@ proximity to a task description.
 
 Both re-rankers min-max normalize the retrieval scores within the ranking and
 combine them linearly with an auxiliary score in [-1, 1] (journal prior) or
-[0, 1] (mapped cosine proximity).
+[0, 1] (mapped cosine proximity). Vectors are held in memory; a bad row of a
+vectors file is an error naming the file and the line.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .corpus import Collection
-from .errors import EmptyQrels, MissingTaskVector, UnknownTask
+from .errors import EmptyQrels, MalformedRow, MissingTaskVector, UnknownTask
 from .tasks import Task, TaskAssignment
 
 _PUNCT = re.compile(r"[^0-9a-z\s]+")
@@ -144,40 +146,46 @@ def rerank_by_journal(ranking: list[tuple[str, float]], table: JournalPriorTable
     return _combine_and_sort(ranking, normalized, priors, config.alpha, top_k)
 
 
-class VectorProvider:
-    """Supplies fixed-dimension dense vectors by key (doc_id or task_id)."""
+class InMemoryVectorProvider:
+    """Fixed-dimension dense vectors by key (doc_id or task_id)."""
 
-    def vector(self, key: str) -> np.ndarray | None:
-        raise NotImplementedError
-
-
-class InMemoryVectorProvider(VectorProvider):
     def __init__(self, vectors: dict[str, "np.ndarray | list[float]"]):
-        self._vectors: dict[str, np.ndarray] = {}
-        dim = None
-        for key, value in vectors.items():
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"vector for {key!r} is not one-dimensional")
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise ValueError(
-                    f"vector for {key!r} has dimension {arr.shape[0]}, expected {dim}"
-                )
-            self._vectors[key] = arr
-        self.dim = dim
+        self._vectors = {key: np.asarray(value, dtype=float) for key, value in vectors.items()}
+        shapes = sorted({arr.shape for arr in self._vectors.values()})
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError(f"vectors must be one-dimensional and of one length: {shapes}")
 
     @classmethod
     def from_file(cls, path) -> "InMemoryVectorProvider":
-        """Parse ``key v1 v2 ... vd`` lines."""
+        """Parse ``key v1 v2 ... vd`` lines, skipping blank ones. A value that is
+        not a finite number, a key without values, a dimension other than the
+        first row's or a repeated key raises MalformedRow naming file and line.
+        """
         vectors: dict[str, list[float]] = {}
+        dim = None
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:
                     continue
-                vectors[parts[0]] = [float(x) for x in parts[1:]]
+                key = parts[0]
+                try:
+                    vector = [float(x) for x in parts[1:]]
+                except ValueError as exc:
+                    raise MalformedRow(line_no, line.rstrip("\n"), path, str(exc)) from exc
+                if not vector:
+                    reason = "no values"
+                elif not all(map(math.isfinite, vector)):
+                    reason = "values must be finite"
+                elif dim is not None and len(vector) != dim:
+                    reason = f"{len(vector)} values, expected {dim}"
+                elif key in vectors:
+                    reason = f"repeats key {key!r}"
+                else:
+                    vectors[key] = vector
+                    dim = len(vector)
+                    continue
+                raise MalformedRow(line_no, line.rstrip("\n"), path, reason)
         return cls(vectors)
 
     def vector(self, key: str) -> np.ndarray | None:
@@ -193,8 +201,8 @@ def cosine_proximity(a: np.ndarray, b: np.ndarray) -> float:
     return (cos + 1.0) / 2.0
 
 
-def rerank_by_task_vector(ranking: list[tuple[str, float]], provider: VectorProvider,
-                          task: Task, config: RerankConfig,
+def rerank_by_task_vector(ranking: list[tuple[str, float]],
+                          provider: InMemoryVectorProvider, task: Task, config: RerankConfig,
                           top_k: int) -> list[tuple[str, float]]:
     """Combine retrieval score with proximity to the task description vector.
 

@@ -19,7 +19,7 @@ from taskrank.cli import main
 from taskrank.corpus import Collection, Document
 from taskrank.evaluation import Qrels, Run, evaluate_run, map_metric, ndcg_at_k
 from taskrank.fusion import FusionConfig, rrf_fuse
-from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, bm25_score, build_index, search
+from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, build_index, search
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import ExpansionConfig, QueryBase, generate_task_expanded
 from taskrank.rerank import JournalPriorTable, build_journal_priors, normalize_journal
@@ -299,16 +299,19 @@ def test_criterion_6_expansion_weighting():
             for term in ("tone", "ttwo", "tthree"):
                 assert other[term] == 0
 
-        # Duplication linearity at the BM25 level.
+        # Duplication linearity at the BM25 level: a full-text unit is one
+        # document, so each document's score is its unit's score. The term
+        # has two characters; a one-character token is never indexed.
         coll = Collection.from_documents([
-            Document(doc_id="a", title="x filler words here"),
-            Document(doc_id="b", title="x x other words"),
+            Document(doc_id="a", title="xx filler words here"),
+            Document(doc_id="b", title="xx xx other words"),
         ])
         index = build_index(coll, IndexVariant.FULL_TEXT)
-        for unit in index.unit_ids():
-            once = bm25_score(index, PARAMS, ["x"], unit)
-            twice = bm25_score(index, PARAMS, ["x", "x"], unit)
-            assert twice == pytest.approx(2.0 * once, abs=1e-12)
+        once = search(index, PARAMS, ["xx"], 2)
+        twice = search(index, PARAMS, ["xx", "xx"], 2)
+        assert [doc for doc, _ in once] == [doc for doc, _ in twice] == ["b", "a"]
+        for (_, one), (_, two) in zip(once, twice):
+            assert two == pytest.approx(2.0 * one, abs=1e-12)
 
 
 def test_criterion_7_classifier_benchmark_and_agreement_oracle():

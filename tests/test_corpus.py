@@ -20,36 +20,35 @@ def test_load_three_records(tmp_path):
         {"doc_id": "b", "abstract": "two"},
         {"doc_id": "c", "body": "three\n\nfour"},
     ])
-    coll = load_collection(path, strict=True)
+    coll = load_collection(path)
     assert len(coll) == 3
     assert coll.get("c").body == ("three", "four")
-    assert coll.skipped_records == 0
-
-
-def test_duplicate_doc_id_lenient_keeps_first(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    write_corpus(path, [
-        {"doc_id": "a", "title": "first"},
-        {"doc_id": "a", "title": "second"},
-    ])
-    coll = load_collection(path, strict=False)
-    assert len(coll) == 1
-    assert coll.get("a").title == "first"
-    assert coll.skipped_records == 1
 
 
 def test_duplicate_doc_id_strict_raises(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    write_corpus(path, [{"doc_id": "a"}, {"doc_id": "a"}])
-    with pytest.raises(DuplicateDocId):
-        load_collection(path, strict=True)
+    write_corpus(path, [{"doc_id": "a"}, {"doc_id": "b"}, {"doc_id": "a"}])
+    with pytest.raises(DuplicateDocId) as excinfo:
+        load_collection(path)
+    assert excinfo.value.line_no == 3
+    assert str(excinfo.value) == f"{path} line 3: duplicate doc_id 'a'"
 
 
 def test_malformed_line_strict_raises(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": "a"}\nnot json\n', encoding="utf-8")
     with pytest.raises(MalformedRecord) as excinfo:
-        load_collection(path, strict=True)
+        load_collection(path)
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value).startswith(f"{path} line 2: ")
+
+
+def test_too_deeply_nested_line_is_malformed(tmp_path):
+    # json.loads raises RecursionError, not ValueError, past its nesting limit.
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "a"}\n' + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_collection(path)
     assert excinfo.value.line_no == 2
 
 
@@ -57,8 +56,7 @@ def test_missing_doc_id_is_malformed(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"title": "no id"}])
     with pytest.raises(MalformedRecord):
-        load_collection(path, strict=True)
-    assert len(load_collection(path, strict=False)) == 0
+        load_collection(path)
 
 
 def test_missing_file_raises():
@@ -93,7 +91,7 @@ def test_thousand_record_file_matches_line_scan_oracle(tmp_path):
             oracle["abstracts"] += bool(raw.get("abstract"))
             oracle["journals"] += bool(raw.get("journal"))
 
-    coll = load_collection(path, strict=True)
+    coll = load_collection(path)
     assert len(coll) == oracle["lines"]
     assert sum(1 for d in coll if d.title) == oracle["titles"]
     assert sum(1 for d in coll if d.abstract) == oracle["abstracts"]
@@ -103,8 +101,8 @@ def test_thousand_record_file_matches_line_scan_oracle(tmp_path):
 def test_load_is_deterministic(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"doc_id": f"d{i}", "title": f"t{i}"} for i in range(20)])
-    first = load_collection(path, strict=True)
-    second = load_collection(path, strict=True)
+    first = load_collection(path)
+    second = load_collection(path)
     assert first == second
     assert [d.doc_id for d in first] == [d.doc_id for d in second]
 
@@ -112,7 +110,7 @@ def test_load_is_deterministic(tmp_path):
 def test_by_id_is_bijection_onto_positions(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"doc_id": f"d{i}"} for i in range(10)])
-    coll = load_collection(path, strict=True)
+    coll = load_collection(path)
     assert sorted(coll.by_id.values()) == list(range(len(coll)))
     for doc_id, idx in coll.by_id.items():
         assert coll.docs[idx].doc_id == doc_id
@@ -168,7 +166,7 @@ def test_segment_preserves_non_whitespace_characters():
 def test_paragraphs_are_trimmed_and_non_empty(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"doc_id": "a", "body": "  first  \n\n\n  \n\nsecond\n"}])
-    doc = load_collection(path, strict=True).get("a")
+    doc = load_collection(path).get("a")
     assert doc.body == ("first", "second")
     for para in doc.body:
         assert para == para.strip() and para
@@ -177,7 +175,7 @@ def test_paragraphs_are_trimmed_and_non_empty(tmp_path):
 def test_body_as_list_is_accepted(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"doc_id": "a", "body": ["  one ", "", "two"]}])
-    assert load_collection(path, strict=True).get("a").body == ("one", "two")
+    assert load_collection(path).get("a").body == ("one", "two")
 
 
 def test_collection_from_documents_rejects_duplicates():

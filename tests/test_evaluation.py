@@ -335,7 +335,7 @@ def test_grouped_metrics_equal_per_topic_definitions(judged, ranked, k):
     run = make_run(ranked)
     want_ndcg, want_ap, want_residual = {}, {}, {}
     for topic_id, ranking in run.rankings.items():
-        grades = qrels.grades_for_topic(topic_id)
+        grades = [g for (t, _d), g in qrels.judgments.items() if t == topic_id]
         dcg = sum(qrels.grade(topic_id, d) / math.log2(i + 1)
                   for i, (d, _) in enumerate(ranking[:k], start=1))
         ideal = sorted(grades, reverse=True)[:k]

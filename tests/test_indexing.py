@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank.corpus import Collection, Document
-from taskrank.errors import EmptyCollection, UnknownUnit
+from taskrank.errors import EmptyCollection
 from taskrank.indexing import (
     Bm25Params,
     IndexVariant,
     Tokenizer,
     build_index,
-    bm25_score,
     search,
 )
 from taskrank.querygen import LexiconExtractor, select_task_terms
@@ -71,8 +70,9 @@ def test_paragraph_variant_units():
     coll = make_collection({"d1": "head"}, {"d1": ("para one", "para two")})
     index = build_index(coll, IndexVariant.TITLE_ABSTRACT_PARAGRAPH)
     assert index.unit_count == 2
-    assert index.unit_ids() == [("d1", 0), ("d1", 1)]
-    assert {index.doc_ids[d] for d in index.parent.tolist()} == {"d1"}
+    assert index.parent.tolist() == [0, 0]
+    assert index.first_unit.tolist() == [0]
+    assert index.doc_ids == ("d1",)
 
 
 def test_fulltext_variant_single_unit():
@@ -138,6 +138,19 @@ def oracle_unit_tokens(collection, variant, tokenizer):
     return units
 
 
+def assert_units_match_oracle(index, units, collection):
+    """The index's unit arrays against an oracle's units, in collection order:
+    ``parent`` maps each unit to its document, ``first_unit`` gives each
+    document's first unit and ``unit_lengths`` counts each unit's tokens."""
+    position = {doc.doc_id: d for d, doc in enumerate(collection)}
+    parents = [position[doc_id] for doc_id, _k in units]
+    assert index.doc_ids == tuple(position)
+    assert index.unit_count == len(units)
+    assert index.parent.tolist() == parents
+    assert index.first_unit.tolist() == [parents.index(d) for d in range(len(position))]
+    assert index.unit_lengths.tolist() == [len(tokens) for tokens in units.values()]
+
+
 @pytest.mark.parametrize("variant", list(IndexVariant))
 def test_doc_freq_matches_brute_force_containment(variant):
     coll = synthetic_corpus(100, seed=3)
@@ -154,9 +167,9 @@ def test_doc_freq_matches_brute_force_containment(variant):
 @pytest.mark.parametrize("variant", list(IndexVariant))
 def test_index_statistics_invariants(variant):
     coll = synthetic_corpus(50, seed=9)
-    index = build_index(coll, variant)
-    unit_ids = index.unit_ids()
-    assert len(set(unit_ids)) == len(unit_ids) == index.unit_count
+    tok = Tokenizer()
+    index = build_index(coll, variant, tok)
+    assert_units_match_oracle(index, oracle_unit_tokens(coll, variant, tok), coll)
     postings = 0
     for term in index.vocab:
         units, tfs = index.term_postings(term)
@@ -168,16 +181,19 @@ def test_index_statistics_invariants(variant):
     mean = sum(index.unit_lengths.tolist()) / index.unit_count
     assert abs(index.avg_unit_length - mean) < 1e-9
     assert len(index.unit_lengths) == len(index.parent) == index.unit_count
-    parents = [index.doc_ids[d] for d in index.parent.tolist()]
-    assert parents == [doc_id for doc_id, _k in unit_ids]
-    assert set(parents) == {doc.doc_id for doc in coll}
+    assert set(index.parent.tolist()) == set(range(len(coll)))
 
 
+# A full-text unit is one document, so search returns every matching unit's
+# BM25 score under its doc_id.
 def test_bm25_zero_match_scores_zero():
     coll = make_collection({"d1": "alpha beta", "d2": "gamma"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    assert bm25_score(index, PARAMS, ["missing"], ("d1", 0)) == 0.0
-    assert bm25_score(index, PARAMS, ["missing", "absent"], ("d2", 0)) == 0.0
+    assert search(index, PARAMS, ["missing"], 10) == []
+    assert search(index, PARAMS, ["missing", "absent"], 10) == []
+    gamma = search(index, PARAMS, ["gamma"], 10)
+    assert [doc for doc, _ in gamma] == ["d2"]
+    assert search(index, PARAMS, ["gamma", "missing"], 10) == gamma
 
 
 def test_bm25_closed_form_single_doc():
@@ -186,34 +202,28 @@ def test_bm25_closed_form_single_doc():
     coll = make_collection({"d1": "zedword"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
     expected = math.log(4.0 / 3.0)
-    assert bm25_score(index, PARAMS, ["zedword"], ("d1", 0)) == pytest.approx(
-        expected, abs=1e-12
-    )
+    [(doc_id, score)] = search(index, PARAMS, ["zedword"], 10)
+    assert doc_id == "d1"
+    assert score == pytest.approx(expected, abs=1e-12)
 
 
 def test_duplicated_query_token_doubles_score():
     coll = synthetic_corpus(30, seed=11)
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    for unit_id in index.unit_ids()[:10]:
-        single = bm25_score(index, PARAMS, ["term05"], unit_id)
-        double = bm25_score(index, PARAMS, ["term05", "term05"], unit_id)
-        assert double == pytest.approx(2.0 * single, abs=1e-12)
-
-
-def test_bm25_unknown_unit():
-    coll = make_collection({"d1": "alpha"})
-    index = build_index(coll, IndexVariant.FULL_TEXT)
-    with pytest.raises(UnknownUnit):
-        bm25_score(index, PARAMS, ["alpha"], ("nope", 0))
+    single = search(index, PARAMS, ["term05"], index.doc_count)
+    double = search(index, PARAMS, ["term05", "term05"], index.doc_count)
+    assert len(single) >= 10
+    assert [doc for doc, _ in double] == [doc for doc, _ in single]
+    for (_, one), (_, two) in zip(single, double):
+        assert two == pytest.approx(2.0 * one, abs=1e-12)
 
 
 def test_bm25_monotone_in_tf():
     # Equal unit lengths; only tf differs.
     coll = make_collection({"d1": "rare pad1 pad2", "d2": "rare rare pad1"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    low = bm25_score(index, PARAMS, ["rare"], ("d1", 0))
-    high = bm25_score(index, PARAMS, ["rare"], ("d2", 0))
-    assert high > low
+    scores = dict(search(index, PARAMS, ["rare"], 10))
+    assert scores["d2"] > scores["d1"] > 0.0
 
 
 def test_search_empty_query():
@@ -358,11 +368,10 @@ def test_random_corpora_search_and_scores_match_oracle(docs, query, k1, b, top_k
     tok = Tokenizer()
     params = Bm25Params(k1=k1, b=b)
     query_tokens = [t for word in query for t in tok.tokenize(word)] + ["unknown"]
-    last_doc = coll.docs[-1].doc_id
     for variant in IndexVariant:
         units = oracle_unit_tokens(coll, variant, tok)
         index = build_index(coll, variant, tok)
-        assert index.unit_ids() == list(units)
+        assert_units_match_oracle(index, units, coll)
         if not any(units.values()):
             # No tokens anywhere: the mean unit length is 0 and nothing matches.
             assert search(index, params, query_tokens, top_k) == []
@@ -370,12 +379,12 @@ def test_random_corpora_search_and_scores_match_oracle(docs, query, k1, b, top_k
         assert search(index, params, query_tokens, top_k) == oracle_search(
             coll, variant, tok, params, query_tokens, top_k
         )
-        want = oracle_unit_scores(units, params, query_tokens)
-        for unit_id in units:
-            assert bm25_score(index, params, query_tokens, unit_id) == want[unit_id]
-        past_last_unit = (last_doc, sum(doc_id == last_doc for doc_id, _k in units))
-        with pytest.raises(UnknownUnit):
-            bm25_score(index, params, query_tokens, past_last_unit)
+        if variant is IndexVariant.FULL_TEXT:
+            # One unit per document: every unit's score, exactly.
+            want = oracle_unit_scores(units, params, query_tokens)
+            assert dict(search(index, params, query_tokens, len(coll))) == {
+                doc_id: score for (doc_id, _k), score in want.items() if score > 0.0
+            }
 
 
 @settings(max_examples=100, deadline=None)

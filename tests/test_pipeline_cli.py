@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,23 @@ def test_eval_warns_on_unjudged_topics(tmp_path, capsys):
     assert "9" in captured.err
     payload = json.loads(captured.out)
     assert payload["topics"]["9"]["ndcg"] == 0.0
+
+
+def test_eval_warns_on_judged_topics_missing_from_run(tmp_path, capsys):
+    # The means divide by the run's topic count: topics 2 and 3 are judged but
+    # absent from the run, so they are named and not scored.
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("1 0 a 1\n2 0 b 1\n3 0 c 0\n", encoding="utf-8")
+    run = tmp_path / "r.run"
+    run.write_text("1 Q0 a 1 1.000000 t\n", encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: judged topics [2, 3] not in the run; not scored"
+    ]
+    payload = json.loads(captured.out)
+    assert payload["topic_count"] == 1
+    assert payload["mean_ndcg"] == payload["mean_map"] == 1.0
 
 
 def test_eval_residual_filtering(tmp_path, capsys):
@@ -565,3 +583,53 @@ def test_config_file_rejects_bad_settings_naming_file(
     assert not out.exists()
     err = capsys.readouterr().err
     assert str(config_path) in err and complaint in err
+
+
+@pytest.mark.parametrize("command", ["run", "index-stats"])
+@pytest.mark.parametrize("bad_line, reason", [
+    ("not json", "Expecting value"),
+    ('{"title": "no id"}', "missing or empty doc_id"),
+    ('{"doc_id": "doc02", "title": "again"}', "duplicate doc_id 'doc02'"),
+])
+def test_bad_corpus_line_is_one_error_naming_file_and_line(
+        mini, tmp_path, capsys, command, bad_line, reason):
+    text = Path(mini["corpus"]).read_text(encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(text + bad_line + "\n", encoding="utf-8")
+    line_no = len(text.splitlines()) + 1
+    out = tmp_path / "never.run"
+    if command == "run":
+        argv = ["run", *mini_args({**mini, "corpus": str(corpus)}), "--output", str(out)]
+    else:
+        argv = ["index-stats", "--corpus", str(corpus)]
+    assert main(argv) == 1
+    assert not out.exists()
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"error: {corpus} line {line_no}: ")
+    assert reason in error
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("doc02 0.1 abc 0.0 0.0", "could not convert string to float: 'abc'"),
+    ("doc02 0.1 nan 0.0 0.0", "values must be finite"),
+    ("doc02 0.1 inf 0.0 0.0", "values must be finite"),
+    ("doc02", "no values"),
+    ("doc02 0.1 0.2 0.3", "3 values, expected 4"),
+    ("transmission 1.0 0.0 0.2 0.2", "repeats key 'transmission'"),
+])
+def test_vector_run_rejects_bad_vectors_row_naming_file_and_line(
+        mini, tmp_path, capsys, row, reason):
+    text = Path(mini["vectors"]).read_text(encoding="utf-8")
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(text + row + "\n", encoding="utf-8")
+    line_no = len(text.splitlines()) + 1
+    out = tmp_path / "never.run"
+    code = main([
+        "run", *mini_args(mini, "--vectors", str(vectors), "--manual-map", mini["manual_map"]),
+        "--variant", "vector", "--output", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {vectors} line {line_no}: cannot parse {row!r} ({reason})"
+    ]

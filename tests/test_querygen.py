@@ -11,7 +11,6 @@ from taskrank.querygen import (
     ConfidenceMode,
     ExpansionConfig,
     LexiconExtractor,
-    PassthroughExtractor,
     QueryBase,
     generate_plain,
     generate_task_expanded,
@@ -104,11 +103,6 @@ def test_lexicon_extractor_greedy_longest_match():
     assert extractor.extract("an incubation phase") == ["incubation"]
 
 
-def test_passthrough_extractor_drops_stopwords():
-    extractor = PassthroughExtractor()
-    assert extractor.extract("the viral Spread") == ["viral", "spread"]
-
-
 def abstracts_collection(texts):
     docs = [Document(doc_id=f"a{i:02d}", abstract=t) for i, t in enumerate(texts)]
     return Collection.from_documents(docs)
@@ -117,7 +111,7 @@ def abstracts_collection(texts):
 def test_select_task_terms_zero_n():
     index = build_index(abstracts_collection(["alpha"]), IndexVariant.TITLE_ABSTRACT)
     task = Task(task_id="t", title="", description="alpha beta")
-    assert select_task_terms(task, index, PassthroughExtractor(), 0) == []
+    assert select_task_terms(task, index, LexiconExtractor(["alpha", "beta"]), 0) == []
 
 
 def test_select_task_terms_tf_breaks_equal_df():
@@ -125,7 +119,7 @@ def test_select_task_terms_tf_breaks_equal_df():
     texts = ["aword filler", "bword filler"] + ["filler only"] * 8
     index = build_index(abstracts_collection(texts), IndexVariant.TITLE_ABSTRACT)
     task = Task(task_id="t", title="", description="aword aword aword bword")
-    terms = select_task_terms(task, index, PassthroughExtractor(), 2)
+    terms = select_task_terms(task, index, LexiconExtractor(["aword", "bword"]), 2)
     assert terms == ["aword", "bword"]
 
 
@@ -137,10 +131,9 @@ def test_select_task_terms_matches_brute_force_oracle():
     tokenizer = Tokenizer()
     description = " ".join(rng.choices(vocab, k=40))
     task = Task(task_id="t", title="", description=description)
-    extractor = PassthroughExtractor(tokenizer)
+    extractor = LexiconExtractor(vocab)
 
-    candidates = extractor.extract(description)
-    tf = Counter(candidates)
+    tf = Counter(description.split())
     unit_tokens = {i: set(tokenizer.tokenize(t)) for i, t in enumerate(texts)}
     scored = []
     for term in tf:
@@ -156,7 +149,7 @@ def test_select_task_terms_output_within_candidates():
     texts = ["viral vaccine antibody", "serology vaccine"]
     index = build_index(abstracts_collection(texts), IndexVariant.TITLE_ABSTRACT)
     task = Task(task_id="t", title="", description="vaccine antibody vaccine novel")
-    extractor = PassthroughExtractor()
+    extractor = LexiconExtractor(["vaccine", "antibody", "novel", "serology"])
     terms = select_task_terms(task, index, extractor, 10)
     candidates = set(extractor.extract(task.description))
     assert set(terms) <= candidates
