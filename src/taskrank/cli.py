@@ -19,7 +19,7 @@ import typing
 from enum import Enum
 
 from .corpus import load_collection
-from .errors import TaskRankError
+from .errors import TaskRankError, json_object, read_rows
 from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, sweep, write_run
 from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, build_index
@@ -32,7 +32,6 @@ from .tasks import (
     TaskClassifier,
     agreement,
     default_framework,
-    json_objects,
     load_manual_map,
     load_tasks,
     load_topics,
@@ -97,7 +96,7 @@ def build_config(cls: type, settings: dict, source: str):
             raise TaskRankError(f"{source}: unknown {cls.__name__} setting {key!r}")
         try:
             fields.setdefault(owner, {})[name] = _convert(owner, name, value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TaskRankError(f"{source}: {key}: {exc}") from exc
     try:
         if cls is not PipelineConfig:
@@ -114,8 +113,11 @@ def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> Pipe
     settings = {"variant": variant.value}
     source = "command line"
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_settings = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                file_settings = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise TaskRankError(f"{args.config}: {exc}") from exc
         if not isinstance(file_settings, dict):
             raise TaskRankError(f"{args.config}: config file must contain a JSON object")
         settings.update(file_settings)
@@ -253,7 +255,7 @@ def cmd_priors(args) -> int:
 def cmd_sweep(args) -> int:
     grid = [
         build_config(ExpansionConfig, record, f"{args.grid} line {line_no}")
-        for line_no, _line, record in json_objects(args.grid)
+        for line_no, _line, record in read_rows(args.grid, json_object)
     ]
     base = _pipeline_config(args, _SWEEP_VARIANT)
     if not base.qrels_path:
@@ -373,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TaskRankError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (TaskRankError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

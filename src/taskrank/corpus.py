@@ -4,17 +4,17 @@ The corpus file is UTF-8, line-delimited JSON: one record per line with the
 fields ``doc_id``, ``title``, ``abstract``, ``body``, ``journal`` and ``date``.
 Absent fields are treated as empty. ``body`` may be a single string (split
 into paragraphs on blank lines) or a pre-split list of paragraph strings.
-A malformed line raises MalformedRecord and a repeated ``doc_id`` raises
-DuplicateDocId, each naming the file and the line; blank lines are skipped.
+The file is read through ``errors.read_rows``: a line that is not a record
+with a non-empty string ``doc_id``, or that repeats an earlier ``doc_id``,
+raises MalformedRow naming the file and the line.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import DuplicateDocId, MalformedRecord
+from .errors import DuplicateDocId, json_object, read_rows
 
 _BLANK_RUN = re.compile(r"\n\s*\n")
 
@@ -96,22 +96,14 @@ def _record_to_document(record: dict) -> Document:
 
 
 def load_collection(path) -> Collection:
-    """Load a corpus file; every line must be a valid, new record."""
-    docs: list[Document] = []
+    """Load a corpus file; every line must be a valid record with a new doc_id."""
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record is not an object")
-                doc = _record_to_document(record)
-            except (ValueError, RecursionError) as exc:
-                raise MalformedRecord(line_no, str(exc), path) from exc
-            if doc.doc_id in seen:
-                raise DuplicateDocId(doc.doc_id, path, line_no)
-            seen.add(doc.doc_id)
-            docs.append(doc)
-    return Collection.from_documents(docs)
+
+    def parse(line: str) -> Document:
+        doc = _record_to_document(json_object(line))
+        if doc.doc_id in seen:
+            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        return doc
+
+    return Collection.from_documents([doc for _, _, doc in read_rows(path, parse)])

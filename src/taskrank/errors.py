@@ -1,27 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``read_rows``, the one reader
+of line-based input files. A bad line in any of them, a repeated or unknown id
+included, raises MalformedRow naming the file and the line; the in-memory APIs
+raise DuplicateDocId, DuplicateTopic and UnknownTaskId instead.
+"""
+
+import json
+import re
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class TaskRankError(Exception):
     """Base class for all taskrank-specific errors."""
 
 
-class MalformedRecord(TaskRankError):
-    """A corpus line could not be parsed into a document record."""
-
-    def __init__(self, line_no: int, reason: str, path):
-        super().__init__(f"{path} line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
-        self.path = path
-
-
 class DuplicateDocId(TaskRankError):
-    def __init__(self, doc_id: str, path=None, line_no: int | None = None):
-        where = f"{path} line {line_no}: " if path is not None else ""
-        super().__init__(f"{where}duplicate doc_id {doc_id!r}")
+    def __init__(self, doc_id: str):
+        super().__init__(f"duplicate doc_id {doc_id!r}")
         self.doc_id = doc_id
-        self.path = path
-        self.line_no = line_no
 
 
 class EmptyCollection(TaskRankError):
@@ -73,10 +69,44 @@ class MissingTaskVector(TaskRankError):
 
 
 class MalformedRow(TaskRankError):
-    def __init__(self, line_no: int, line: str, path=None, reason: str | None = None):
-        where = f"{path} line {line_no}" if path is not None else f"line {line_no}"
+    """A line of an input file that does not parse. The message quotes at
+    most the first 80 characters of the line; ``line`` keeps all of it."""
+
+    def __init__(self, line_no: int, line: str, path, reason: str = ""):
         because = f" ({reason})" if reason else ""
-        super().__init__(f"{where}: cannot parse {line!r}{because}")
+        super().__init__(f"{path} line {line_no}: cannot parse {line[:80]!r}{because}")
         self.line_no = line_no
         self.line = line
         self.path = path
+
+
+def read_rows(path, parse):
+    """Yield ``(line_no, line, parse(line))`` for each non-blank line of a file.
+
+    The file is UTF-8 with any line ending; ``line`` comes without it. A line
+    that is not UTF-8, or that ``parse`` rejects with ValueError, KeyError,
+    TypeError, OverflowError or RecursionError, raises MalformedRow. ``parse``
+    may check the line against the rows before it.
+    """
+    # surrogateescape decodes a byte that is not UTF-8 to a lone surrogate.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            line = line.rstrip("\n")
+            if not line.isascii() and _ESCAPED_BYTE.search(line):
+                raise MalformedRow(line_no, line, path, "not valid UTF-8")
+            try:
+                value = parse(line)
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+                reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise MalformedRow(line_no, line, path, reason) from exc
+            yield line_no, line, value
+
+
+def json_object(line: str) -> dict:
+    """Parse one line as a JSON object; anything else raises ValueError."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    return record

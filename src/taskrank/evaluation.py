@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import MalformedRow
+from .errors import read_rows
 
 
 @dataclass
@@ -40,25 +40,20 @@ def parse_qrels(path) -> Qrels:
     Duplicate (topic, doc) rows keep the last grade; the duplicate count is
     reported on the result.
     """
+    def parse(line: str) -> tuple[tuple[int, str], int]:
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"{len(parts)} columns, expected 4")
+        grade = int(parts[3])
+        if grade < 0:
+            raise ValueError("negative grade")
+        return (int(parts[0]), parts[2]), grade
+
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise MalformedRow(line_no, line.rstrip("\n"), path)
-            try:
-                topic_id = int(parts[0])
-                grade = int(parts[3])
-            except ValueError as exc:
-                raise MalformedRow(line_no, line.rstrip("\n"), path) from exc
-            if grade < 0:
-                raise MalformedRow(line_no, line.rstrip("\n"), path)
-            key = (topic_id, parts[2])
-            if key in qrels.judgments:
-                qrels.duplicate_rows += 1
-            qrels.judgments[key] = grade
+    for _, _, (key, grade) in read_rows(path, parse):
+        if key in qrels.judgments:
+            qrels.duplicate_rows += 1
+        qrels.judgments[key] = grade
     return qrels
 
 
@@ -90,28 +85,23 @@ def parse_run(path) -> Run:
 
     A doc_id listed twice for one topic raises MalformedRow at the repeat.
     """
-    rows: dict[int, list[tuple[int, str, float]]] = {}
     seen: set[tuple[int, str]] = set()
+
+    def parse(line: str) -> tuple[int, int, str, float, str]:
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"{len(parts)} columns, expected 6")
+        topic_id, doc_id = int(parts[0]), parts[2]
+        row = (topic_id, int(parts[3]), doc_id, float(parts[4]), parts[5])
+        if (topic_id, doc_id) in seen:
+            raise ValueError(f"topic {topic_id} repeats doc_id {doc_id!r}")
+        seen.add((topic_id, doc_id))
+        return row
+
+    rows: dict[int, list[tuple[int, str, float]]] = {}
     run_tag = ""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise MalformedRow(line_no, line.rstrip("\n"), path)
-            try:
-                topic_id = int(parts[0])
-                rank = int(parts[3])
-                score = float(parts[4])
-            except ValueError as exc:
-                raise MalformedRow(line_no, line.rstrip("\n"), path) from exc
-            if (topic_id, parts[2]) in seen:
-                raise MalformedRow(line_no, line.rstrip("\n"), path,
-                                   f"topic {topic_id} repeats doc_id {parts[2]!r}")
-            seen.add((topic_id, parts[2]))
-            run_tag = parts[5]
-            rows.setdefault(topic_id, []).append((rank, parts[2], score))
+    for _, _, (topic_id, rank, doc_id, score, run_tag) in read_rows(path, parse):
+        rows.setdefault(topic_id, []).append((rank, doc_id, score))
     run = Run(run_tag=run_tag)
     for topic_id, entries in rows.items():
         entries.sort(key=lambda item: item[0])

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import EmptyQuery
+from .errors import EmptyQuery, read_rows
 from .indexing import _TOKEN_RUN, InvertedIndex, IndexVariant, Tokenizer
 from .tasks import Task, TaskAssignment, Topic
 
@@ -46,8 +46,8 @@ class LexiconExtractor:
 
     @classmethod
     def from_file(cls, path) -> "LexiconExtractor":
-        with open(path, encoding="utf-8") as fh:
-            return cls(line.strip() for line in fh if line.strip())
+        """One term per non-blank line."""
+        return cls(term for _, _, term in read_rows(path, str.strip))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -70,8 +70,8 @@ class LexiconExtractor:
 
 def default_lexicon() -> LexiconExtractor:
     """Extractor over the term lexicon shipped with the package."""
-    text = resources.files("taskrank.data").joinpath("lexicon.txt").read_text("utf-8")
-    return LexiconExtractor(line.strip() for line in text.splitlines() if line.strip())
+    with resources.as_file(resources.files("taskrank.data").joinpath("lexicon.txt")) as p:
+        return LexiconExtractor.from_file(p)
 
 
 class ConfidenceMode(Enum):

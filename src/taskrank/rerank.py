@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .corpus import Collection
-from .errors import EmptyQrels, MalformedRow, MissingTaskVector, UnknownTask
+from .errors import EmptyQrels, MissingTaskVector, UnknownTask, read_rows
 from .tasks import Task, TaskAssignment
 
 _PUNCT = re.compile(r"[^0-9a-z\s]+")
@@ -157,35 +157,27 @@ class InMemoryVectorProvider:
 
     @classmethod
     def from_file(cls, path) -> "InMemoryVectorProvider":
-        """Parse ``key v1 v2 ... vd`` lines, skipping blank ones. A value that is
-        not a finite number, a key without values, a dimension other than the
-        first row's or a repeated key raises MalformedRow naming file and line.
-        """
+        """Parse ``key v1 v2 ... vd`` lines. A value that is not a finite number,
+        a key without values, a dimension other than the first row's or a
+        repeated key raises MalformedRow naming file and line."""
         vectors: dict[str, list[float]] = {}
-        dim = None
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                key = parts[0]
-                try:
-                    vector = [float(x) for x in parts[1:]]
-                except ValueError as exc:
-                    raise MalformedRow(line_no, line.rstrip("\n"), path, str(exc)) from exc
-                if not vector:
-                    reason = "no values"
-                elif not all(map(math.isfinite, vector)):
-                    reason = "values must be finite"
-                elif dim is not None and len(vector) != dim:
-                    reason = f"{len(vector)} values, expected {dim}"
-                elif key in vectors:
-                    reason = f"repeats key {key!r}"
-                else:
-                    vectors[key] = vector
-                    dim = len(vector)
-                    continue
-                raise MalformedRow(line_no, line.rstrip("\n"), path, reason)
+
+        def parse(line: str) -> tuple[str, list[float]]:
+            key, *values = line.split()
+            vector = [float(x) for x in values]
+            dim = len(next(iter(vectors.values()), vector))
+            if not vector:
+                raise ValueError("no values")
+            if not all(map(math.isfinite, vector)):
+                raise ValueError("values must be finite")
+            if len(vector) != dim:
+                raise ValueError(f"{len(vector)} values, expected {dim}")
+            if key in vectors:
+                raise ValueError(f"repeats key {key!r}")
+            return key, vector
+
+        for _, _, (key, vector) in read_rows(path, parse):
+            vectors[key] = vector
         return cls(vectors)
 
     def vector(self, key: str) -> np.ndarray | None:

@@ -4,11 +4,14 @@ Tasks are indexed as a miniature search engine (one unit per task
 description) and a query is classified into the top-ranked task. A manual
 topic-to-task map can be loaded for comparison; ``agreement`` measures the
 fraction of topics on which two assignment sources coincide.
+
+Task, topic and manual-map files are read through ``errors.read_rows``: a
+line that does not parse, a repeated task or topic id, or a manual-map task
+id the framework lacks raises MalformedRow naming the file and the line.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -18,9 +21,10 @@ from .errors import (
     DuplicateTopic,
     EmptyFramework,
     EmptyQuery,
-    MalformedRow,
     TopicSetMismatch,
     UnknownTaskId,
+    json_object,
+    read_rows,
 )
 from .indexing import Bm25Params, IndexVariant, Tokenizer, build_index, search
 
@@ -166,94 +170,63 @@ def agreement(a: list[TaskAssignment], b: list[TaskAssignment]) -> float:
     return matches / len(map_a)
 
 
-def json_objects(path):
-    """Yield ``(line_no, line, record)`` per non-blank line of a JSON-lines file.
-
-    A line that is not a JSON object raises MalformedRow.
-    """
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            line = line.rstrip("\n")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRow(line_no, line, path) from exc
-            if not isinstance(record, dict):
-                raise MalformedRow(line_no, line, path)
-            yield line_no, line, record
-
-
 def load_tasks(path) -> TaskFramework:
     """Load a task file: one JSON record per line with task_id/title/description."""
-    tasks = []
-    for line_no, line, record in json_objects(path):
-        try:
-            tasks.append(
-                Task(
-                    task_id=record["task_id"],
-                    title=record.get("title", ""),
-                    description=record["description"],
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRow(line_no, line, path) from exc
-    return TaskFramework(tasks=tuple(tasks))
+    seen: set[str] = set()
+
+    def parse(line: str) -> Task:
+        record = json_object(line)
+        task = Task(task_id=record["task_id"], title=record.get("title", ""),
+                    description=record["description"])
+        if task.task_id in seen:
+            raise ValueError(f"duplicate task_id {task.task_id!r}")
+        seen.add(task.task_id)
+        return task
+
+    tasks = tuple(task for _, _, task in read_rows(path, parse))
+    if not tasks:
+        raise EmptyFramework(f"{path}: no tasks")
+    return TaskFramework(tasks=tasks)
 
 
 def load_topics(path) -> list[Topic]:
     """Load a topic file: one JSON record per line with topic_id/query/question/narrative."""
-    topics = []
     seen: set[int] = set()
-    for line_no, line, record in json_objects(path):
-        try:
-            topic = Topic(
-                topic_id=int(record["topic_id"]),
-                query=record["query"],
-                question=record.get("question", ""),
-                narrative=record.get("narrative", ""),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRow(line_no, line, path) from exc
+
+    def parse(line: str) -> Topic:
+        record = json_object(line)
+        topic = Topic(topic_id=int(record["topic_id"]), query=record["query"],
+                      question=record.get("question", ""), narrative=record.get("narrative", ""))
         if topic.topic_id in seen:
-            raise DuplicateTopic(topic.topic_id)
+            raise ValueError(f"duplicate topic_id {topic.topic_id}")
         seen.add(topic.topic_id)
-        topics.append(topic)
-    return topics
+        return topic
+
+    return [topic for _, _, topic in read_rows(path, parse)]
 
 
 def load_manual_map(path, framework: TaskFramework) -> list[TaskAssignment]:
     """Load manual topic-to-task rows: ``topic_id task_id [confidence]``.
 
-    Task ids are validated against the framework; confidence defaults to 3.
-    A row that does not parse raises MalformedRow.
-    """
-    assignments: list[TaskAssignment] = []
+    ``#`` starts a comment line; confidence defaults to 3. A row that does not
+    parse, repeats a topic or names a task the framework lacks is malformed."""
     valid_ids = set(framework.task_ids())
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                topic_id, task_id, *rest = line.split()
-                assignment = TaskAssignment(
-                    topic_id=int(topic_id),
-                    task_id=task_id,
-                    source=AssignmentSource.MANUAL,
-                    confidence=int(rest[0]) if rest else 3,
-                )
-            except ValueError as exc:
-                raise MalformedRow(line_no, line, path) from exc
-            if task_id not in valid_ids:
-                raise UnknownTaskId(task_id)
-            if assignment.topic_id in seen:
-                raise DuplicateTopic(assignment.topic_id)
-            seen.add(assignment.topic_id)
-            assignments.append(assignment)
-    return assignments
+
+    def parse(line: str) -> TaskAssignment | None:
+        if line.lstrip().startswith("#"):
+            return None
+        topic_id, task_id, *rest = line.split()
+        assignment = TaskAssignment(int(topic_id), task_id, AssignmentSource.MANUAL,
+                                    int(rest[0]) if rest else 3)
+        if task_id not in valid_ids:
+            raise ValueError(f"unknown task_id {task_id!r}")
+        if assignment.topic_id in seen:
+            raise ValueError(f"duplicate topic_id {assignment.topic_id}")
+        seen.add(assignment.topic_id)
+        return assignment
+
+    return [a for _, _, a in read_rows(path, parse) if a is not None]
 
 
 def default_framework() -> TaskFramework:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from taskrank.corpus import Collection, Document, load_collection, segment_paragraphs
-from taskrank.errors import DuplicateDocId, MalformedRecord
+from taskrank.errors import DuplicateDocId, MalformedRow
 
 
 def write_corpus(path, records):
@@ -28,16 +28,18 @@ def test_load_three_records(tmp_path):
 def test_duplicate_doc_id_strict_raises(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"doc_id": "a"}, {"doc_id": "b"}, {"doc_id": "a"}])
-    with pytest.raises(DuplicateDocId) as excinfo:
+    with pytest.raises(MalformedRow) as excinfo:
         load_collection(path)
     assert excinfo.value.line_no == 3
-    assert str(excinfo.value) == f"{path} line 3: duplicate doc_id 'a'"
+    assert str(excinfo.value) == (
+        f"{path} line 3: cannot parse '{{\"doc_id\": \"a\"}}' (duplicate doc_id 'a')"
+    )
 
 
 def test_malformed_line_strict_raises(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": "a"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(MalformedRecord) as excinfo:
+    with pytest.raises(MalformedRow) as excinfo:
         load_collection(path)
     assert excinfo.value.line_no == 2
     assert str(excinfo.value).startswith(f"{path} line 2: ")
@@ -47,16 +49,19 @@ def test_too_deeply_nested_line_is_malformed(tmp_path):
     # json.loads raises RecursionError, not ValueError, past its nesting limit.
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": "a"}\n' + "[" * 100_000 + "\n", encoding="utf-8")
-    with pytest.raises(MalformedRecord) as excinfo:
+    with pytest.raises(MalformedRow) as excinfo:
         load_collection(path)
     assert excinfo.value.line_no == 2
+    assert excinfo.value.line == "[" * 100_000
+    assert len(str(excinfo.value)) < len(str(path)) + 200
 
 
 def test_missing_doc_id_is_malformed(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"title": "no id"}])
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRow) as excinfo:
         load_collection(path)
+    assert excinfo.value.line_no == 1
 
 
 def test_missing_file_raises():

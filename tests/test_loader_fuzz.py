@@ -4,12 +4,16 @@ the file and a line number; they never raise anything else."""
 import json
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank.corpus import load_collection
-from taskrank.errors import TaskRankError
+from taskrank.errors import EmptyFramework, TaskRankError
+from taskrank.evaluation import parse_qrels, parse_run
+from taskrank.querygen import LexiconExtractor
 from taskrank.rerank import InMemoryVectorProvider
+from taskrank.tasks import Task, TaskFramework, load_manual_map, load_tasks, load_topics
 
 # Any text on one line: no line breaks, no surrogates.
 free_text = st.text(
@@ -67,3 +71,50 @@ def test_vectors_lines_load_or_raise_naming_file_and_line(tmp_path_factory, line
         for parts in (line.split() for line in lines):
             if parts:
                 assert provider.vector(parts[0]).tolist() == [float(x) for x in parts[1:]]
+
+
+# Any bytes on one line: no line breaks, so valid UTF-8 or not.
+byte_lines = st.binary(max_size=20).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b""))
+FRAMEWORK = TaskFramework(tasks=(Task("a", "A", "alpha words"), Task("b", "B", "beta words")))
+topic_lines = st.fixed_dictionaries(
+    {"topic_id": st.sampled_from([1, 2, "3", 1.5, 1e400, None, [1]]),
+     "query": st.sampled_from(["alpha", "", 5])},
+).map(lambda record: json.dumps(record, allow_nan=True))
+task_lines = st.fixed_dictionaries(
+    {"task_id": st.sampled_from(["a", "b", "", ["a"]]),
+     "description": st.sampled_from(["words", ""])},
+    optional={"title": st.sampled_from(["T", 1])},
+).map(json.dumps)
+# Each loader with lines of its own format that parse, or nearly parse.
+LOADERS = {
+    "corpus": (load_collection, record_lines),
+    "topics": (load_topics, topic_lines),
+    "tasks": (load_tasks, task_lines),
+    "manual_map": (lambda path: load_manual_map(path, FRAMEWORK),
+                   st.sampled_from(["1 a", "2 b 3", "1 b", "3 c", "4 a 4", "# note"])),
+    "lexicon": (LexiconExtractor.from_file, free_text),
+    "qrels": (parse_qrels, st.sampled_from(["1 0 d 1", "2 0 e 0", "1 0 d 2", "1 0 f -1"])),
+    "run": (parse_run, st.sampled_from(["1 Q0 a 1 0.5 t", "1 Q0 b 2 0.4 t", "1 Q0 a 3 0.1 t",
+                                        "2 Q0 a 1 x t"])),
+    "vectors": (InMemoryVectorProvider.from_file, vector_lines),
+}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_byte_lines_load_or_raise_naming_file_and_line(tmp_path_factory, kind, data):
+    loader, valid_lines = LOADERS[kind]
+    lines = data.draw(st.lists(
+        st.one_of(byte_lines, valid_lines.map(lambda line: line.encode("utf-8"))), max_size=8,
+    ))
+    path = tmp_path_factory.getbasetemp() / f"fuzz_bytes_{kind}"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    try:
+        loader(path)
+    except EmptyFramework as exc:
+        # A task file with no tasks names only the file.
+        assert kind == "tasks" and str(exc) == f"{path}: no tasks"
+        assert not any(line.decode("utf-8", "surrogateescape").strip() for line in lines)
+    except TaskRankError as exc:
+        assert_names_file_and_line(exc, path, lines)

@@ -585,17 +585,36 @@ def test_config_file_rejects_bad_settings_naming_file(
     assert str(config_path) in err and complaint in err
 
 
+@pytest.mark.parametrize("content, complaint", [
+    (b'{"corpus": "c.jsonl",\n}', "Expecting property name"),
+    (b'{"run_tag": "\xff"}', "can't decode byte 0xff"),
+    (b"[" * 100_000, "maximum recursion depth"),
+], ids=["invalid-json", "byte-0xff", "deep-nesting"])
+def test_config_file_that_does_not_parse_is_one_error_naming_file(
+        tmp_path, capsys, content, complaint):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(content)
+    out = tmp_path / "never.run"
+    assert main(["run", "--config", str(config_path), "--output", str(out)]) == 1
+    assert not out.exists()
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"error: {config_path}: ") and complaint in error
+
+
 @pytest.mark.parametrize("command", ["run", "index-stats"])
 @pytest.mark.parametrize("bad_line, reason", [
     ("not json", "Expecting value"),
     ('{"title": "no id"}', "missing or empty doc_id"),
     ('{"doc_id": "doc02", "title": "again"}', "duplicate doc_id 'doc02'"),
+    pytest.param("\udcff", "not valid UTF-8", id="byte-0xff"),
+    pytest.param("[" * 100_000, "maximum recursion depth", id="deep-nesting"),
 ])
 def test_bad_corpus_line_is_one_error_naming_file_and_line(
         mini, tmp_path, capsys, command, bad_line, reason):
     text = Path(mini["corpus"]).read_text(encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(text + bad_line + "\n", encoding="utf-8")
+    # surrogateescape writes "\udcff" as the single byte 0xff.
+    corpus.write_text(text + bad_line + "\n", encoding="utf-8", errors="surrogateescape")
     line_no = len(text.splitlines()) + 1
     out = tmp_path / "never.run"
     if command == "run":
@@ -633,3 +652,91 @@ def test_vector_run_rejects_bad_vectors_row_naming_file_and_line(
     assert capsys.readouterr().err.splitlines() == [
         f"error: {vectors} line {line_no}: cannot parse {row!r} ({reason})"
     ]
+
+
+def bad_input_argv(mini, golden_dir, tmp_path, kind, path):
+    """A command that reads ``path`` as its ``kind`` input file."""
+    files = {**mini, kind: str(path)}
+    base = [
+        "--corpus", files["corpus"], "--topics", files["topics"], "--tasks", files["tasks"],
+        "--lexicon", files["lexicon"], "--manual-map", files["manual_map"],
+    ]
+    out = ["--output", str(tmp_path / "never.run")]
+    if kind == "run":
+        return ["eval", "--run", str(path), "--qrels", mini["qrels"]]
+    if kind == "qrels":
+        return ["eval", "--run", str(golden_dir / "query.run"), "--qrels", str(path)]
+    if kind == "vectors":
+        return ["run", *base, "--vectors", str(path), "--variant", "vector", *out]
+    if kind == "grid":
+        return ["sweep", *base, "--qrels", mini["qrels"], "--grid", str(path)]
+    return ["run", *base, "--variant", "query+udel+task", *out]
+
+
+DEEP = b"[" * 100_000
+TOPIC_1 = b'{"topic_id": 1, "query": "again"}'
+TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
+
+
+@pytest.mark.parametrize("kind, bad_line, reason", [
+    pytest.param(kind, bad_line, reason, id=f"{kind}-{case}")
+    for kind, case, bad_line, reason in [
+        ("topics", "0xff", b"\xff", "not valid UTF-8"),
+        ("topics", "deep", DEEP, "maximum recursion depth"),
+        ("topics", "repeat", TOPIC_1, "duplicate topic_id 1"),
+        ("tasks", "0xff", b"\xff", "not valid UTF-8"),
+        ("tasks", "deep", DEEP, "maximum recursion depth"),
+        ("tasks", "repeat", TASK_VACCINES, "duplicate task_id 'vaccines'"),
+        ("manual_map", "0xff", b"\xff", "not valid UTF-8"),
+        ("manual_map", "deep", DEEP, "not enough values"),
+        ("manual_map", "unknown", b"9 nosuch", "unknown task_id 'nosuch'"),
+        ("manual_map", "repeat", b"1 vaccines", "duplicate topic_id 1"),
+        ("lexicon", "0xff", b"\xff", "not valid UTF-8"),
+        ("qrels", "0xff", b"\xff", "not valid UTF-8"),
+        ("qrels", "deep", DEEP, "1 columns, expected 4"),
+        ("run", "0xff", b"\xff", "not valid UTF-8"),
+        ("run", "deep", DEEP, "1 columns, expected 6"),
+        ("vectors", "0xff", b"\xff", "not valid UTF-8"),
+        ("vectors", "deep", DEEP, "no values"),
+        ("grid", "0xff", b"\xff", "not valid UTF-8"),
+        ("grid", "deep", DEEP, "maximum recursion depth"),
+        ("grid", "infinity", b'{"dup_query": Infinity}', "cannot convert float infinity"),
+    ]
+])
+def test_bad_input_line_is_one_short_error_naming_file_and_line(
+        mini, golden_dir, tmp_path, capsys, kind, bad_line, reason):
+    source = golden_dir / "query.run" if kind == "run" else None
+    if kind == "grid":
+        text = b'{"dup_query": 1}\n'
+    else:
+        text = Path(source or mini[kind]).read_bytes()
+    path = tmp_path / f"bad_{kind}"
+    path.write_bytes(text + bad_line + b"\n")
+    line_no = len(text.splitlines()) + 1
+    assert main(bad_input_argv(mini, golden_dir, tmp_path, kind, path)) == 1
+    assert not (tmp_path / "never.run").exists()
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"error: {path} line {line_no}: ")
+    assert reason in error
+    assert len(error) <= 300
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_give_the_same_run_and_eval(mini, tmp_path, capsys, ending):
+    def run_and_eval(files, name):
+        out = tmp_path / f"{name}.run"
+        assert main([
+            "run", *mini_args(files, "--qrels", files["qrels"]),
+            "--variant", "journal.prior", "--output", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run", str(out), "--qrels", files["qrels"]]) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    copies = dict(mini)
+    for kind in ("corpus", "topics", "qrels"):
+        text = Path(mini[kind]).read_bytes()
+        assert b"\r" not in text
+        copies[kind] = str(tmp_path / f"{kind}.copy")
+        Path(copies[kind]).write_bytes(text.replace(b"\n", ending.encode()))
+    assert run_and_eval(copies, "copy") == run_and_eval(mini, "lf")

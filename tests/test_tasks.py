@@ -3,13 +3,7 @@ from collections import Counter
 
 import pytest
 
-from taskrank.errors import (
-    DuplicateTopic,
-    EmptyQuery,
-    MalformedRow,
-    TopicSetMismatch,
-    UnknownTaskId,
-)
+from taskrank.errors import EmptyQuery, MalformedRow, TopicSetMismatch
 from taskrank.tasks import (
     AssignmentSource,
     Task,
@@ -173,15 +167,17 @@ def test_empty_manual_map_file(tmp_path):
 def test_manual_map_unknown_task(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("1 no-such-task 3\n", encoding="utf-8")
-    with pytest.raises(UnknownTaskId):
+    with pytest.raises(MalformedRow, match="unknown task_id 'no-such-task'") as excinfo:
         load_manual_map(path, default_framework())
+    assert excinfo.value.line_no == 1
 
 
 def test_manual_map_duplicate_topic(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("1 vaccines 3\n1 genetics 3\n", encoding="utf-8")
-    with pytest.raises(DuplicateTopic):
+    with pytest.raises(MalformedRow, match="duplicate topic_id 1") as excinfo:
         load_manual_map(path, default_framework())
+    assert excinfo.value.line_no == 2
 
 
 def test_manual_map_confidence_defaults_to_three(tmp_path):
@@ -243,8 +239,9 @@ def test_duplicate_topic_id_rejected(tmp_path):
         '{"topic_id": 1, "query": "alpha"}\n{"topic_id": 1, "query": "beta"}\n',
         encoding="utf-8",
     )
-    with pytest.raises(DuplicateTopic):
+    with pytest.raises(MalformedRow, match="duplicate topic_id 1") as excinfo:
         load_topics(path)
+    assert excinfo.value.line_no == 2
 
 
 def test_classify_topics_returns_automatic_assignments():
