@@ -705,11 +705,10 @@ TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
 ])
 def test_bad_input_line_is_one_short_error_naming_file_and_line(
         mini, golden_dir, tmp_path, capsys, kind, bad_line, reason):
-    source = golden_dir / "query.run" if kind == "run" else None
     if kind == "grid":
         text = b'{"dup_query": 1}\n'
     else:
-        text = Path(source or mini[kind]).read_bytes()
+        text = Path(golden_dir / "query.run" if kind == "run" else mini[kind]).read_bytes()
     path = tmp_path / f"bad_{kind}"
     path.write_bytes(text + bad_line + b"\n")
     line_no = len(text.splitlines()) + 1
