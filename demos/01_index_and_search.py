@@ -53,8 +53,10 @@ for variant in IndexVariant:
     print(f"{variant.value}: {index.unit_count} units over {index.doc_count} docs, "
           f"avg unit length {index.avg_unit_length:.1f}, {index.vocab_size} terms, "
           f"{index.nbytes} array bytes")
-    for doc_id, score in search(index, params, query, top_k=5):
-        print(f"  {score:8.4f}  {doc_id}")
+    # search returns document positions and their scores, best first.
+    positions, scores = search(index, params, query, top_k=5)
+    for position, score in zip(positions.tolist(), scores.tolist()):
+        print(f"  {score:8.4f}  {index.doc_ids[position]}")
     print()
 
 # The paragraph variant scores each title+abstract+paragraph unit separately

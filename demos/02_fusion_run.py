@@ -2,7 +2,8 @@
 
 RRF only looks at ranks: fused(d) = sum over lists of 1/(k + rank(d)).
 A document that is merely decent in every index can beat one that tops a
-single index.
+single index. Rankings are arrays of document positions; each fused score
+is the exact sum of its reciprocal ranks, correctly rounded.
 """
 
 import random
@@ -40,17 +41,19 @@ query = ["transmission", "model"]
 rankings = []
 for variant in IndexVariant:
     index = build_index(collection, variant)
-    ranked = search(index, params, query, top_k=10)
-    rankings.append(ranked)
-    top = ", ".join(doc for doc, _ in ranked[:3])
+    positions, _scores = search(index, params, query, top_k=10)
+    rankings.append(positions)
+    top = ", ".join(index.doc_ids[p] for p in positions[:3].tolist())
     print(f"{variant.value:<16} top 3: {top}")
 
-fused = rrf_fuse(rankings, FusionConfig(rrf_k=60.0), top_k=10)
+# Every index numbers the documents in collection order; doc_rank orders
+# them by doc_id, which breaks ties between equal fused scores.
+fused, scores = rrf_fuse(rankings, index.doc_rank, FusionConfig(rrf_k=60.0), top_k=10)
 print("\nfused ranking (RRF, k=60):")
-for rank, (doc_id, score) in enumerate(fused, start=1):
-    print(f"  {rank:2d}. {doc_id}  {score:.6f}")
+for rank, (position, score) in enumerate(zip(fused.tolist(), scores.tolist()), start=1):
+    print(f"  {rank:2d}. {index.doc_ids[position]}  {score:.6f}")
 
 # With a single input list, fusion is a monotone transform of rank and the
 # order is unchanged; a document at rank 1 in one of three lists scores 1/61.
-single = rrf_fuse([rankings[0]], FusionConfig(), top_k=10)
-assert [d for d, _ in single] == [d for d, _ in rankings[0]]
+single, _ = rrf_fuse([rankings[0]], index.doc_rank, FusionConfig(), top_k=10)
+assert single.tolist() == rankings[0].tolist()

@@ -5,7 +5,9 @@ all relevant scores +1, all irrelevant -1, an even split 0, and unknown
 journals 0. The final score is a linear mix of the min-max normalized
 retrieval score and the prior. Vector re-ranking replaces the prior with
 cosine proximity between a document vector and the task description vector,
-mapped to [0, 1].
+mapped to [0, 1]. Both look their auxiliary score up by document position,
+in an array built once: ``JournalPriorTable.by_position`` for the priors and
+``InMemoryVectorProvider.proximities`` for a task.
 """
 
 import numpy as np
@@ -40,11 +42,22 @@ print("journal priors:")
 for journal, score in sorted(priors.scores.items()):
     print(f"  {journal:<16} {score:+.2f}")
 
-fused = [("d3", 0.95), ("d1", 0.90), ("d4", 0.60), ("d2", 0.40)]
-reranked = rerank_by_journal(fused, priors, collection, RerankConfig(alpha=0.7), 10)
+# A fused ranking: document positions in the collection, and their scores.
+doc_ids = [doc.doc_id for doc in collection]
+doc_rank = np.argsort(np.argsort(doc_ids))  # tie-break: doc_id order
+fused = (np.array([collection.by_id[d] for d in ["d3", "d1", "d4", "d2"]]),
+         np.array([0.95, 0.90, 0.60, 0.40]))
+
+
+def show(ranking):
+    for position, score in zip(*(a.tolist() for a in ranking)):
+        print(f"  {score:.4f}  {doc_ids[position]}")
+
+
+reranked = rerank_by_journal(fused, priors.by_position(collection), doc_rank,
+                             RerankConfig(alpha=0.7), 10)
 print("\njournal re-rank (alpha=0.7):")
-for doc_id, score in reranked:
-    print(f"  {score:.4f}  {doc_id}")
+show(reranked)
 # d3 led on retrieval score alone but its journal history drags it down.
 
 task = Task(task_id="risk-factors", title="Risk factors",
@@ -57,8 +70,7 @@ provider = InMemoryVectorProvider({
     # d4 has no vector: neutral proximity 0.5
 })
 vector_reranked = rerank_by_task_vector(
-    fused, provider, task, RerankConfig(alpha=0.5), 10
+    fused, provider.proximities(task.task_id, doc_ids), doc_rank, RerankConfig(alpha=0.5), 10
 )
 print("\ntask-vector re-rank (alpha=0.5):")
-for doc_id, score in vector_reranked:
-    print(f"  {score:.4f}  {doc_id}")
+show(vector_reranked)

@@ -69,11 +69,11 @@ class MissingTaskVector(TaskRankError):
 
 
 class MalformedRow(TaskRankError):
-    """A line of an input file that does not parse. The message quotes at
-    most the first 80 characters of the line; ``line`` keeps all of it."""
+    """A line of an input file that does not parse. The message quotes at most
+    80 characters each of the line and of the reason; ``line`` keeps it all."""
 
     def __init__(self, line_no: int, line: str, path, reason: str = ""):
-        because = f" ({reason})" if reason else ""
+        because = f" ({reason[:80]})" if reason else ""
         super().__init__(f"{path} line {line_no}: cannot parse {line[:80]!r}{because}")
         self.line_no = line_no
         self.line = line

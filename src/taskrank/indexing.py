@@ -12,6 +12,9 @@ document without a body). An ``InvertedIndex`` stores its postings in CSR
 form: per term, a contiguous run of ascending ``int32`` unit ids and their
 term frequencies, located by ``offsets``. ``search`` is the one BM25 scorer:
 it scores the units a query touches and ranks documents by their best unit.
+A ranking is a pair of arrays, document positions in collection order and
+their float64 scores; ``top_ranked`` orders one for search, fusion and
+re-ranking alike, and doc_id strings are attached only when a run is built.
 """
 
 from __future__ import annotations
@@ -251,13 +254,32 @@ def build_index(collection: Collection, variant: IndexVariant,
     return InvertedIndex(TokenizedCollection(collection, tokenizer, bodies), variant)
 
 
+def top_ranked(docs: np.ndarray, scores: np.ndarray, doc_rank: np.ndarray,
+               top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top_k`` best of the positions ``docs`` with their ``scores``,
+    by score descending, ties by ascending ``doc_rank`` (doc_id order)."""
+    if len(docs) > top_k:
+        cut = len(docs) - top_k
+        keep = scores >= np.partition(scores, cut)[cut]
+        docs, scores = docs[keep], scores[keep]
+    order = np.argsort(-scores)
+    tied = np.diff(scores[order]) == 0.0
+    if tied.any():
+        # Sort again by (run of equal scores, doc_rank); the keys are distinct.
+        run = np.cumsum(np.concatenate(([False], ~tied)))
+        order = order[np.argsort(run * len(doc_rank) + doc_rank[docs[order]])]
+    order = order[:top_k]
+    return docs[order], scores[order]
+
+
 def search(index: InvertedIndex, params: Bm25Params,
-           query_tokens: list[str], top_k: int) -> list[tuple[str, float]]:
+           query_tokens: list[str], top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank documents by BM25 over index units.
 
     Units are scored, aggregated to their parent document by maximum unit
     score, then sorted by score descending with ties broken by ascending
-    doc_id. Zero-score documents are excluded.
+    doc_id. Zero-score documents are excluded. Returns the documents'
+    positions (``index.doc_ids[p]`` is the id) and their scores.
 
     Each query-token occurrence adds its contribution to the unit scores in
     query order, so every unit's score is the same float sum a per-unit loop
@@ -289,11 +311,4 @@ def search(index: InvertedIndex, params: Bm25Params,
     else:
         doc_scores = np.maximum.reduceat(unit_scores, index.first_unit)
     hits = np.flatnonzero(doc_scores > 0.0)
-    scores = doc_scores[hits]
-    if len(hits) > top_k:
-        cut = len(hits) - top_k
-        keep = scores >= np.partition(scores, cut)[cut]
-        hits, scores = hits[keep], scores[keep]
-    order = np.lexsort((index.doc_rank[hits], -scores))[:top_k]
-    doc_ids = index.doc_ids
-    return list(zip([doc_ids[d] for d in hits[order].tolist()], scores[order].tolist()))
+    return top_ranked(hits, doc_scores[hits], index.doc_rank, top_k)

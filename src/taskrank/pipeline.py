@@ -8,6 +8,10 @@ task's terms are ranked once; a run takes the first ``n_task_terms``), so a
 sweep builds one pipeline and runs each grid cell through ``with_expansion``.
 Topics run one after another in a single thread. Per-topic work is pure and
 rankings are emitted in topic-id order, so output is deterministic.
+
+Within a topic, rankings stay (document position, score) arrays through
+search, fusion and re-ranking, whose priors or task proximities are arrays by
+position built at set-up; ``run_topic`` maps positions to doc_ids at the end.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ class RunVariant(Enum):
 
 _TASK_EXPANDED = {RunVariant.QUERY_TASK, RunVariant.QUERY_UDEL_TASK}
 _NEEDS_ASSIGNMENT = _TASK_EXPANDED | {RunVariant.JOURNAL_TASK, RunVariant.VECTOR}
+_RERANKED = {RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK, RunVariant.VECTOR}
 
 
 @dataclass
@@ -127,24 +132,27 @@ class Pipeline:
         )
         tokens = TokenizedCollection(self.collection, self.tokenizer)
         self.indices = {variant: InvertedIndex(tokens, variant) for variant in IndexVariant}
+        self._doc_ids, self._doc_rank = tokens.doc_ids, tokens.doc_rank
         manual = None
         if config.variant in _NEEDS_ASSIGNMENT and config.manual_map_path:
             manual = load_manual_map(config.manual_map_path, self.framework)
         self._assignments = self._resolve_assignments(manual)
         self._task_terms = self._select_all_task_terms()
-        self._priors = None
-        self._per_task_priors = None
-        self._vectors = None
+        # Re-ranking's score by position: for journal.prior, or per task.
+        self._prior, self._aux_by_task = None, {}
         if config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
             qrels = parse_qrels(config.qrels_path)
             if config.variant is RunVariant.JOURNAL_PRIOR:
-                self._priors = build_journal_priors(qrels, self.collection)
+                table = build_journal_priors(qrels, self.collection)
+                self._prior = table.by_position(self.collection)
             else:
-                self._per_task_priors = build_per_task_priors(
-                    qrels, self.collection, manual
-                )
+                tables = build_per_task_priors(qrels, self.collection, manual)
+                self._aux_by_task = {task_id: table.by_position(self.collection)
+                                     for task_id, table in tables.items()}
         if config.variant is RunVariant.VECTOR:
-            self._vectors = InMemoryVectorProvider.from_file(config.vectors_path)
+            vectors = InMemoryVectorProvider.from_file(config.vectors_path)
+            used = sorted({a.task_id for a in self._assignments.values()})
+            self._aux_by_task = {t: vectors.proximities(t, self._doc_ids) for t in used}
 
     def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
         """A copy that shares this pipeline's collection, indices, task
@@ -204,37 +212,20 @@ class Pipeline:
     def run_topic(self, topic: Topic) -> list[tuple[str, float]]:
         """Generate, search all three indices, fuse and optionally re-rank."""
         generated = self._generate(topic)
-        rankings = [
-            search(
-                self.indices[variant],
-                self.config.bm25,
-                generated.tokens(variant),
-                self.config.top_k,
-            )
-            for variant in IndexVariant
-        ]
-        fused = rrf_fuse(rankings, self.config.fusion, self.config.top_k)
-        variant = self.config.variant
-        if variant is RunVariant.JOURNAL_PRIOR:
-            return rerank_by_journal(
-                fused, self._priors, self.collection,
-                self.config.default_rerank(), self.config.top_k,
-            )
-        if variant is RunVariant.JOURNAL_TASK:
-            assignment = self._assignments[topic.topic_id]
-            table = self._per_task_priors[assignment.task_id]
-            return rerank_by_journal(
-                fused, table, self.collection,
-                self.config.default_rerank(), self.config.top_k,
-            )
-        if variant is RunVariant.VECTOR:
-            assignment = self._assignments[topic.topic_id]
-            task = self.framework.get(assignment.task_id)
-            return rerank_by_task_vector(
-                fused, self._vectors, task,
-                self.config.default_rerank(), self.config.top_k,
-            )
-        return fused
+        config = self.config
+        rankings = [search(self.indices[v], config.bm25, generated.tokens(v), config.top_k)[0]
+                    for v in IndexVariant]
+        ranked = rrf_fuse(rankings, self._doc_rank, config.fusion, config.top_k)
+        if config.variant in _RERANKED:
+            if config.variant is RunVariant.JOURNAL_PRIOR:
+                aux = self._prior
+            else:
+                aux = self._aux_by_task[self._assignments[topic.topic_id].task_id]
+            rerank = (rerank_by_task_vector if config.variant is RunVariant.VECTOR
+                      else rerank_by_journal)
+            ranked = rerank(ranked, aux, self._doc_rank, config.default_rerank(), config.top_k)
+        docs, scores = ranked
+        return list(zip(map(self._doc_ids.__getitem__, docs.tolist()), scores.tolist()))
 
     def run(self) -> Run:
         """Run every topic in file order; emit rankings in topic-id order."""

@@ -3,8 +3,12 @@ proximity to a task description.
 
 Both re-rankers min-max normalize the retrieval scores within the ranking and
 combine them linearly with an auxiliary score in [-1, 1] (journal prior) or
-[0, 1] (mapped cosine proximity). Vectors are held in memory; a bad row of a
-vectors file is an error naming the file and the line.
+[0, 1] (mapped cosine proximity). Rankings are (document position, score)
+arrays, and the auxiliary score is an array indexed by document position,
+built once per prior table (``JournalPriorTable.by_position``) or per task
+(``InMemoryVectorProvider.proximities``) before any topic runs. Vectors are
+held in memory; a bad row of a vectors file is an error naming the file and
+the line.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 
 from .corpus import Collection
 from .errors import EmptyQrels, MissingTaskVector, UnknownTask, read_rows
-from .tasks import Task, TaskAssignment
+from .indexing import top_ranked
+from .tasks import TaskAssignment
 
 _PUNCT = re.compile(r"[^0-9a-z\s]+")
 _SPACE = re.compile(r"\s+")
@@ -59,6 +64,10 @@ class JournalPriorTable:
 
     def score(self, journal: str) -> float:
         return self.scores.get(normalize_journal(journal), 0.0)
+
+    def by_position(self, collection: Collection) -> np.ndarray:
+        """Each document's prior, indexed by its position in ``collection``."""
+        return np.array([self.score(doc.journal) for doc in collection], dtype=np.float64)
 
 
 def build_journal_priors(qrels, collection: Collection, task_id: str | None = None,
@@ -116,34 +125,25 @@ def build_per_task_priors(qrels, collection: Collection,
     return tables
 
 
-def _minmax(scores: list[float]) -> list[float]:
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return [1.0] * len(scores)
-    return [(s - lo) / (hi - lo) for s in scores]
+def _rerank(ranking: tuple[np.ndarray, np.ndarray], aux: np.ndarray, doc_rank: np.ndarray,
+            alpha: float, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha * minmax(score) + (1 - alpha) * aux[doc]``, best ``top_k`` first,
+    ties by ``doc_rank``. Equal scores normalize to 1. Each combined score is
+    the elementwise IEEE result of that formula, as a scalar loop gives it."""
+    docs, scores = ranking
+    if len(docs) == 0:
+        return docs, scores
+    lo, hi = scores.min(), scores.max()
+    normalized = np.ones(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
+    return top_ranked(docs, alpha * normalized + (1.0 - alpha) * aux[docs], doc_rank, top_k)
 
 
-def _combine_and_sort(ranking, normalized, auxiliary, alpha, top_k):
-    combined = [
-        (doc_id, alpha * norm + (1.0 - alpha) * aux)
-        for (doc_id, _), norm, aux in zip(ranking, normalized, auxiliary)
-    ]
-    combined.sort(key=lambda item: (-item[1], item[0]))
-    return combined[:top_k]
-
-
-def rerank_by_journal(ranking: list[tuple[str, float]], table: JournalPriorTable,
-                      collection: Collection, config: RerankConfig,
-                      top_k: int) -> list[tuple[str, float]]:
-    """Linear combination of min-max normalized retrieval score and journal prior."""
-    if not ranking:
-        return []
-    normalized = _minmax([score for _, score in ranking])
-    priors = []
-    for doc_id, _ in ranking:
-        doc = collection.get(doc_id)
-        priors.append(table.score(doc.journal) if doc is not None else 0.0)
-    return _combine_and_sort(ranking, normalized, priors, config.alpha, top_k)
+def rerank_by_journal(ranking: tuple[np.ndarray, np.ndarray], prior: np.ndarray,
+                      doc_rank: np.ndarray, config: RerankConfig,
+                      top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Linear combination of min-max normalized retrieval score and journal
+    prior; ``prior[p]`` is position p's, from ``JournalPriorTable.by_position``."""
+    return _rerank(ranking, prior, doc_rank, config.alpha, top_k)
 
 
 class InMemoryVectorProvider:
@@ -183,6 +183,16 @@ class InMemoryVectorProvider:
     def vector(self, key: str) -> np.ndarray | None:
         return self._vectors.get(key)
 
+    def proximities(self, task_id: str, doc_ids) -> np.ndarray:
+        """``cosine_proximity`` of each of ``doc_ids`` to the task's vector, in
+        their order; a document without a vector gets the neutral 0.5."""
+        task_vector = self.vector(task_id)
+        if task_vector is None:
+            raise MissingTaskVector(task_id)
+        vectors = map(self._vectors.get, doc_ids)
+        return np.array([0.5 if v is None else cosine_proximity(v, task_vector)
+                         for v in vectors], dtype=np.float64)
+
 
 def cosine_proximity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity mapped to [0, 1] via (cos+1)/2; zero vectors map to 0.5."""
@@ -193,26 +203,12 @@ def cosine_proximity(a: np.ndarray, b: np.ndarray) -> float:
     return (cos + 1.0) / 2.0
 
 
-def rerank_by_task_vector(ranking: list[tuple[str, float]],
-                          provider: InMemoryVectorProvider, task: Task, config: RerankConfig,
-                          top_k: int) -> list[tuple[str, float]]:
-    """Combine retrieval score with proximity to the task description vector.
-
-    Documents without a vector get the neutral proximity 0.5.
-    """
-    task_vector = provider.vector(task.task_id)
-    if task_vector is None:
-        raise MissingTaskVector(task.task_id)
-    if not ranking:
-        return []
-    normalized = _minmax([score for _, score in ranking])
-    proximities = []
-    for doc_id, _ in ranking:
-        doc_vector = provider.vector(doc_id)
-        proximities.append(
-            cosine_proximity(doc_vector, task_vector) if doc_vector is not None else 0.5
-        )
-    return _combine_and_sort(ranking, normalized, proximities, config.alpha, top_k)
+def rerank_by_task_vector(ranking: tuple[np.ndarray, np.ndarray], proximity: np.ndarray,
+                          doc_rank: np.ndarray, config: RerankConfig,
+                          top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Combine retrieval score with proximity to the task description vector;
+    ``proximity[p]`` is position p's, from ``InMemoryVectorProvider.proximities``."""
+    return _rerank(ranking, proximity, doc_rank, config.alpha, top_k)
 
 
 def export_priors(table: JournalPriorTable) -> str:

@@ -6,8 +6,9 @@ topic-to-task map can be loaded for comparison; ``agreement`` measures the
 fraction of topics on which two assignment sources coincide.
 
 Task, topic and manual-map files are read through ``errors.read_rows``: a
-line that does not parse, a repeated task or topic id, or a manual-map task
-id the framework lacks raises MalformedRow naming the file and the line.
+line that does not parse, a text field that is not a string, a repeated task
+or topic id, or a manual-map task id the framework lacks raises MalformedRow
+naming the file and the line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ from .errors import (
 from .indexing import Bm25Params, IndexVariant, Tokenizer, build_index, search
 
 
+def _require_strings(record, *fields: str) -> None:
+    """Raise TypeError naming the first of ``fields`` that is not a str."""
+    for name in fields:
+        value = getattr(record, name)
+        if not isinstance(value, str):
+            raise TypeError(f"{name} must be a string, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Task:
     task_id: str
@@ -36,6 +45,7 @@ class Task:
     description: str
 
     def __post_init__(self):
+        _require_strings(self, "task_id", "title", "description")
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
         if not self.description:
@@ -77,6 +87,7 @@ class Topic:
     narrative: str = ""
 
     def __post_init__(self):
+        _require_strings(self, "query", "question", "narrative")
         if not self.query:
             raise ValueError(f"topic {self.topic_id} has an empty query")
 
@@ -128,13 +139,13 @@ class TaskClassifier:
         tokens = self.tokenizer.tokenize(query)
         if not tokens:
             raise EmptyQuery(f"query {query!r} produced no tokens")
-        ranked = search(self._index, self.params, tokens, top_k=len(self.framework))
-        if not ranked:
+        docs, scores = search(self._index, self.params, tokens, top_k=1)
+        if len(docs) == 0:
             return TaskPrediction(
                 task_id=self.framework.tasks[0].task_id, score=0.0, low_confidence=True
             )
-        task_id, score = ranked[0]
-        return TaskPrediction(task_id=task_id, score=score, low_confidence=False)
+        return TaskPrediction(task_id=self._index.doc_ids[docs[0]], score=float(scores[0]),
+                              low_confidence=False)
 
 
 def classify_topics(framework: TaskFramework, topics: list[Topic],

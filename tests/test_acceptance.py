@@ -18,8 +18,8 @@ import pytest
 from taskrank.cli import main
 from taskrank.corpus import Collection, Document
 from taskrank.evaluation import Qrels, Run, evaluate_run, map_metric, ndcg_at_k
-from taskrank.fusion import FusionConfig, rrf_fuse
-from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, build_index, search
+from taskrank.fusion import FusionConfig
+from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, build_index
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import ExpansionConfig, QueryBase, generate_task_expanded
 from taskrank.rerank import JournalPriorTable, build_journal_priors, normalize_journal
@@ -33,6 +33,8 @@ from taskrank.tasks import (
     agreement,
     default_manual_map,
 )
+
+from by_id import fuse_ids, search_ids
 
 REPO_ROOT = Path(__file__).parent.parent
 PARAMS = Bm25Params()
@@ -183,7 +185,7 @@ def test_criterion_3_search_matches_exhaustive_oracle():
             index = build_index(collection, variant, tokenizer)
             units = unit_token_lists(collection, variant, tokenizer)
             for query in queries:
-                got = search(index, PARAMS, query, 100)
+                got = search_ids(index, PARAMS, query, 100)
                 want = exhaustive_search(units, PARAMS, query, 100)
                 assert got == want
         assert time.perf_counter() - started < 30.0
@@ -198,7 +200,7 @@ def test_criterion_4_rrf_correctness():
             [(d, float(50 - i)) for i, d in enumerate(rng.sample(pool, 50))]
             for _ in range(3)
         ]
-        fused = rrf_fuse(rankings, config, 500)
+        fused = fuse_ids(rankings, config, 500)
         reference = {}
         for doc in {d for r in rankings for d, _ in r}:
             parts = []
@@ -211,9 +213,9 @@ def test_criterion_4_rrf_correctness():
         assert fused == expected
 
         single = [("z", 2.0), ("a", 1.5), ("m", 1.0)]
-        assert [d for d, _ in rrf_fuse([single], config, 10)] == ["z", "a", "m"]
+        assert [d for d, _ in fuse_ids([single], config, 10)] == ["z", "a", "m"]
 
-        lone = rrf_fuse([[("only", 1.0)], [], []], config, 10)
+        lone = fuse_ids([[("only", 1.0)], [], []], config, 10)
         assert abs(lone[0][1] - 1.0 / 61.0) < 1e-12
 
 
@@ -307,8 +309,8 @@ def test_criterion_6_expansion_weighting():
             Document(doc_id="b", title="xx xx other words"),
         ])
         index = build_index(coll, IndexVariant.FULL_TEXT)
-        once = search(index, PARAMS, ["xx"], 2)
-        twice = search(index, PARAMS, ["xx", "xx"], 2)
+        once = search_ids(index, PARAMS, ["xx"], 2)
+        twice = search_ids(index, PARAMS, ["xx", "xx"], 2)
         assert [doc for doc, _ in once] == [doc for doc, _ in twice] == ["b", "a"]
         for (_, one), (_, two) in zip(once, twice):
             assert two == pytest.approx(2.0 * one, abs=1e-12)
@@ -351,6 +353,8 @@ def test_criterion_7_classifier_benchmark_and_agreement_oracle():
 
 def test_criterion_8_golden_files_and_thread_determinism(mini, golden_dir, tmp_path):
     with criterion(8, "byte-identical runs across invocations"):
+        rerank_inputs = ["--manual-map", mini["manual_map"], "--qrels", mini["qrels"],
+                         "--vectors", mini["vectors"]]
         cases = [
             ("query", [], "query.run"),
             (
@@ -358,6 +362,9 @@ def test_criterion_8_golden_files_and_thread_determinism(mini, golden_dir, tmp_p
                 ["--manual-map", mini["manual_map"]],
                 "query_udel_task.run",
             ),
+            ("journal.prior", rerank_inputs, "journal_prior.run"),
+            ("journal.task", rerank_inputs, "journal_task.run"),
+            ("vector", rerank_inputs, "vector.run"),
         ]
         for variant, extra, golden_name in cases:
             golden = (golden_dir / golden_name).read_bytes()

@@ -1,10 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskrank.errors import EmptyInput
 from taskrank.fusion import FusionConfig, rrf_fuse
+
+from by_id import fuse_ids
 
 CFG = FusionConfig()
 
@@ -35,13 +40,13 @@ def oracle_fuse(rankings, rrf_k, top_k):
 
 def test_single_list_preserves_order():
     ranking = [("c", 9.0), ("a", 5.0), ("b", 1.0)]
-    fused = rrf_fuse([ranking], CFG, 10)
+    fused = fuse_ids([ranking], CFG, 10)
     assert [doc for doc, _ in fused] == ["c", "a", "b"]
 
 
 def test_rank_one_in_one_of_three_lists():
     rankings = [[("only", 3.0)], [("other", 2.0)], [("other", 2.0)]]
-    fused = dict(rrf_fuse(rankings, CFG, 10))
+    fused = dict(fuse_ids(rankings, CFG, 10))
     assert fused["only"] == pytest.approx(1.0 / 61.0, abs=1e-12)
 
 
@@ -49,21 +54,21 @@ def test_matches_brute_force_oracle():
     rng = random.Random(99)
     for _ in range(10):
         rankings = random_rankings(rng)
-        assert rrf_fuse(rankings, CFG, 200) == oracle_fuse(rankings, CFG.rrf_k, 200)
+        assert fuse_ids(rankings, CFG, 200) == oracle_fuse(rankings, CFG.rrf_k, 200)
 
 
 def test_scores_do_not_matter():
     base = [[("a", 100.0), ("b", 50.0)], [("b", 2.0), ("c", 1.0)]]
     rescored = [[("a", 0.3), ("b", 0.2)], [("b", 9.0), ("c", 0.5)]]
-    assert rrf_fuse(base, CFG, 10) == rrf_fuse(rescored, CFG, 10)
+    assert fuse_ids(base, CFG, 10) == fuse_ids(rescored, CFG, 10)
 
 
 def test_appending_to_bottom_never_hurts_others():
     rng = random.Random(4)
     rankings = random_rankings(rng, n_lists=3, n_docs=20)
-    before = dict(rrf_fuse(rankings, CFG, 100))
+    before = dict(fuse_ids(rankings, CFG, 100))
     rankings[1] = rankings[1] + [("newcomer", 0.1)]
-    after = dict(rrf_fuse(rankings, CFG, 100))
+    after = dict(fuse_ids(rankings, CFG, 100))
     for doc, score in before.items():
         assert after[doc] >= score
 
@@ -71,25 +76,89 @@ def test_appending_to_bottom_never_hurts_others():
 def test_input_list_order_is_irrelevant():
     rng = random.Random(8)
     rankings = random_rankings(rng)
-    forward = rrf_fuse(rankings, CFG, 150)
-    backward = rrf_fuse(list(reversed(rankings)), CFG, 150)
+    forward = fuse_ids(rankings, CFG, 150)
+    backward = fuse_ids(list(reversed(rankings)), CFG, 150)
     assert forward == backward
 
 
 def test_truncates_to_top_k():
     rng = random.Random(2)
     rankings = random_rankings(rng)
-    assert len(rrf_fuse(rankings, CFG, 7)) == 7
+    assert len(fuse_ids(rankings, CFG, 7)) == 7
 
 
 def test_empty_input_rejected():
     with pytest.raises(EmptyInput):
-        rrf_fuse([], CFG, 10)
+        rrf_fuse([], np.zeros(0, dtype=np.int32), CFG, 10)
 
 
 def test_duplicate_doc_within_list_rejected():
     with pytest.raises(ValueError):
-        rrf_fuse([[("a", 2.0), ("a", 1.0)]], CFG, 10)
+        fuse_ids([[("a", 2.0), ("a", 1.0)]], CFG, 10)
+    with pytest.raises(ValueError, match="position 3 repeated"):
+        rrf_fuse([np.array([1, 3]), np.array([2, 3, 0, 3])], np.arange(4), CFG, 10)
+
+
+def test_empty_lists_fuse_to_nothing():
+    docs, scores = rrf_fuse([np.zeros(0, dtype=np.int64)] * 3, np.arange(2), CFG, 10)
+    assert len(docs) == len(scores) == 0
+
+
+def fsum_oracle(lists, doc_rank, rrf_k, top_k):
+    """The definition: per position, math.fsum of 1/(rrf_k + rank) over the
+    lists holding it; score descending, ties by doc_rank."""
+    parts = {}
+    for positions in lists:
+        for rank, doc in enumerate(positions, start=1):
+            parts.setdefault(doc, []).append(1.0 / (rrf_k + rank))
+    fused = [(doc, math.fsum(p)) for doc, p in parts.items()]
+    fused.sort(key=lambda item: (-item[1], doc_rank[item[0]]))
+    return fused[:top_k]
+
+
+@st.composite
+def overlapping_lists(draw):
+    """1-4 lists of 0-1,500 distinct positions drawn from one shared pool."""
+    pool = draw(st.integers(1, 3000))
+    n_lists = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lists = []
+    for _ in range(n_lists):
+        length = draw(st.integers(0, min(1500, pool)))
+        lists.append(rng.sample(range(pool), length))
+    doc_rank = list(range(pool))
+    rng.shuffle(doc_rank)
+    return lists, doc_rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=overlapping_lists(),
+       rrf_k=st.one_of(st.sampled_from([1.0, 60.0]), st.floats(1e-6, 1e6)),
+       top_k=st.integers(1, 3000))
+def test_rrf_is_the_exact_fsum_of_reciprocal_ranks(data, rrf_k, top_k):
+    lists, doc_rank = data
+    docs, scores = rrf_fuse([np.array(p, dtype=np.int64) for p in lists],
+                            np.array(doc_rank), FusionConfig(rrf_k=rrf_k), top_k)
+    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(
+        lists, doc_rank, rrf_k, top_k)
+
+
+@pytest.mark.parametrize("rrf_k, fixed_point", [(60.0, True), (1.0, False)])
+def test_both_sides_of_the_63_bit_check_match_fsum(monkeypatch, rrf_k, fixed_point):
+    # Four lists of ranks 1..1000: at rrf_k=60 the sums fit in 60 bits; at
+    # rrf_k=1 the terms span 1/2 to 1/1001 and four of them need 64 bits.
+    rng = random.Random(5)
+    lists = [rng.sample(range(1500), 1000) for _ in range(4)]
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda parts: calls.append(1) or fsum(parts))
+    docs, scores = rrf_fuse([np.array(p) for p in lists], np.arange(1500),
+                            FusionConfig(rrf_k=rrf_k), 1500)
+    monkeypatch.undo()
+    assert (not calls) is fixed_point
+    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(
+        lists, range(1500), rrf_k, 1500)
+
 
 
 def test_config_validation():

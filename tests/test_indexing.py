@@ -14,10 +14,11 @@ from taskrank.indexing import (
     IndexVariant,
     Tokenizer,
     build_index,
-    search,
 )
 from taskrank.querygen import LexiconExtractor, select_task_terms
 from taskrank.tasks import Task
+
+from by_id import search_ids
 
 PARAMS = Bm25Params()
 
@@ -189,11 +190,11 @@ def test_index_statistics_invariants(variant):
 def test_bm25_zero_match_scores_zero():
     coll = make_collection({"d1": "alpha beta", "d2": "gamma"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    assert search(index, PARAMS, ["missing"], 10) == []
-    assert search(index, PARAMS, ["missing", "absent"], 10) == []
-    gamma = search(index, PARAMS, ["gamma"], 10)
+    assert search_ids(index, PARAMS, ["missing"], 10) == []
+    assert search_ids(index, PARAMS, ["missing", "absent"], 10) == []
+    gamma = search_ids(index, PARAMS, ["gamma"], 10)
     assert [doc for doc, _ in gamma] == ["d2"]
-    assert search(index, PARAMS, ["gamma", "missing"], 10) == gamma
+    assert search_ids(index, PARAMS, ["gamma", "missing"], 10) == gamma
 
 
 def test_bm25_closed_form_single_doc():
@@ -202,7 +203,7 @@ def test_bm25_closed_form_single_doc():
     coll = make_collection({"d1": "zedword"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
     expected = math.log(4.0 / 3.0)
-    [(doc_id, score)] = search(index, PARAMS, ["zedword"], 10)
+    [(doc_id, score)] = search_ids(index, PARAMS, ["zedword"], 10)
     assert doc_id == "d1"
     assert score == pytest.approx(expected, abs=1e-12)
 
@@ -210,8 +211,8 @@ def test_bm25_closed_form_single_doc():
 def test_duplicated_query_token_doubles_score():
     coll = synthetic_corpus(30, seed=11)
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    single = search(index, PARAMS, ["term05"], index.doc_count)
-    double = search(index, PARAMS, ["term05", "term05"], index.doc_count)
+    single = search_ids(index, PARAMS, ["term05"], index.doc_count)
+    double = search_ids(index, PARAMS, ["term05", "term05"], index.doc_count)
     assert len(single) >= 10
     assert [doc for doc, _ in double] == [doc for doc, _ in single]
     for (_, one), (_, two) in zip(single, double):
@@ -222,27 +223,27 @@ def test_bm25_monotone_in_tf():
     # Equal unit lengths; only tf differs.
     coll = make_collection({"d1": "rare pad1 pad2", "d2": "rare rare pad1"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    scores = dict(search(index, PARAMS, ["rare"], 10))
+    scores = dict(search_ids(index, PARAMS, ["rare"], 10))
     assert scores["d2"] > scores["d1"] > 0.0
 
 
 def test_search_empty_query():
     coll = make_collection({"d1": "alpha"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    assert search(index, PARAMS, [], 10) == []
+    assert search_ids(index, PARAMS, [], 10) == []
 
 
 def test_search_tf_monotonicity_equal_lengths():
     coll = make_collection({"da": "hit hit pad", "db": "hit pad pad"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    ranked = search(index, PARAMS, ["hit"], 10)
+    ranked = search_ids(index, PARAMS, ["hit"], 10)
     assert [doc for doc, _ in ranked] == ["da", "db"]
 
 
 def test_search_excludes_zero_scores():
     coll = make_collection({"d1": "alpha", "d2": "beta"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    ranked = search(index, PARAMS, ["alpha"], 10)
+    ranked = search_ids(index, PARAMS, ["alpha"], 10)
     assert [doc for doc, _ in ranked] == ["d1"]
 
 
@@ -283,7 +284,7 @@ def test_search_matches_exhaustive_oracle(variant):
     vocab = [f"term{i:02d}" for i in range(40)] + ["neverseen"]
     for _ in range(15):
         query = rng.choices(vocab, k=rng.randint(1, 4))
-        got = search(index, PARAMS, query, 50)
+        got = search_ids(index, PARAMS, query, 50)
         want = oracle_search(coll, variant, tok, PARAMS, query, 50)
         assert got == want
 
@@ -291,7 +292,7 @@ def test_search_matches_exhaustive_oracle(variant):
 def test_paragraph_search_never_repeats_doc():
     coll = synthetic_corpus(60, seed=33)
     index = build_index(coll, IndexVariant.TITLE_ABSTRACT_PARAGRAPH)
-    ranked = search(index, PARAMS, ["term00", "term01", "term02"], 60)
+    ranked = search_ids(index, PARAMS, ["term00", "term01", "term02"], 60)
     docs = [doc for doc, _ in ranked]
     assert len(docs) == len(set(docs))
 
@@ -304,7 +305,7 @@ def test_collection_order_does_not_change_scores():
     for variant in IndexVariant:
         a = build_index(coll, variant)
         b = build_index(permuted, variant)
-        assert search(a, PARAMS, ["term03", "term17"], 40) == search(
+        assert search_ids(a, PARAMS, ["term03", "term17"], 40) == search_ids(
             b, PARAMS, ["term03", "term17"], 40
         )
 
@@ -312,7 +313,7 @@ def test_collection_order_does_not_change_scores():
 def test_search_total_order_under_ties():
     coll = make_collection({"dz": "same text", "da": "same text", "dm": "same text"})
     index = build_index(coll, IndexVariant.FULL_TEXT)
-    ranked = search(index, PARAMS, ["same"], 10)
+    ranked = search_ids(index, PARAMS, ["same"], 10)
     assert [doc for doc, _ in ranked] == ["da", "dm", "dz"]
 
 
@@ -374,15 +375,15 @@ def test_random_corpora_search_and_scores_match_oracle(docs, query, k1, b, top_k
         assert_units_match_oracle(index, units, coll)
         if not any(units.values()):
             # No tokens anywhere: the mean unit length is 0 and nothing matches.
-            assert search(index, params, query_tokens, top_k) == []
+            assert search_ids(index, params, query_tokens, top_k) == []
             continue
-        assert search(index, params, query_tokens, top_k) == oracle_search(
+        assert search_ids(index, params, query_tokens, top_k) == oracle_search(
             coll, variant, tok, params, query_tokens, top_k
         )
         if variant is IndexVariant.FULL_TEXT:
             # One unit per document: every unit's score, exactly.
             want = oracle_unit_scores(units, params, query_tokens)
-            assert dict(search(index, params, query_tokens, len(coll))) == {
+            assert dict(search_ids(index, params, query_tokens, len(coll))) == {
                 doc_id: score for (doc_id, _k), score in want.items() if score > 0.0
             }
 

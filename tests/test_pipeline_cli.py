@@ -684,9 +684,12 @@ TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
         ("topics", "0xff", b"\xff", "not valid UTF-8"),
         ("topics", "deep", DEEP, "maximum recursion depth"),
         ("topics", "repeat", TOPIC_1, "duplicate topic_id 1"),
+        ("topics", "query-type", b'{"topic_id": 9, "query": 5}', "query must be a string"),
         ("tasks", "0xff", b"\xff", "not valid UTF-8"),
         ("tasks", "deep", DEEP, "maximum recursion depth"),
         ("tasks", "repeat", TASK_VACCINES, "duplicate task_id 'vaccines'"),
+        ("tasks", "title-type", b'{"task_id": "t9", "title": ["x"], "description": "d"}',
+         "title must be a string"),
         ("manual_map", "0xff", b"\xff", "not valid UTF-8"),
         ("manual_map", "deep", DEEP, "not enough values"),
         ("manual_map", "unknown", b"9 nosuch", "unknown task_id 'nosuch'"),
@@ -698,6 +701,7 @@ TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
         ("run", "deep", DEEP, "1 columns, expected 6"),
         ("vectors", "0xff", b"\xff", "not valid UTF-8"),
         ("vectors", "deep", DEEP, "no values"),
+        ("vectors", "long", b"doc02 " + b"x" * 100_000, "could not convert string to float"),
         ("grid", "0xff", b"\xff", "not valid UTF-8"),
         ("grid", "deep", DEEP, "maximum recursion depth"),
         ("grid", "infinity", b'{"dup_query": Infinity}', "cannot convert float infinity"),

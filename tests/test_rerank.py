@@ -15,10 +15,10 @@ from taskrank.rerank import (
     cosine_proximity,
     export_priors,
     normalize_journal,
-    rerank_by_journal,
-    rerank_by_task_vector,
 )
 from taskrank.tasks import AssignmentSource, Task, TaskAssignment
+
+from by_id import rerank_journal_ids, rerank_vector_ids
 
 
 def qrels_from(rows):
@@ -139,7 +139,7 @@ def test_rerank_alpha_one_preserves_order():
     coll = collection_with_journals({"a": "Bad", "b": "Good"})
     table = JournalPriorTable(scores={"bad": -1.0, "good": 1.0})
     ranking = [("a", 5.0), ("b", 1.0)]
-    out = rerank_by_journal(ranking, table, coll, RerankConfig(alpha=1.0), 10)
+    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=1.0), 10)
     assert [d for d, _ in out] == ["a", "b"]
 
 
@@ -147,7 +147,7 @@ def test_rerank_alpha_zero_sorts_by_prior():
     coll = collection_with_journals({"a": "Bad", "b": "Good"})
     table = JournalPriorTable(scores={"bad": -1.0, "good": 1.0})
     ranking = [("a", 5.0), ("b", 1.0)]
-    out = rerank_by_journal(ranking, table, coll, RerankConfig(alpha=0.0), 10)
+    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=0.0), 10)
     assert [d for d, _ in out] == ["b", "a"]
 
 
@@ -161,7 +161,7 @@ def test_rerank_matches_recompute_oracle():
     ranking = [(d, rng.uniform(0, 10)) for d in docs]
     ranking.sort(key=lambda item: -item[1])
     alpha = 0.7
-    out = rerank_by_journal(ranking, table, coll, RerankConfig(alpha=alpha), 50)
+    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=alpha), 50)
 
     scores = [s for _, s in ranking]
     lo, hi = min(scores), max(scores)
@@ -178,7 +178,7 @@ def test_rerank_constant_scores_normalize_to_one():
     coll = collection_with_journals({"a": "Good", "b": "Bad"})
     table = JournalPriorTable(scores={"good": 1.0, "bad": -1.0})
     ranking = [("a", 2.0), ("b", 2.0)]
-    out = dict(rerank_by_journal(ranking, table, coll, RerankConfig(alpha=0.5), 10))
+    out = dict(rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=0.5), 10))
     assert out["a"] == pytest.approx(0.5 * 1.0 + 0.5 * 1.0)
     assert out["b"] == pytest.approx(0.5 * 1.0 - 0.5 * 1.0)
 
@@ -190,7 +190,7 @@ def test_rerank_output_is_permutation_of_input_prefix():
     ranking = sorted(
         [(f"d{i}", rng.uniform(0, 1)) for i in range(20)], key=lambda x: -x[1]
     )
-    out = rerank_by_journal(ranking, table, coll, RerankConfig(alpha=0.7), 8)
+    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=0.7), 8)
     assert len(out) == 8
     assert {d for d, _ in out} <= {d for d, _ in ranking}
 
@@ -206,26 +206,26 @@ TASK = Task(task_id="t", title="T", description="desc")
 
 def test_vector_identical_gives_proximity_one():
     provider = make_provider([1.0, 2.0, 3.0], {"a": [1.0, 2.0, 3.0]})
-    out = rerank_by_task_vector([("a", 1.0)], provider, TASK, RerankConfig(alpha=0.0), 5)
+    out = rerank_vector_ids([("a", 1.0)], provider, TASK, RerankConfig(alpha=0.0), 5)
     assert out[0][1] == pytest.approx(1.0)
 
 
 def test_vector_orthogonal_gives_half():
     provider = make_provider([1.0, 0.0], {"a": [0.0, 1.0]})
-    out = rerank_by_task_vector([("a", 1.0)], provider, TASK, RerankConfig(alpha=0.0), 5)
+    out = rerank_vector_ids([("a", 1.0)], provider, TASK, RerankConfig(alpha=0.0), 5)
     assert out[0][1] == pytest.approx(0.5)
 
 
 def test_vector_missing_doc_vector_is_neutral():
     provider = make_provider([1.0, 0.0], {})
-    out = rerank_by_task_vector([("a", 1.0)], provider, TASK, RerankConfig(alpha=0.0), 5)
+    out = rerank_vector_ids([("a", 1.0)], provider, TASK, RerankConfig(alpha=0.0), 5)
     assert out[0][1] == pytest.approx(0.5)
 
 
 def test_vector_missing_task_vector_raises():
     provider = InMemoryVectorProvider({"a": [1.0, 0.0]})
     with pytest.raises(MissingTaskVector):
-        rerank_by_task_vector([("a", 1.0)], provider, TASK, RerankConfig(), 5)
+        rerank_vector_ids([("a", 1.0)], provider, TASK, RerankConfig(), 5)
 
 
 def test_vector_rerank_matches_dot_product_oracle():
@@ -237,7 +237,7 @@ def test_vector_rerank_matches_dot_product_oracle():
         [(d, float(rng.uniform(0, 5))) for d in doc_vecs], key=lambda x: -x[1]
     )
     alpha = 0.5
-    out = rerank_by_task_vector(ranking, provider, TASK, RerankConfig(alpha=alpha), 20)
+    out = rerank_vector_ids(ranking, provider, TASK, RerankConfig(alpha=alpha), 20)
 
     scores = [s for _, s in ranking]
     lo, hi = min(scores), max(scores)
