@@ -22,8 +22,8 @@ class FusionConfig:
     rrf_k: float = 60.0
 
     def __post_init__(self):
-        if self.rrf_k <= 0:
-            raise ValueError("rrf_k must be > 0")
+        if not (math.isfinite(self.rrf_k) and self.rrf_k > 0):
+            raise ValueError("rrf_k must be a finite number > 0")
 
 
 def rrf_fuse(rankings: list[np.ndarray], doc_rank: np.ndarray, config: FusionConfig,

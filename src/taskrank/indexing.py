@@ -12,6 +12,9 @@ document without a body). An ``InvertedIndex`` stores its postings in CSR
 form: per term, a contiguous run of ascending ``int32`` unit ids and their
 term frequencies, located by ``offsets``. ``search`` is the one BM25 scorer:
 it scores the units a query touches and ranks documents by their best unit.
+An index never changes once built; per ``Bm25Params`` it memoizes derived data,
+the unit length norm and each term's BM25 contributions, at first use, so all
+topics, sweep cells and classifiers sharing an index score each term once.
 A ranking is a pair of arrays, document positions in collection order and
 their float64 scores; ``top_ranked`` orders one for search, fusion and
 re-ranking alike, and doc_id strings are attached only when a run is built.
@@ -39,6 +42,7 @@ _TOKEN_RUN = re.compile(r"[0-9a-z]+")
 _LONG_TOKEN_RUN = re.compile(r"[0-9a-z]{2,}")
 
 _NO_POSTINGS = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8))
+_NO_CONTRIBUTIONS = (np.zeros(0, dtype=np.int32), np.zeros(0))
 
 
 @lru_cache(maxsize=1)
@@ -81,8 +85,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
+        if not (math.isfinite(self.k1) and self.k1 > 0):
+            raise ValueError("k1 must be a finite number > 0")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 
@@ -154,6 +158,10 @@ class InvertedIndex:
     ``u``'s document; ``first_unit[d]`` is document ``d``'s first unit.
     The postings of term id ``t`` are ``post_units[offsets[t]:offsets[t+1]]``
     (ascending) with frequencies ``post_tfs`` at the same positions.
+
+    These arrays never change. ``contributions`` memoizes derived data per
+    ``Bm25Params``: the length norm and at most one unit id and one float64
+    BM25 contribution per posting.
     """
 
     def __init__(self, tokens: TokenizedCollection, variant: IndexVariant):
@@ -209,6 +217,8 @@ class InvertedIndex:
         self.vocab_size = int(np.count_nonzero(df))
         # Lengths are ints, so the mean is exact and independent of unit order.
         self.avg_unit_length = int(self.unit_lengths.sum()) / self.unit_count
+        self._length_norms: dict[Bm25Params, np.ndarray] = {}
+        self._memo: dict[Bm25Params, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
 
     def _pair_keys(self, token_ids: np.ndarray, starts: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
@@ -241,6 +251,29 @@ class InvertedIndex:
         # Lucene-style formulation: non-negative for every df <= N.
         df = self.doc_freq(term)
         return math.log(1.0 + (self.unit_count - df + 0.5) / (df + 0.5))
+
+    def contributions(self, params: Bm25Params,
+                      terms: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per entry of ``terms``: the ascending units containing it and its
+        BM25 contribution to each under ``params`` (none for an unknown term).
+        Each term is scored once per index and ``params``, into the memo whose
+        arrays every later call returns; callers must not modify them.
+        """
+        memo = self._memo.setdefault(params, {})
+        for term in terms:
+            if term in memo:
+                continue
+            units, tfs = self.term_postings(term)
+            if len(units) == 0:
+                memo[term] = _NO_CONTRIBUTIONS
+                continue
+            length_norm = self._length_norms.get(params)
+            if length_norm is None:  # a term has postings, so avg_unit_length > 0
+                length_norm = self._length_norms[params] = params.k1 * (
+                    1.0 - params.b + params.b * self.unit_lengths / self.avg_unit_length)
+            memo[term] = (units, self.idf(term) * tfs * (params.k1 + 1.0)
+                          / (tfs + length_norm[units]))
+        return [memo[term] for term in terms]
 
 
 def build_index(collection: Collection, variant: IndexVariant,
@@ -281,31 +314,16 @@ def search(index: InvertedIndex, params: Bm25Params,
     doc_id. Zero-score documents are excluded. Returns the documents'
     positions (``index.doc_ids[p]`` is the id) and their scores.
 
-    Each query-token occurrence adds its contribution to the unit scores in
-    query order, so every unit's score is the same float sum a per-unit loop
-    computes.
+    One ``np.bincount`` adds the memoized contributions of every query-token
+    occurrence (a repeated token once per occurrence), one after another in
+    query order, so each unit's score is the float sum a per-unit loop computes.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    unit_scores = np.zeros(index.unit_count)
-    length_norm = None
-    contributions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for token in query_tokens:
-        if token not in contributions:
-            units, tfs = index.term_postings(token)
-            if len(units) == 0:
-                contributions[token] = (units, np.zeros(0))
-                continue
-            if length_norm is None:
-                length_norm = params.k1 * (
-                    1.0 - params.b + params.b * index.unit_lengths / index.avg_unit_length
-                )
-            contributions[token] = (
-                units,
-                index.idf(token) * tfs * (params.k1 + 1.0) / (tfs + length_norm[units]),
-            )
-        units, contrib = contributions[token]
-        unit_scores[units] += contrib
+    pairs = [_NO_CONTRIBUTIONS, *index.contributions(params, query_tokens)]
+    unit_scores = np.bincount(np.concatenate([units for units, _ in pairs]),
+                              np.concatenate([contrib for _, contrib in pairs]),
+                              minlength=index.unit_count)
     if index.unit_count == index.doc_count:
         doc_scores = unit_scores
     else:

@@ -155,8 +155,8 @@ class Pipeline:
             self._aux_by_task = {t: vectors.proximities(t, self._doc_ids) for t in used}
 
     def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
-        """A copy that shares this pipeline's collection, indices, task
-        assignments and priors and runs under other expansion settings."""
+        """A copy that shares this pipeline's collection, indices and their
+        memos, task assignments and priors, and runs other expansion settings."""
         other = copy.copy(self)
         other.config = replace(self.config, expansion=expansion)
         return other

@@ -6,13 +6,14 @@ topic-to-task map can be loaded for comparison; ``agreement`` measures the
 fraction of topics on which two assignment sources coincide.
 
 Task, topic and manual-map files are read through ``errors.read_rows``: a
-line that does not parse, a text field that is not a string, a repeated task
-or topic id, or a manual-map task id the framework lacks raises MalformedRow
-naming the file and the line.
+line that does not parse, a text field that is not a string, a topic id that
+is not an integer, a repeated task or topic id, or a manual-map task id the
+framework lacks raises MalformedRow naming the file and the line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -200,13 +201,20 @@ def load_tasks(path) -> TaskFramework:
     return TaskFramework(tasks=tasks)
 
 
+def _topic_id(value) -> int:
+    """A JSON integer (not a bool) or a decimal-integer string, as an int."""
+    if type(value) is int or isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"topic_id must be an integer, not {value!r}")
+
+
 def load_topics(path) -> list[Topic]:
     """Load a topic file: one JSON record per line with topic_id/query/question/narrative."""
     seen: set[int] = set()
 
     def parse(line: str) -> Topic:
         record = json_object(line)
-        topic = Topic(topic_id=int(record["topic_id"]), query=record["query"],
+        topic = Topic(topic_id=_topic_id(record["topic_id"]), query=record["query"],
                       question=record.get("question", ""), narrative=record.get("narrative", ""))
         if topic.topic_id in seen:
             raise ValueError(f"duplicate topic_id {topic.topic_id}")

@@ -322,6 +322,9 @@ def test_bm25_params_validation():
         Bm25Params(k1=0.0)
     with pytest.raises(ValueError):
         Bm25Params(b=1.5)
+    for k1 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="k1 must be a finite number"):
+            Bm25Params(k1=k1)
 
 
 WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "the", "x", "Alpha-2", "b3"]
@@ -332,6 +335,15 @@ documents = st.lists(
               st.lists(texts, max_size=3)),
     min_size=1, max_size=12, unique_by=lambda doc: doc[0],
 )
+
+
+def random_collection(docs):
+    """A collection from drawn ``(doc_id, title, abstract, paragraphs)`` tuples."""
+    return Collection.from_documents(
+        Document(doc_id=doc_id, title=title, abstract=abstract,
+                 body=tuple(p for p in body if p.strip()))
+        for doc_id, title, abstract, body in docs
+    )
 
 
 def oracle_unit_scores(units, params, query_tokens):
@@ -361,11 +373,7 @@ def oracle_unit_scores(units, params, query_tokens):
     top_k=st.integers(1, 15),
 )
 def test_random_corpora_search_and_scores_match_oracle(docs, query, k1, b, top_k):
-    coll = Collection.from_documents(
-        Document(doc_id=doc_id, title=title, abstract=abstract,
-                 body=tuple(p for p in body if p.strip()))
-        for doc_id, title, abstract, body in docs
-    )
+    coll = random_collection(docs)
     tok = Tokenizer()
     params = Bm25Params(k1=k1, b=b)
     query_tokens = [t for word in query for t in tok.tokenize(word)] + ["unknown"]
@@ -386,6 +394,36 @@ def test_random_corpora_search_and_scores_match_oracle(docs, query, k1, b, top_k
             assert dict(search_ids(index, params, query_tokens, len(coll))) == {
                 doc_id: score for (doc_id, _k), score in want.items() if score > 0.0
             }
+
+
+queries = st.lists(st.sampled_from(WORDS + ["unknown", "beta"]), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    docs=documents,
+    params=st.lists(st.builds(Bm25Params, k1=st.floats(0.1, 3.0), b=st.floats(0.0, 1.0)),
+                    min_size=1, max_size=3),
+    steps=st.lists(st.tuples(st.integers(0, 2), queries, st.integers(1, 15)),
+                   min_size=1, max_size=5),
+)
+def test_warm_memo_searches_equal_fresh_index_and_oracle(docs, params, steps):
+    # The first step comes again last, so every sequence repeats a search.
+    coll = random_collection(docs)
+    tok = Tokenizer()
+    for variant in IndexVariant:
+        warm = build_index(coll, variant, tok)
+        empty = not any(oracle_unit_tokens(coll, variant, tok).values())
+        for which, query, top_k in [*steps, steps[0]]:
+            p = params[which % len(params)]
+            query_tokens = [t for word in query for t in tok.tokenize(word)] + ["unknown"]
+            got = search_ids(warm, p, query_tokens, top_k)
+            assert got == search_ids(build_index(coll, variant, tok), p, query_tokens, top_k)
+            if empty:
+                # No tokens anywhere: the mean unit length is 0 and nothing matches.
+                assert got == []
+            else:
+                assert got == oracle_search(coll, variant, tok, p, query_tokens, top_k)
 
 
 @settings(max_examples=100, deadline=None)

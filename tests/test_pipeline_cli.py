@@ -16,7 +16,7 @@ from taskrank.querygen import (
     LexiconExtractor,
     select_task_terms,
 )
-from taskrank.tasks import load_manual_map, load_tasks
+from taskrank.tasks import TaskClassifier, load_manual_map, load_tasks
 
 
 def mini_args(mini, *extra):
@@ -453,6 +453,39 @@ def test_with_expansion_runs_equal_fresh_pipelines(mini, monkeypatch, variant):
                 assert rankings == fresh.rankings
 
 
+def test_runs_and_sweep_cells_reuse_scored_terms(mini, monkeypatch):
+    # Probe: InvertedIndex.term_postings, which is read once per newly scored
+    # (index, Bm25Params, term).
+    scored = []
+    term_postings = InvertedIndex.term_postings
+    monkeypatch.setattr(InvertedIndex, "term_postings",
+                        lambda index, term: scored.append(term) or term_postings(index, term))
+    config = PipelineConfig(
+        corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
+        lexicon_path=mini["lexicon"], manual_map_path=mini["manual_map"],
+        variant=RunVariant.QUERY_UDEL_TASK,
+    )
+    pipeline = Pipeline(config)
+    scored.clear()
+    first = pipeline.run()
+    assert scored
+    scored.clear()
+    assert pipeline.run() == first and scored == []
+    # The first cell takes the most task terms; the others use a subset of its tokens.
+    sweep = Pipeline(config)
+    cells = [ExpansionConfig(), ExpansionConfig(n_task_terms=1, dup_query=1),
+             ExpansionConfig(n_task_terms=2, dup_question=0), ExpansionConfig(dup_task=2)]
+    for i, expansion in enumerate(cells):
+        scored.clear()
+        sweep.with_expansion(expansion).run()
+        assert bool(scored) == (i == 0)
+    classifier = TaskClassifier(load_tasks(mini["tasks"]))
+    classifier.classify("coronavirus vaccine antibody")
+    scored.clear()
+    classifier.classify("vaccine coronavirus")
+    assert scored == []
+
+
 def test_with_expansion_leaves_the_original_untouched(mini):
     config = PipelineConfig(
         corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
@@ -585,6 +618,29 @@ def test_config_file_rejects_bad_settings_naming_file(
     assert str(config_path) in err and complaint in err
 
 
+@pytest.mark.parametrize("flags, config_text", [
+    (["--k1", "nan"], None),
+    (["--k1", "inf"], None),
+    (["--rrf-k", "nan"], None),
+    (["--rrf-k", "inf"], None),
+    ([], '"k1": NaN'),
+], ids=["k1-nan", "k1-inf", "rrf_k-nan", "rrf_k-inf", "config-k1-nan"])
+def test_non_finite_bm25_and_fusion_parameters_are_one_error(
+        mini, tmp_path, capsys, flags, config_text):
+    out = tmp_path / "never.run"
+    argv = ["run", *mini_args(mini), *flags, "--output", str(out)]
+    if config_text:
+        config_path = tmp_path / "config.json"
+        config_path.write_text("{" + config_text + "}", encoding="utf-8")
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 1
+    assert not out.exists()
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith("error: ") and "must be a finite number > 0" in error
+    if config_text:
+        assert str(config_path) in error
+
+
 @pytest.mark.parametrize("content, complaint", [
     (b'{"corpus": "c.jsonl",\n}', "Expecting property name"),
     (b'{"run_tag": "\xff"}', "can't decode byte 0xff"),
@@ -685,6 +741,10 @@ TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
         ("topics", "deep", DEEP, "maximum recursion depth"),
         ("topics", "repeat", TOPIC_1, "duplicate topic_id 1"),
         ("topics", "query-type", b'{"topic_id": 9, "query": 5}', "query must be a string"),
+        ("topics", "float-id", b'{"topic_id": 1.9, "query": "q"}',
+         "topic_id must be an integer, not 1.9"),
+        ("topics", "bool-id", b'{"topic_id": true, "query": "q"}',
+         "topic_id must be an integer, not True"),
         ("tasks", "0xff", b"\xff", "not valid UTF-8"),
         ("tasks", "deep", DEEP, "maximum recursion depth"),
         ("tasks", "repeat", TASK_VACCINES, "duplicate task_id 'vaccines'"),
