@@ -215,6 +215,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_select_terms(args) -> int:
+    if args.n < 0:
+        raise TaskRankError("--n must be >= 0")
     collection = load_collection(args.corpus)
     framework = load_tasks(args.tasks) if args.tasks else default_framework()
     extractor = (

@@ -23,8 +23,7 @@ re-ranking alike, and doc_id strings are attached only when a run is built.
 from __future__ import annotations
 
 import math
-import re
-from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -36,10 +35,9 @@ import numpy as np
 from .corpus import Collection
 from .errors import EmptyCollection
 
-_TOKEN_RUN = re.compile(r"[0-9a-z]+")
-# Maximal runs of two or more characters: a one-character run never matches,
-# so a match cannot start inside a longer run.
-_LONG_TOKEN_RUN = re.compile(r"[0-9a-z]{2,}")
+_TOKEN_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_TABLE = bytes(b if chr(b) in _TOKEN_CHARS else 0x20 for b in range(256))
+_ONE_CHARACTER_RUNS = frozenset(_TOKEN_CHARS)
 
 _NO_POSTINGS = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8))
 _NO_CONTRIBUTIONS = (np.zeros(0, dtype=np.int32), np.zeros(0))
@@ -52,12 +50,21 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
+def token_runs(text: str) -> list[str]:
+    """The maximal ``[0-9a-z]+`` runs of ``text.lower()``, in order: each ASCII
+    character keeps its byte, any other code point (a lone surrogate too)
+    becomes one ``?``, and ``_TABLE`` turns every byte but ``[0-9a-z]`` into
+    a space to split on."""
+    return text.lower().encode("ascii", "replace").translate(_TABLE).decode("ascii").split()
+
+
 @dataclass(frozen=True)
 class Tokenizer:
     """Lowercasing alphanumeric tokenizer with stopword removal.
 
-    Tokens are maximal ``[0-9a-z]+`` runs of the lowercased input; stopwords
-    and tokens shorter than two characters are dropped.
+    Tokens are the maximal ``[0-9a-z]+`` runs of the lowercased input, split
+    by ``token_runs`` with one ``bytes.translate`` and ``split``; stopwords and
+    one-character runs are dropped in one pass.
     """
 
     stopwords: frozenset[str] = None  # type: ignore[assignment]
@@ -65,10 +72,11 @@ class Tokenizer:
     def __post_init__(self):
         if self.stopwords is None:
             object.__setattr__(self, "stopwords", default_stopwords())
+        # Derived data, not a field, so equality and hashing see only stopwords.
+        object.__setattr__(self, "_dropped", _ONE_CHARACTER_RUNS.union(self.stopwords))
 
     def tokenize(self, text: str) -> list[str]:
-        return list(filterfalse(self.stopwords.__contains__,
-                                _LONG_TOKEN_RUN.findall(text.lower())))
+        return list(filterfalse(self._dropped.__contains__, token_runs(text)))
 
 
 class IndexVariant(Enum):
@@ -110,13 +118,10 @@ class TokenizedCollection:
         self.bodies = bodies
         self.doc_ids = tuple(doc.doc_id for doc in collection)
         split = self.tokenizer.tokenize
-        # Each token is stored as the position of its term's first occurrence,
-        # so no token strings outlive their text; the positions are renumbered
-        # to dense term ids below.
-        first_position: dict[str, int] = {}
-        intern = first_position.setdefault
-        position = count()
-        raw = array("q")
+        # A term's id is the number of distinct terms seen before its first
+        # occurrence, so no token strings outlive their text.
+        vocab: defaultdict[str, int] = defaultdict(count().__next__)
+        raw: list[int] = []
         seg_lengths: list[int] = []
         paragraphs: list[int] = []
         for doc in collection:
@@ -126,12 +131,11 @@ class TokenizedCollection:
             for text in texts:
                 tokens = split(text)
                 seg_lengths.append(len(tokens))
-                raw.extend(map(intern, tokens, position))
-        dense = np.empty(len(raw), dtype=np.int32)
-        dense[np.fromiter(first_position.values(), dtype=np.int64)] = np.arange(
-            len(first_position), dtype=np.int32)
-        self.tokens = dense[np.frombuffer(raw, dtype=np.int64)]
-        self.vocab = dict(zip(first_position, range(len(first_position))))
+                raw += map(vocab.__getitem__, tokens)
+        self.tokens = np.array(raw, dtype=np.int32)
+        # A plain dict, so looking up an unknown query term adds nothing. Built
+        # from items, it holds only str and int and the collector skips it.
+        self.vocab = dict(vocab.items())
         self.seg_offsets = np.zeros(len(seg_lengths) + 1, dtype=np.int64)
         np.cumsum(seg_lengths, out=self.seg_offsets[1:])
         self.paragraphs = np.array(paragraphs, dtype=np.int64)

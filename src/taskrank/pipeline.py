@@ -93,6 +93,8 @@ class PipelineConfig:
         return self.run_tag or self.variant.value
 
     def validate(self) -> None:
+        if self.top_k < 1:
+            raise TaskRankError("top_k must be >= 1")
         missing = []
         if self.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
             if not self.qrels_path:

@@ -17,29 +17,24 @@ from importlib import resources
 import numpy as np
 
 from .errors import EmptyQuery, read_rows
-from .indexing import _TOKEN_RUN, InvertedIndex, IndexVariant, Tokenizer
+from .indexing import InvertedIndex, IndexVariant, Tokenizer, token_runs
 from .tasks import Task, TaskAssignment, Topic
-
-
-def _raw_tokens(text: str) -> list[str]:
-    # Matching stream for the lexicon: lowercase alphanumeric runs with
-    # nothing dropped, so multi-token lexicon entries can match in place.
-    return _TOKEN_RUN.findall(text.lower())
 
 
 class LexiconExtractor:
     """Extracts candidate terms by matching a fixed term lexicon against text.
 
     Stand-in for a biomedical named-entity recognizer. Scanning is greedy
-    longest-match (up to 4 tokens) over the normalized token stream; matched
-    terms are returned in normalized form, one entry per occurrence, so
-    repeated terms stay repeated.
+    longest-match (up to 4 tokens) over the text's ``token_runs``, nothing
+    dropped, so multi-token entries match in place; matched terms are returned
+    in normalized form, one entry per occurrence, so repeated terms stay
+    repeated.
     """
 
     def __init__(self, terms):
         self._terms: set[tuple[str, ...]] = set()
         for term in terms:
-            tokens = tuple(_raw_tokens(term))
+            tokens = tuple(token_runs(term))
             if tokens and len(tokens) <= 4:
                 self._terms.add(tokens)
         self._max_len = max((len(t) for t in self._terms), default=1)
@@ -53,7 +48,7 @@ class LexiconExtractor:
         return len(self._terms)
 
     def extract(self, text: str) -> list[str]:
-        tokens = _raw_tokens(text)
+        tokens = token_runs(text)
         found: list[str] = []
         i = 0
         while i < len(tokens):

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import string
 from collections import Counter
 
 import numpy as np
@@ -12,8 +14,12 @@ from taskrank.errors import EmptyCollection
 from taskrank.indexing import (
     Bm25Params,
     IndexVariant,
+    InvertedIndex,
+    TokenizedCollection,
     Tokenizer,
     build_index,
+    default_stopwords,
+    token_runs,
 )
 from taskrank.querygen import LexiconExtractor, select_task_terms
 from taskrank.tasks import Task
@@ -32,8 +38,8 @@ def make_collection(texts_by_id, paragraphs_by_id=None):
     return Collection.from_documents(docs)
 
 
-def character_scanner_tokens(text, stopwords):
-    """Oracle tokenizer: per-character scan accumulating alphanumeric runs."""
+def character_scanner_runs(text):
+    """Oracle run splitter: per-character scan accumulating alphanumeric runs."""
     tokens = []
     current = []
     for ch in text.lower():
@@ -44,7 +50,12 @@ def character_scanner_tokens(text, stopwords):
             current = []
     if current:
         tokens.append("".join(current))
-    return [t for t in tokens if len(t) >= 2 and t not in stopwords]
+    return tokens
+
+
+def character_scanner_tokens(text, stopwords):
+    """Oracle tokenizer: the scanner's runs without short runs and stopwords."""
+    return [t for t in character_scanner_runs(text) if len(t) >= 2 and t not in stopwords]
 
 
 def test_tokenize_case_and_split():
@@ -57,14 +68,35 @@ def test_tokenize_drops_stopwords_and_short_tokens():
     assert tok.tokenize("a I x viral") == ["viral"]
 
 
-def test_tokenize_matches_character_scanner_oracle():
-    rng = random.Random(42)
-    vocab = ["Viral", "spread-rate", "the", "B2", "x", "IN", "he", "CoV-2", "a1b", "word"]
-    text = " ".join(rng.choice(vocab) for _ in range(200))
-    tok = Tokenizer()
-    assert sorted(tok.tokenize(text)) == sorted(
-        character_scanner_tokens(text, tok.stopwords)
-    )
+# Characters whose lowercase or encoding is not one ASCII byte: the Kelvin
+# sign lowercases to "k", "\u0130" to "i" plus a combining dot, and the rest
+# are separators of one kind or another (a lone surrogate among them).
+TRICKY_CHARS = ["\u212a", "\u0130", "\u00df", "\ud800", "\x00", "\x1c", "\xa0", "\u2028"]
+SCANNER_WORDS = ["Viral", "spread-rate", "the", "THE", "B2", "x", "IN", "he", "CoV-2",
+                 "a1b", "word", "and", "of"]
+scanner_texts = st.lists(
+    st.one_of(st.sampled_from(SCANNER_WORDS), st.sampled_from(TRICKY_CHARS),
+              st.sampled_from(string.ascii_letters + string.digits + string.punctuation + " "),
+              st.characters()),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=scanner_texts,
+       stopwords=st.frozensets(st.sampled_from(["viral", "word", "b2", "k", "x", "the", "zz"])))
+def test_tokenize_matches_character_scanner_oracle(text, stopwords):
+    assert Tokenizer().tokenize(text) == character_scanner_tokens(text, default_stopwords())
+    assert Tokenizer(stopwords).tokenize(text) == character_scanner_tokens(text, stopwords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=scanner_texts)
+def test_lexicon_stream_matches_character_scanner_runs(text):
+    runs = character_scanner_runs(text)
+    assert token_runs(text) == runs
+    # With every run a one-token lexicon entry, extraction returns the stream.
+    assert LexiconExtractor(runs).extract(text) == runs
 
 
 def test_paragraph_variant_units():
@@ -344,6 +376,32 @@ def random_collection(docs):
                  body=tuple(p for p in body if p.strip()))
         for doc_id, title, abstract, body in docs
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=documents, bodies=st.booleans())
+def test_tokenized_collection_matches_per_text_oracle(docs, bodies):
+    coll = Collection.from_documents(
+        Document(doc_id=doc_id, title=title, abstract=abstract, body=tuple(body))
+        for doc_id, title, abstract, body in docs
+    )
+    tok = Tokenizer()
+    vocab, tokens, seg_offsets = {}, [], [0]
+    for doc in coll:
+        head = f"{doc.title} {doc.abstract}"
+        for text in [head, *doc.body] if bodies else [head]:
+            tokens += [vocab.setdefault(t, len(vocab)) for t in tok.tokenize(text)]
+            seg_offsets.append(len(tokens))
+    tc = TokenizedCollection(coll, tok, bodies=bodies)
+    assert tc.tokens.dtype == np.int32 and tc.tokens.tolist() == tokens
+    assert tc.seg_offsets.tolist() == seg_offsets
+    assert list(tc.vocab.items()) == list(vocab.items())
+    # Only str keys and int values: no garbage collection pass need scan it.
+    assert type(tc.vocab) is dict and not gc.is_tracked(tc.vocab)
+    with pytest.raises(KeyError):
+        tc.vocab["unknown"]
+    assert InvertedIndex(tc, IndexVariant.TITLE_ABSTRACT).doc_freq("unknown") == 0
+    assert list(tc.vocab.items()) == list(vocab.items())
 
 
 def oracle_unit_scores(units, params, query_tokens):

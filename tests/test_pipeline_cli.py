@@ -360,6 +360,29 @@ def test_select_terms_cli(mini, capsys):
         assert len(terms.split(", ")) == 3
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "select-terms"])
+def test_bad_count_is_one_error_before_the_corpus_is_read(mini, tmp_path, capsys, command):
+    # The corpus does not exist, so an error about the count shows that
+    # nothing was loaded before the count was checked.
+    corpus = str(tmp_path / "absent.jsonl")
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text('{"n_task_terms": 1}\n{"n_task_terms": 2}\n', encoding="utf-8")
+    out = tmp_path / "never.run"
+    argv, complaint = {
+        "run": (["run", *mini_args({**mini, "corpus": corpus}), "--top-k", "0",
+                 "--output", str(out)], "top_k must be >= 1"),
+        "sweep": (["sweep", *mini_args({**mini, "corpus": corpus}), "--top-k", "0",
+                   "--qrels", mini["qrels"], "--grid", str(grid)], "top_k must be >= 1"),
+        "select-terms": (["select-terms", "--corpus", corpus, "--n", "-2"],
+                         "--n must be >= 0"),
+    }[command]
+    assert main(argv) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {complaint}"]
+
+
 def test_config_file_with_flag_precedence(mini, tmp_path):
     config = {
         "corpus": mini["corpus"],
