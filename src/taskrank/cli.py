@@ -255,6 +255,8 @@ def cmd_priors(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.k < 1:
+        raise TaskRankError("--k must be >= 1")
     grid = [
         build_config(ExpansionConfig, record, f"{args.grid} line {line_no}")
         for line_no, _line, record in read_rows(args.grid, json_object)

@@ -360,7 +360,7 @@ def test_select_terms_cli(mini, capsys):
         assert len(terms.split(", ")) == 3
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "select-terms"])
+@pytest.mark.parametrize("command", ["run", "sweep", "sweep-k", "select-terms"])
 def test_bad_count_is_one_error_before_the_corpus_is_read(mini, tmp_path, capsys, command):
     # The corpus does not exist, so an error about the count shows that
     # nothing was loaded before the count was checked.
@@ -373,6 +373,8 @@ def test_bad_count_is_one_error_before_the_corpus_is_read(mini, tmp_path, capsys
                  "--output", str(out)], "top_k must be >= 1"),
         "sweep": (["sweep", *mini_args({**mini, "corpus": corpus}), "--top-k", "0",
                    "--qrels", mini["qrels"], "--grid", str(grid)], "top_k must be >= 1"),
+        "sweep-k": (["sweep", *mini_args({**mini, "corpus": corpus}), "--k", "0",
+                     "--qrels", mini["qrels"], "--grid", str(grid)], "--k must be >= 1"),
         "select-terms": (["select-terms", "--corpus", corpus, "--n", "-2"],
                          "--n must be >= 0"),
     }[command]
