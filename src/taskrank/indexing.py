@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from itertools import count, filterfalse
+from itertools import count, filterfalse, product
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .errors import EmptyCollection
 _TOKEN_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _TABLE = bytes(b if chr(b) in _TOKEN_CHARS else 0x20 for b in range(256))
 _ONE_CHARACTER_RUNS = frozenset(_TOKEN_CHARS)
+
+_BLOCK_TOKENS = 1 << 16  # tokens per block of an index's (term, unit) keys
+_INT32_KEY_SPACE = 2**31  # the largest vocabulary size * unit count for int32 keys
 
 _NO_POSTINGS = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8))
 _NO_CONTRIBUTIONS = (np.zeros(0, dtype=np.int32), np.zeros(0))
@@ -146,13 +149,6 @@ class TokenizedCollection:
         self.doc_rank[order] = np.arange(len(order), dtype=np.int32)
 
 
-def _gather(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(starts[i], ends[i])`` over i."""
-    lengths = ends - starts
-    before = np.cumsum(lengths) - lengths
-    return np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()))
-
-
 class InvertedIndex:
     """Immutable inverted index over one variant of a tokenized collection.
 
@@ -203,34 +199,38 @@ class InvertedIndex:
             parts = [(offsets[head[parent]], offsets[head[parent] + 1]),
                      (para_starts, para_ends)]
         self.unit_lengths = sum(ends - starts for starts, ends in parts).astype(np.int32)
-        keys = np.concatenate([self._pair_keys(tokens.tokens, s, e) for s, e in parts])
-        # Sorted (term, unit) keys; each run of equal keys is one posting.
+        # Sorted (term, unit) keys; each run of equal keys is one posting. Keys
+        # are int32 when every term * unit_count + unit fits, and are written a
+        # block of units at a time, so that no temporary spans every token.
+        key_type = np.int32 if len(self.vocab) * self.unit_count <= _INT32_KEY_SPACE else np.int64
+        keys = np.empty(int(self.unit_lengths.sum()), dtype=key_type)
+        step, filled = max(1, _BLOCK_TOKENS * self.unit_count // max(len(keys), 1)), 0
+        for (starts, ends), first in product(parts, range(0, self.unit_count, step)):
+            starts, lengths = starts[first:first + step], (ends - starts)[first:first + step]
+            lo, filled = filled, filled + int(lengths.sum())
+            # Token positions: arange(starts[i], starts[i] + lengths[i]) over i.
+            pos = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(filled - lo)
+            np.multiply(tokens.tokens[pos], self.unit_count, out=keys[lo:filled], dtype=key_type)
+            keys[lo:filled] += np.repeat(np.arange(first, first + len(lengths)), lengths)
         keys.sort()
-        new = np.empty(len(keys), dtype=bool)
-        new[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        del new
-        tfs = np.diff(starts, append=len(keys))
-        keys = keys[starts]
-        self.post_units = (keys % self.unit_count).astype(np.int32)
+        # A run starts at the first key and wherever a key differs from the one before.
+        starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
+        # A posting's tf is the length of its run, at most a unit's length.
+        tfs = np.empty(len(starts), dtype=np.int32)
+        np.subtract(starts[1:], starts[:-1], out=tfs[:-1])
+        tfs[-1:] = len(keys) - starts[-1:]
         self.post_tfs = tfs.astype(np.min_scalar_type(int(tfs.max(initial=1))))
-        df = np.bincount(keys // self.unit_count, minlength=len(self.vocab))
-        self.offsets = np.zeros(len(self.vocab) + 1, dtype=np.int64)
-        np.cumsum(df, out=self.offsets[1:])
-        self.vocab_size = int(np.count_nonzero(df))
+        del tfs
+        keys = keys[starts]
+        del starts
+        self.post_units = (keys % self.unit_count).astype(np.int32, copy=False)
+        keys //= self.unit_count  # now each posting's term, ascending
+        self.offsets = np.searchsorted(keys, np.arange(len(self.vocab) + 1, dtype=key_type))
+        self.vocab_size = int(np.count_nonzero(np.diff(self.offsets)))
         # Lengths are ints, so the mean is exact and independent of unit order.
         self.avg_unit_length = int(self.unit_lengths.sum()) / self.unit_count
         self._length_norms: dict[Bm25Params, np.ndarray] = {}
         self._memo: dict[Bm25Params, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
-
-    def _pair_keys(self, token_ids: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> np.ndarray:
-        """``term * unit_count + unit`` for every token of the given ranges."""
-        keys = token_ids[_gather(starts, ends)].astype(np.int64)
-        keys *= self.unit_count
-        keys += np.repeat(np.arange(self.unit_count, dtype=np.int64), ends - starts)
-        return keys
 
     @property
     def nbytes(self) -> int:

@@ -3,12 +3,14 @@ import math
 import random
 import string
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskrank import indexing
 from taskrank.corpus import Collection, Document
 from taskrank.errors import EmptyCollection
 from taskrank.indexing import (
@@ -402,6 +404,27 @@ def test_tokenized_collection_matches_per_text_oracle(docs, bodies):
         tc.vocab["unknown"]
     assert InvertedIndex(tc, IndexVariant.TITLE_ABSTRACT).doc_freq("unknown") == 0
     assert list(tc.vocab.items()) == list(vocab.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=documents, block_tokens=st.sampled_from([1, 3, 1 << 16]),
+       int32_key_space=st.sampled_from([0, 2**31]))
+def test_postings_match_counter_oracle_for_any_block_and_key_width(
+        docs, block_tokens, int32_key_space):
+    # Keys written in blocks of any size, as int32 or int64, give the same
+    # postings: per term, ascending units with their token counts.
+    coll = random_collection(docs)
+    tok = Tokenizer()
+    with mock.patch.object(indexing, "_BLOCK_TOKENS", block_tokens), \
+            mock.patch.object(indexing, "_INT32_KEY_SPACE", int32_key_space):
+        indices = {variant: build_index(coll, variant, tok) for variant in IndexVariant}
+    for variant, index in indices.items():
+        counts = [Counter(tokens) for tokens in oracle_unit_tokens(coll, variant, tok).values()]
+        assert index.post_units.dtype == np.int32 and index.post_tfs.dtype == np.uint8
+        for term in index.vocab:
+            units, tfs = index.term_postings(term)
+            expected = [(u, c[term]) for u, c in enumerate(counts) if term in c]
+            assert list(zip(units.tolist(), tfs.tolist())) == expected
 
 
 def oracle_unit_scores(units, params, query_tokens):
