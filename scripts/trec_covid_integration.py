@@ -14,6 +14,7 @@ so published-scale numbers require the real inputs:
      for the vector variant, a vectors file via --vectors
 
 It converts the inputs into the corpus/topic formats this package reads,
+shifts the qrels' topic ids by the same --topic-id-offset as the topics,
 then produces and scores fusion runs for the requested variants.
 
 Example:
@@ -85,6 +86,24 @@ def convert_topics(topics_xml: Path, topics_out: Path, id_offset: int) -> int:
     return count
 
 
+def shift_qrels(qrels_in: Path, qrels_out: Path, id_offset: int) -> int:
+    """Official qrels -> a copy whose topic ids carry the topics' offset.
+
+    A line whose first column is not an integer is copied unchanged, so that
+    ``taskrank eval`` reports it with its line number.
+    """
+    count = 0
+    with open(qrels_in, encoding="utf-8") as fh, \
+         open(qrels_out, "w", encoding="utf-8") as out:
+        for line in fh:
+            parts = line.split()
+            if parts and parts[0].lstrip("-").isdigit():
+                parts[0] = str(int(parts[0]) + id_offset)
+                count += 1
+            out.write(" ".join(parts) + "\n")
+    return count
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--metadata", required=True, type=Path)
@@ -107,6 +126,11 @@ def main() -> int:
     print(f"  {convert_metadata(args.metadata, corpus)} documents")
     print(f"converting {args.topics_xml} ...")
     print(f"  {convert_topics(args.topics_xml, topics, args.topic_id_offset)} topics")
+    # The runs carry the shifted topic ids, so they are scored against a
+    # qrels copy with the same shift.
+    qrels = args.workdir / "qrels.shifted.txt"
+    print(f"shifting the topic ids of {args.qrels} ...")
+    print(f"  {shift_qrels(args.qrels, qrels, args.topic_id_offset)} judgments")
 
     for variant in args.variants:
         run_path = args.workdir / f"{variant.replace('+', '_').replace('.', '_')}.run"
@@ -124,12 +148,12 @@ def main() -> int:
         if args.vectors:
             cmd += ["--vectors", str(args.vectors)]
         if variant in ("journal.prior", "journal.task"):
-            cmd += ["--qrels", str(args.qrels)]
+            cmd += ["--qrels", str(qrels)]
         print("+", " ".join(cmd))
         subprocess.run(cmd, check=True)
         subprocess.run([
             sys.executable, "-m", "taskrank.cli", "eval",
-            "--run", str(run_path), "--qrels", str(args.qrels), "--k", str(args.k),
+            "--run", str(run_path), "--qrels", str(qrels), "--k", str(args.k),
         ], check=True)
     return 0
 

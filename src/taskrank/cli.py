@@ -2,16 +2,17 @@
 
 Subcommands: index-stats, run, eval, classify, select-terms, priors, sweep.
 
-``run`` and ``sweep`` build their PipelineConfig from one flat settings dict:
-flags over a --config JSON file over the dataclass defaults. Each line of a
-sweep grid is a flat dict of ExpansionConfig settings over that class's
-defaults. ``SETTINGS`` lists the accepted keys. Topics run one after another
-in a single thread, so output is deterministic.
+``run`` and ``sweep`` build their PipelineConfig from flags over a --config
+JSON file over the dataclass defaults. ``SETTINGS`` lists the keys and makes
+the flags, whose string values ``build_config`` converts like the file's. A
+sweep grid line sets ExpansionConfig keys over the flags and --config. Topics
+run one after another in a single thread, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, s
 from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, build_index
 from .pipeline import Pipeline, PipelineConfig, RunVariant
-from .querygen import ConfidenceMode, ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
+from .querygen import ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
 from .rerank import RerankConfig, build_journal_priors, build_per_task_priors, export_priors
 from .tasks import (
     AssignmentSource,
@@ -37,81 +38,99 @@ from .tasks import (
     load_topics,
 )
 
-# Flat setting key -> (dataclass that holds the setting, field name). The keys
-# are the --config file keys and the flag names with "_" for "-"; the
-# ExpansionConfig keys are also the sweep grid keys.
-SETTINGS: dict[str, tuple[type, str]] = {
-    "corpus": (PipelineConfig, "corpus_path"),
-    "topics": (PipelineConfig, "topics_path"),
-    "variant": (PipelineConfig, "variant"),
-    "tasks": (PipelineConfig, "tasks_path"),
-    "manual_map": (PipelineConfig, "manual_map_path"),
-    "lexicon": (PipelineConfig, "lexicon_path"),
-    "qrels": (PipelineConfig, "qrels_path"),
-    "vectors": (PipelineConfig, "vectors_path"),
-    "run_tag": (PipelineConfig, "run_tag"),
-    "top_k": (PipelineConfig, "top_k"),
-    "k1": (Bm25Params, "k1"),
-    "b": (Bm25Params, "b"),
-    "rrf_k": (FusionConfig, "rrf_k"),
-    "alpha": (RerankConfig, "alpha"),
-    "n_task_terms": (ExpansionConfig, "n_task_terms"),
-    "dup_query": (ExpansionConfig, "dup_query"),
-    "dup_question": (ExpansionConfig, "dup_question"),
-    "dup_task": (ExpansionConfig, "dup_task"),
-    "confidence_mode": (ExpansionConfig, "confidence_mode"),
-    "gate_threshold": (ExpansionConfig, "gate_threshold"),
-    "route_task_terms": (ExpansionConfig, "route_task_terms_fulltext_only"),
+# Flat setting key -> (dataclass that holds the setting, field name, help).
+# The keys are the --config file keys and the flag names with "_" for "-";
+# the ExpansionConfig keys are also the sweep grid keys. The help of a
+# setting without a dataclass default says what leaving it unset means.
+SETTINGS: dict[str, tuple[type, str, str]] = {
+    "corpus": (PipelineConfig, "corpus_path", "corpus file (JSON lines); required"),
+    "topics": (PipelineConfig, "topics_path", "topics file (JSON lines); required"),
+    "variant": (PipelineConfig, "variant", "run variant"),
+    "tasks": (PipelineConfig, "tasks_path", "task framework file; unset: the shipped tasks"),
+    "manual_map": (PipelineConfig, "manual_map_path", "manual topic-task map; unset: classify"),
+    "lexicon": (PipelineConfig, "lexicon_path", "term lexicon file; unset: the shipped lexicon"),
+    "qrels": (PipelineConfig, "qrels_path", "qrels file (journal priors, sweep); unset: none"),
+    "vectors": (PipelineConfig, "vectors_path", "vectors file (vector variant); unset: none"),
+    "run_tag": (PipelineConfig, "run_tag", "run tag, no whitespace; unset: the variant name"),
+    "top_k": (PipelineConfig, "top_k", "results per topic"),
+    "k1": (Bm25Params, "k1", "BM25 k1"),
+    "b": (Bm25Params, "b", "BM25 b"),
+    "rrf_k": (FusionConfig, "rrf_k", "RRF constant"),
+    "alpha": (RerankConfig, "alpha", "re-rank retrieval weight; vector variant: 0.5 unless set"),
+    "n_task_terms": (ExpansionConfig, "n_task_terms", "task terms per topic"),
+    "dup_query": (ExpansionConfig, "dup_query", "occurrences of each query token"),
+    "dup_question": (ExpansionConfig, "dup_question", "occurrences of each question token"),
+    "dup_task": (ExpansionConfig, "dup_task", "occurrences of each task term"),
+    "confidence_mode": (ExpansionConfig, "confidence_mode", "how task confidence scales dup_task"),
+    "gate_threshold": (ExpansionConfig, "gate_threshold", "least confidence (1-3) in gate mode"),
+    "route_task_terms": (ExpansionConfig, "route_task_terms_fulltext_only",
+                         "restrict task terms to the full-text index"),
 }
 # The PipelineConfig field that holds each part.
 _PARTS = {Bm25Params: "bm25", FusionConfig: "fusion", RerankConfig: "rerank",
           ExpansionConfig: "expansion"}
 _SWEEP_VARIANT = RunVariant.QUERY_TASK
+_field_types = functools.cache(typing.get_type_hints)
 
 
 def _convert(owner: type, name: str, value):
-    """Convert a JSON or flag value to the type the dataclass field declares."""
-    kind = typing.get_type_hints(owner)[name]
+    """Convert a JSON or flag value to the type the dataclass field declares.
+
+    Flag values arrive as strings. A bool is not a number, a float with a
+    fractional part is not an int, and a path or run tag must be a string.
+    """
+    kind = _field_types(owner)[name]
     if kind is bool:
         if not isinstance(value, bool):
             raise ValueError(f"expected true or false, got {value!r}")
         return value
-    if kind in (int, float) or isinstance(kind, type) and issubclass(kind, Enum):
+    if kind in (int, float):
+        if isinstance(value, bool):
+            raise ValueError(f"expected a number, got {value!r}")
+        number = kind(value)
+        if kind is int and isinstance(value, float) and number != value:
+            raise ValueError(f"expected an integer, got {value!r}")
+        return number
+    if isinstance(kind, type) and issubclass(kind, Enum):
         return kind(value)
+    if not isinstance(value, (str, type(None))):
+        raise ValueError(f"expected a string, got {value!r}")
     return value
 
 
-def build_config(cls: type, settings: dict, source: str):
-    """Build PipelineConfig, or one of its parts, from a flat settings dict.
+def build_config(cls: type, *layers: tuple[str, dict]):
+    """Build PipelineConfig, or one of its parts, from (source, settings) layers.
 
-    Fields absent from ``settings`` keep their dataclass defaults. A key that
-    is not a setting of ``cls``, a value that does not convert to the field's
-    type, or a value the dataclass rejects raises TaskRankError naming
-    ``source``.
+    A later layer's value for a key wins; unset fields keep their dataclass
+    defaults. An unknown key or a value that does not convert raises
+    TaskRankError naming its layer's source; a value the dataclass rejects
+    names the sources of that dataclass's settings.
     """
     fields: dict[type, dict] = {}
-    for key, value in settings.items():
-        owner, name = SETTINGS.get(key, (None, None))
-        if owner is None or cls not in (owner, PipelineConfig):
-            raise TaskRankError(f"{source}: unknown {cls.__name__} setting {key!r}")
+    sources: dict[type, dict] = {}
+    for source, settings in layers:
+        for key, value in settings.items():
+            owner, name, _help = SETTINGS.get(key, (None, None, None))
+            if owner is None or cls not in (owner, PipelineConfig):
+                raise TaskRankError(f"{source}: unknown {cls.__name__} setting {key!r}")
+            try:
+                fields.setdefault(owner, {})[name] = _convert(owner, name, value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise TaskRankError(f"{source}: {key}: {exc}") from exc
+            sources.setdefault(owner, {})[name] = source
+    top = fields.pop(PipelineConfig, {})
+    for owner, part in fields.items():
         try:
-            fields.setdefault(owner, {})[name] = _convert(owner, name, value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TaskRankError(f"{source}: {key}: {exc}") from exc
-    try:
-        if cls is not PipelineConfig:
-            return cls(**fields.get(cls, {}))
-        top = fields.pop(PipelineConfig, {})
-        top.update((_PARTS[owner], owner(**part)) for owner, part in fields.items())
-        return PipelineConfig(**top)
-    except ValueError as exc:
-        raise TaskRankError(f"{source}: {exc}") from exc
+            top[_PARTS[owner]] = owner(**part)
+        except ValueError as exc:
+            named = ", ".join(dict.fromkeys(sources[owner].values()))
+            raise TaskRankError(f"{named}: {exc}") from exc
+    return PipelineConfig(**top) if cls is PipelineConfig else top.get(_PARTS[cls], cls())
 
 
 def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> PipelineConfig:
     """Settings from flags over the --config file, then build_config."""
-    settings = {"variant": variant.value}
-    source = "command line"
+    layers = [("command line", {"variant": variant.value})]
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -120,15 +139,13 @@ def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> Pipe
             raise TaskRankError(f"{args.config}: {exc}") from exc
         if not isinstance(file_settings, dict):
             raise TaskRankError(f"{args.config}: config file must contain a JSON object")
-        settings.update(file_settings)
-        source = args.config
-    settings.update(
-        (key, value) for key, value in vars(args).items()
-        if key in SETTINGS and value is not None
-    )
-    if not settings.get("corpus") or not settings.get("topics"):
+        layers.append((args.config, file_settings))
+    layers.append(("command line", {key: value for key, value in vars(args).items()
+                                    if key in SETTINGS and value is not None}))
+    given = {key: value for _source, settings in layers for key, value in settings.items()}
+    if not given.get("corpus") or not given.get("topics"):
         raise TaskRankError(f"{args.command} requires --corpus and --topics")
-    return build_config(PipelineConfig, settings, source)
+    return build_config(PipelineConfig, *layers)
 
 
 def cmd_index_stats(args) -> int:
@@ -257,25 +274,25 @@ def cmd_priors(args) -> int:
 def cmd_sweep(args) -> int:
     if args.k < 1:
         raise TaskRankError("--k must be >= 1")
-    grid = [
-        build_config(ExpansionConfig, record, f"{args.grid} line {line_no}")
-        for line_no, _line, record in read_rows(args.grid, json_object)
-    ]
     base = _pipeline_config(args, _SWEEP_VARIANT)
     if not base.qrels_path:
         raise TaskRankError("sweep requires --qrels")
+    # Grid lines go over the expansion that flags and --config set.
+    expansion = {key: getattr(base.expansion, name)
+                 for key, (owner, name, _help) in SETTINGS.items() if owner is ExpansionConfig}
+    grid = [
+        build_config(ExpansionConfig, (f"{args.grid} line {line_no}", {**expansion, **record}))
+        for line_no, _line, record in read_rows(args.grid, json_object)
+    ]
     qrels = parse_qrels(base.qrels_path)
     pipeline = Pipeline(base)
     rows = sweep(grid, lambda e: pipeline.with_expansion(e).run(), qrels, k=args.k)
-    header = f"{'ndcg@' + str(args.k):<10} {'map':<10} config"
-    print(header)
+    print(f"{'ndcg@' + str(args.k):<10} {'map':<10} config")
     for row in rows:
         if row.error is not None:
             print(f"{'-':<10} {'-':<10} {_expansion_label(row.config)}  FAILED: {row.error}")
         else:
-            print(
-                f"{row.mean_ndcg:<10.4f} {row.mean_ap:<10.4f} {_expansion_label(row.config)}"
-            )
+            print(f"{row.mean_ndcg:<10.4f} {row.mean_ap:<10.4f} {_expansion_label(row.config)}")
     return 0 if any(row.error is None for row in rows) else 1
 
 
@@ -287,35 +304,16 @@ def _expansion_label(config: ExpansionConfig) -> str:
 
 
 def _add_pipeline_options(p: argparse.ArgumentParser, variant: RunVariant) -> None:
-    p.add_argument("--corpus", help="corpus file (JSON lines)")
-    p.add_argument("--topics", help="topics file (JSON lines)")
-    p.add_argument("--variant", choices=[v.value for v in RunVariant],
-                   help=f"run variant (default {variant.value})")
-    p.add_argument("--tasks", help="task framework file; default: shipped tasks")
-    p.add_argument("--manual-map", help="manual topic-task map")
-    p.add_argument("--lexicon", help="term lexicon file; default: shipped lexicon")
-    p.add_argument("--qrels", help="qrels file (journal prior variants)")
-    p.add_argument("--vectors", help="vectors file (vector variant)")
+    """One flag per SETTINGS key; its value goes through build_config."""
     p.add_argument("--config", help="JSON config file; flags take precedence")
-    p.add_argument("--run-tag", help="run tag; default: variant name")
-    p.add_argument("--k1", type=float, help=f"BM25 k1 (default {Bm25Params.k1})")
-    p.add_argument("--b", type=float, help=f"BM25 b (default {Bm25Params.b})")
-    p.add_argument("--rrf-k", type=float, help=f"RRF constant (default {FusionConfig.rrf_k})")
-    p.add_argument("--top-k", type=int,
-                   help=f"results per topic (default {PipelineConfig.top_k})")
-    p.add_argument("--n-task-terms", type=int)
-    p.add_argument("--dup-query", type=int)
-    p.add_argument("--dup-question", type=int)
-    p.add_argument("--dup-task", type=int)
-    p.add_argument("--confidence-mode", choices=[m.value for m in ConfidenceMode])
-    p.add_argument("--gate-threshold", type=int)
-    p.add_argument(
-        "--route-task-terms",
-        action=argparse.BooleanOptionalAction,
-        help="restrict task terms to the full-text index "
-             f"(default {ExpansionConfig.route_task_terms_fulltext_only})",
-    )
-    p.add_argument("--alpha", type=float, help="re-rank retrieval weight")
+    for key, (owner, name, text) in SETTINGS.items():
+        default = variant if key == "variant" else getattr(owner, name, None)
+        action = argparse.BooleanOptionalAction if isinstance(default, bool) else None
+        if isinstance(default, Enum):
+            text = f"{text}: {', '.join(member.value for member in type(default))}"
+            default = default.value
+        p.add_argument("--" + key.replace("_", "-"), action=action,
+                       help=text if default is None else f"{text} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,8 @@ fields ``doc_id``, ``title``, ``abstract``, ``body``, ``journal`` and ``date``.
 Absent fields are treated as empty. ``body`` may be a single string (split
 into paragraphs on blank lines) or a pre-split list of paragraph strings.
 The file is read through ``errors.read_rows``: a line that is not a record
-with a non-empty string ``doc_id``, or that repeats an earlier ``doc_id``,
-raises MalformedRow naming the file and the line.
+with a non-empty string ``doc_id`` free of whitespace, or that repeats an
+earlier ``doc_id``, raises MalformedRow naming the file and the line.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ def _record_to_document(record: dict) -> Document:
     doc_id = record.get("doc_id")
     if not isinstance(doc_id, str) or not doc_id:
         raise ValueError("missing or empty doc_id")
+    if doc_id.split() != [doc_id]:
+        raise ValueError(f"doc_id {doc_id!r} contains whitespace")
     body = record.get("body", "")
     if isinstance(body, str):
         paragraphs = segment_paragraphs(body)

@@ -95,6 +95,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.top_k < 1:
             raise TaskRankError("top_k must be >= 1")
+        if self.run_tag and self.run_tag.split() != [self.run_tag]:
+            raise TaskRankError(f"run_tag {self.run_tag!r} contains whitespace")
         missing = []
         if self.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
             if not self.qrels_path:
@@ -111,8 +113,7 @@ class PipelineConfig:
     def default_rerank(self) -> RerankConfig:
         if self.rerank is not None:
             return self.rerank
-        alpha = 0.5 if self.variant is RunVariant.VECTOR else 0.7
-        return RerankConfig(alpha=alpha)
+        return RerankConfig(alpha=0.5) if self.variant is RunVariant.VECTOR else RerankConfig()
 
 
 class Pipeline:
@@ -122,34 +123,32 @@ class Pipeline:
         config.validate()
         self.config = config
         self.tokenizer = tokenizer or Tokenizer()
-        self.collection = load_collection(config.corpus_path)
+        collection = load_collection(config.corpus_path)
         self.topics = load_topics(config.topics_path)
-        self.framework = (
-            load_tasks(config.tasks_path) if config.tasks_path else default_framework()
-        )
+        framework = load_tasks(config.tasks_path) if config.tasks_path else default_framework()
         self.extractor = (
             LexiconExtractor.from_file(config.lexicon_path)
             if config.lexicon_path
             else default_lexicon()
         )
-        tokens = TokenizedCollection(self.collection, self.tokenizer)
+        tokens = TokenizedCollection(collection, self.tokenizer)
         self.indices = {variant: InvertedIndex(tokens, variant) for variant in IndexVariant}
         self._doc_ids, self._doc_rank = tokens.doc_ids, tokens.doc_rank
         manual = None
         if config.variant in _NEEDS_ASSIGNMENT and config.manual_map_path:
-            manual = load_manual_map(config.manual_map_path, self.framework)
-        self._assignments = self._resolve_assignments(manual)
-        self._task_terms = self._select_all_task_terms()
+            manual = load_manual_map(config.manual_map_path, framework)
+        self._assignments = self._resolve_assignments(framework, manual)
+        self._task_terms = self._select_all_task_terms(framework)
         # Re-ranking's score by position: for journal.prior, or per task.
         self._prior, self._aux_by_task = None, {}
         if config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
             qrels = parse_qrels(config.qrels_path)
             if config.variant is RunVariant.JOURNAL_PRIOR:
-                table = build_journal_priors(qrels, self.collection)
-                self._prior = table.by_position(self.collection)
+                table = build_journal_priors(qrels, collection)
+                self._prior = table.by_position(collection)
             else:
-                tables = build_per_task_priors(qrels, self.collection, manual)
-                self._aux_by_task = {task_id: table.by_position(self.collection)
+                tables = build_per_task_priors(qrels, collection, manual)
+                self._aux_by_task = {task_id: table.by_position(collection)
                                      for task_id, table in tables.items()}
         if config.variant is RunVariant.VECTOR:
             vectors = InMemoryVectorProvider.from_file(config.vectors_path)
@@ -157,14 +156,14 @@ class Pipeline:
             self._aux_by_task = {t: vectors.proximities(t, self._doc_ids) for t in used}
 
     def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
-        """A copy that shares this pipeline's collection, indices and their
-        memos, task assignments and priors, and runs other expansion settings."""
+        """A copy that shares this pipeline's set-up (topics, indices and their
+        memos, task assignments and terms, priors) and runs other expansion."""
         other = copy.copy(self)
         other.config = replace(self.config, expansion=expansion)
         return other
 
     def _resolve_assignments(
-        self, manual: list[TaskAssignment] | None
+        self, framework: TaskFramework, manual: list[TaskAssignment] | None
     ) -> dict[int, TaskAssignment]:
         if self.config.variant not in _NEEDS_ASSIGNMENT:
             return {}
@@ -176,17 +175,17 @@ class Pipeline:
                     f"topics missing from the manual map: {unmapped}"
                 )
             return by_topic
-        automatic = classify_topics(self.framework, self.topics, self.config.bm25)
+        automatic = classify_topics(framework, self.topics, self.config.bm25)
         return {a.topic_id: a for a in automatic}
 
-    def _select_all_task_terms(self) -> dict[str, list[str]]:
+    def _select_all_task_terms(self, framework: TaskFramework) -> dict[str, list[str]]:
         """Every candidate term of each task, best first."""
         if self.config.variant not in _TASK_EXPANDED:
             return {}
         abstracts_index = self.indices[IndexVariant.TITLE_ABSTRACT]
         return {
             task.task_id: select_task_terms(task, abstracts_index, self.extractor, None)
-            for task in self.framework
+            for task in framework
         }
 
     def _generate(self, topic: Topic) -> GeneratedQuery:

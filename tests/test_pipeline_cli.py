@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -336,8 +337,8 @@ def test_pipeline_setup_tokenizes_each_head_and_paragraph_once(mini):
             return super().tokenize(text)
 
     config = PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"])
-    pipeline = Pipeline(config, tokenizer=CountingTokenizer())
-    collection = pipeline.collection
+    Pipeline(config, tokenizer=CountingTokenizer())
+    collection = load_collection(mini["corpus"])
     paragraphs = sum(len(doc.body) for doc in collection)
     assert paragraphs > 0
     assert len(texts) == len(collection) + paragraphs
@@ -522,7 +523,7 @@ def test_with_expansion_leaves_the_original_untouched(mini):
     other = pipeline.with_expansion(expansion)
     assert pipeline.config is config and config == before
     assert other.config == replace(before, expansion=expansion)
-    assert other.indices is pipeline.indices and other.collection is pipeline.collection
+    assert other.indices is pipeline.indices
 
 
 def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):
@@ -602,6 +603,117 @@ def test_sweep_grid_lines_map_onto_expansion_defaults(mini, monkeypatch, tmp_pat
     assert {c.variant for c in configs} == {RunVariant.QUERY_TASK}
 
 
+def test_sweep_grid_lines_go_over_expansion_flags_and_config(mini, monkeypatch, tmp_path):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text('{}\n{"dup_task": 2, "n_task_terms": 4}\n', encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"n_task_terms": 1, "dup_query": 2}', encoding="utf-8")
+    configs = []
+    monkeypatch.setattr(cli, "Pipeline", RecordingPipeline(configs))
+    assert main([
+        "sweep", "--corpus", "c.jsonl", "--topics", "t.jsonl", "--qrels", mini["qrels"],
+        "--grid", str(grid), "--config", str(config_path),
+        "--dup-query", "1", "--dup-question", "0", "--dup-task", "5",
+    ]) == 0
+    set_by_flags = ExpansionConfig(n_task_terms=1, dup_query=1, dup_question=0, dup_task=5)
+    built, *cells = configs
+    assert built.expansion == set_by_flags
+    assert [c.expansion for c in cells] == [
+        set_by_flags, replace(set_by_flags, dup_task=2, n_task_terms=4),
+    ]
+
+
+def test_sweep_rows_are_labelled_with_the_expansion_flags(mini, tmp_path, capsys):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text('{"n_task_terms": 1}\n{"n_task_terms": 2, "dup_task": 2}\n',
+                    encoding="utf-8")
+    assert main([
+        "sweep", *mini_args(mini, "--manual-map", mini["manual_map"]),
+        "--qrels", mini["qrels"], "--grid", str(grid),
+        "--dup-query", "1", "--dup-question", "0", "--dup-task", "5",
+    ]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(None, 2)[2] for row in rows] == [
+        "1 query : 0 question : 5 task, n=1",
+        "1 query : 0 question : 2 task, n=2",
+    ]
+
+
+@pytest.mark.parametrize("command, variant", [("run", "query"), ("sweep", "query+task")])
+def test_setting_flags_show_every_setting_with_its_default(capsys, command, variant):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    blocks = re.split(r"\n  (?=-)", text.split("options:", 1)[1])[1:]
+    helps = {block.split()[0].rstrip(","): " ".join(block.split()) for block in blocks}
+    for key, (owner, name, _text) in cli.SETTINGS.items():
+        shown = helps["--" + key.replace("_", "-")]
+        default = getattr(owner, name, None)
+        if key == "variant":
+            assert f"(default {variant})" in shown
+            assert ", ".join(v.value for v in RunVariant) in shown
+        elif key == "confidence_mode":
+            assert f"{', '.join(m.value for m in ConfidenceMode)} (default ignore)" in shown
+        elif default is None:
+            assert "unset:" in shown or "required" in shown, shown
+        else:
+            assert shown.endswith(f"(default {default})"), shown
+    assert "--no-route-task-terms" in helps["--route-task-terms"]
+
+
+@pytest.mark.parametrize("source, key, value", [
+    (source, key, value)
+    for key, value in [("top_k", 1.9), ("n_task_terms", 1.9), ("k1", True), ("dup_query", True)]
+    for source in ["flag", "config", "grid"]
+    if source != "grid" or cli.SETTINGS[key][0] is ExpansionConfig
+])
+def test_a_value_is_one_error_from_a_flag_a_config_key_or_a_grid_line(
+        mini, tmp_path, capsys, source, key, value):
+    out = tmp_path / "never.run"
+    settings_path = tmp_path / "settings.json"
+    if source == "grid":
+        settings_path.write_text("{}\n" + json.dumps({key: value}) + "\n", encoding="utf-8")
+        argv = ["sweep", *mini_args(mini), "--qrels", mini["qrels"],
+                "--grid", str(settings_path)]
+        named = f"{settings_path} line 2: {key}: "
+    elif source == "config":
+        settings_path.write_text(json.dumps({key: value}), encoding="utf-8")
+        argv = ["run", *mini_args(mini), "--config", str(settings_path), "--output", str(out)]
+        named = f"{settings_path}: {key}: "
+    else:
+        # A valid config file beside the flag: the error still names the flag.
+        settings_path.write_text("{}", encoding="utf-8")
+        argv = ["run", *mini_args(mini), "--" + key.replace("_", "-"), json.dumps(value),
+                "--config", str(settings_path), "--output", str(out)]
+        named = f"command line: {key}: "
+    assert main(argv) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [error] = captured.err.splitlines()
+    assert error.startswith(f"error: {named}"), error
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_tag_with_whitespace_is_one_error_before_the_corpus_is_read(
+        mini, tmp_path, capsys, source):
+    corpus = str(tmp_path / "absent.jsonl")
+    out = tmp_path / "never.run"
+    argv = ["run", *mini_args({**mini, "corpus": corpus}), "--output", str(out)]
+    if source == "flag":
+        argv += ["--run-tag", "my tag"]
+    else:
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"run_tag": "my tag"}', encoding="utf-8")
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run_tag 'my tag' contains whitespace"
+    ]
+
+
 @pytest.mark.parametrize("line, complaint", [
     ('{"dup_qeury": 5}', "'dup_qeury'"),
     ('{"k1": 1.2}', "'k1'"),
@@ -627,6 +739,7 @@ def test_sweep_rejects_bad_grid_line_naming_file_and_line(
     ({"dup_qeury": 5}, "'dup_qeury'"),
     ({"route_task_terms": "false"}, "route_task_terms"),
     ({"variant": "no-such-variant"}, "variant"),
+    ({"corpus": 5}, "corpus: expected a string, got 5"),
 ])
 def test_config_file_rejects_bad_settings_naming_file(
         mini, tmp_path, capsys, settings, complaint):
@@ -687,6 +800,7 @@ def test_config_file_that_does_not_parse_is_one_error_naming_file(
     ("not json", "Expecting value"),
     ('{"title": "no id"}', "missing or empty doc_id"),
     ('{"doc_id": "doc02", "title": "again"}', "duplicate doc_id 'doc02'"),
+    ('{"doc_id": "a b", "title": "spaced"}', "doc_id 'a b' contains whitespace"),
     pytest.param("\udcff", "not valid UTF-8", id="byte-0xff"),
     pytest.param("[" * 100_000, "maximum recursion depth", id="deep-nesting"),
 ])
