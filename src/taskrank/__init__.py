@@ -12,6 +12,7 @@ from .errors import TaskRankError
 from .evaluation import (
     MetricReport,
     Qrels,
+    Ranking,
     Run,
     evaluate_run,
     map_metric,

@@ -24,7 +24,7 @@ from .errors import TaskRankError, json_object, read_rows
 from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, sweep, write_run
 from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, build_index
-from .pipeline import Pipeline, PipelineConfig, RunVariant
+from .pipeline import TASK_EXPANDED, Pipeline, PipelineConfig, RunVariant
 from .querygen import ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
 from .rerank import RerankConfig, build_journal_priors, build_per_task_priors, export_priors
 from .tasks import (
@@ -129,7 +129,8 @@ def build_config(cls: type, *layers: tuple[str, dict]):
 
 
 def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> PipelineConfig:
-    """Settings from flags over the --config file, then build_config."""
+    """Settings from flags over the --config file, then build_config; the
+    config is validated before any input is read."""
     layers = [("command line", {"variant": variant.value})]
     if args.config:
         try:
@@ -145,7 +146,9 @@ def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> Pipe
     given = {key: value for _source, settings in layers for key, value in settings.items()}
     if not given.get("corpus") or not given.get("topics"):
         raise TaskRankError(f"{args.command} requires --corpus and --topics")
-    return build_config(PipelineConfig, *layers)
+    config = build_config(PipelineConfig, *layers)
+    config.validate()
+    return config
 
 
 def cmd_index_stats(args) -> int:
@@ -177,6 +180,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.k < 1:
+        raise TaskRankError("--k must be >= 1")
     run = parse_run(args.run)
     qrels = parse_qrels(args.qrels)
     if args.residual_qrels:
@@ -275,6 +280,10 @@ def cmd_sweep(args) -> int:
     if args.k < 1:
         raise TaskRankError("--k must be >= 1")
     base = _pipeline_config(args, _SWEEP_VARIANT)
+    if base.variant not in TASK_EXPANDED:
+        raise TaskRankError(f"sweep varies task-term expansion, which variant "
+                            f"{base.variant.value} does not read; use "
+                            f"{' or '.join(sorted(v.value for v in TASK_EXPANDED))}")
     if not base.qrels_path:
         raise TaskRankError("sweep requires --qrels")
     # Grid lines go over the expansion that flags and --config set.

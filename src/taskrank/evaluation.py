@@ -3,13 +3,22 @@
 Metrics follow the trec_eval conventions: linear-gain DCG with a log2(i+1)
 discount, unjudged documents counted as non-relevant, topics without relevant
 judged documents scored 0.
+
+A run holds one ``Ranking`` per topic: positions into a doc-id table that the
+topics of one pipeline run (or one parsed run file) share, and their float64
+scores. Writing, residual filtering and the metrics work on those arrays and
+look doc ids up once per judged document, not once per ranked row; a list of
+(doc_id, score) pairs is converted when it enters a ``Run``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .errors import read_rows
 
@@ -57,12 +66,73 @@ def parse_qrels(path) -> Qrels:
     return qrels
 
 
+class Ranking(Sequence):
+    """One topic's ranking: row i is ``(doc_ids[positions[i]], scores[i])``.
+
+    ``doc_ids`` is a table shared by reference, typically by every topic of a
+    run; ``positions`` and ``scores`` are read-only arrays. As a sequence a
+    ranking yields (doc_id, float) pairs, and a slice is a ranking again.
+    """
+
+    __slots__ = ("doc_ids", "positions", "scores")
+
+    def __init__(self, doc_ids: Sequence[str], positions, scores):
+        positions = np.asarray(positions, np.int64).view()
+        scores = np.asarray(scores, np.float64).view()
+        if positions.shape != scores.shape or positions.ndim != 1:
+            raise ValueError("positions and scores must be 1-d arrays of one length")
+        positions.flags.writeable = scores.flags.writeable = False
+        self.doc_ids, self.positions, self.scores = doc_ids, positions, scores
+
+    @classmethod
+    def of(cls, rows: Ranking | Iterable[tuple[str, float]]) -> Ranking:
+        """``rows`` itself if it is a Ranking, else its (doc_id, score) pairs
+        over a table of their distinct doc ids."""
+        if isinstance(rows, Ranking):
+            return rows
+        table: dict[str, int] = {}
+        positions, scores = [], []
+        for doc_id, score in rows:
+            positions.append(table.setdefault(doc_id, len(table)))
+            scores.append(score)
+        return cls(list(table), np.array(positions, np.int64), np.array(scores, np.float64))
+
+    def docs(self) -> list[str]:
+        return list(map(self.doc_ids.__getitem__, self.positions.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Ranking(self.doc_ids, self.positions[i], self.scores[i])
+        return self.doc_ids[self.positions[i]], float(self.scores[i])
+
+    def __iter__(self) -> Iterator[tuple[str, float]]:
+        return zip(self.docs(), self.scores.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Ranking, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Ranking({list(self)!r})"
+
+
 @dataclass
 class Run:
-    """Ranked result lists per topic, with a run tag."""
+    """Ranked result lists per topic, with a run tag.
+
+    Every value of ``rankings`` is a Ranking; one given as a list of
+    (doc_id, score) pairs is converted here.
+    """
 
     run_tag: str
-    rankings: dict[int, list[tuple[str, float]]] = field(default_factory=dict)
+    rankings: dict[int, Ranking] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.rankings = {topic_id: Ranking.of(rows) for topic_id, rows in self.rankings.items()}
 
     def topic_ids(self) -> list[int]:
         return sorted(self.rankings)
@@ -74,16 +144,23 @@ def write_run(run: Run, path) -> None:
     Single spaces, ranks from 1, scores with six decimal places. Topics are
     emitted in ascending id order.
     """
+    tag = run.run_tag.replace("%", "%%")
     with open(path, "w", encoding="utf-8") as fh:
         for topic_id in run.topic_ids():
-            for rank, (doc_id, score) in enumerate(run.rankings[topic_id], start=1):
-                fh.write(f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {run.run_tag}\n")
+            ranking = run.rankings[topic_id]
+            n = len(ranking)
+            fields: list = [None] * (3 * n)
+            fields[0::3] = ranking.docs()
+            fields[1::3] = range(1, n + 1)
+            fields[2::3] = ranking.scores.tolist()
+            fh.write(f"{topic_id} Q0 %s %d %.6f {tag}\n" * n % tuple(fields))
 
 
 def parse_run(path) -> Run:
     """Parse a TREC run file; per-topic order follows the rank column.
 
-    A doc_id listed twice for one topic raises MalformedRow at the repeat.
+    The topics' rankings share one table of the file's doc ids. A doc_id
+    listed twice for one topic raises MalformedRow at the repeat.
     """
     seen: set[tuple[int, str]] = set()
 
@@ -98,14 +175,17 @@ def parse_run(path) -> Run:
         seen.add((topic_id, doc_id))
         return row
 
-    rows: dict[int, list[tuple[int, str, float]]] = {}
+    table: dict[str, int] = {}
+    rows: dict[int, list[tuple[int, int, float]]] = {}
     run_tag = ""
     for _, _, (topic_id, rank, doc_id, score, run_tag) in read_rows(path, parse):
-        rows.setdefault(topic_id, []).append((rank, doc_id, score))
+        rows.setdefault(topic_id, []).append((rank, table.setdefault(doc_id, len(table)), score))
+    doc_ids = list(table)
     run = Run(run_tag=run_tag)
     for topic_id, entries in rows.items():
         entries.sort(key=lambda item: item[0])
-        run.rankings[topic_id] = [(doc, score) for _, doc, score in entries]
+        positions = np.array([position for _, position, _ in entries], np.int64)
+        run.rankings[topic_id] = Ranking(doc_ids, positions, [score for *_, score in entries])
     return run
 
 
@@ -117,53 +197,87 @@ def _grades_by_topic(qrels: Qrels) -> dict[int, dict[str, int]]:
     return by_topic
 
 
+def _rows_judged(run: Run, by_topic: dict[int, dict[str, int]], dtype=np.int64
+                 ) -> Iterator[tuple[int, Ranking, np.ndarray]]:
+    """Each topic of the run in id order, with an array by row: the row's
+    grade (0 if unjudged), or with ``dtype=bool`` whether it is judged.
+
+    Per doc-id table, a zeroed array by position takes one topic's values,
+    is read at the ranking's positions and is cleared again.
+    """
+    tables: dict[int, tuple[dict[str, int], np.ndarray]] = {}  # by id() of a live table
+    for topic_id in run.topic_ids():
+        ranking = run.rankings[topic_id]
+        doc_ids = ranking.doc_ids
+        if id(doc_ids) not in tables:
+            tables[id(doc_ids)] = ({d: i for i, d in enumerate(doc_ids)},
+                                   np.zeros(len(doc_ids), dtype))
+        position, by_position = tables[id(doc_ids)]
+        grades = by_topic.get(topic_id, {})
+        judged = [(position[d], g) for d, g in grades.items() if d in position]
+        at = [p for p, _ in judged]
+        by_position[at] = True if dtype is bool else [g for _, g in judged]
+        yield topic_id, ranking, by_position[ranking.positions]
+        by_position[at] = 0
+
+
 def residual_filter(run: Run, prior_qrels: Qrels) -> Run:
     """Drop documents already judged in prior rounds; ranks close up."""
-    by_topic = _grades_by_topic(prior_qrels)
     filtered = Run(run_tag=run.run_tag)
-    for topic_id, ranking in run.rankings.items():
-        judged = by_topic.get(topic_id, {})
-        filtered.rankings[topic_id] = [
-            (doc, score) for doc, score in ranking if doc not in judged
-        ]
+    for topic_id, ranking, judged in _rows_judged(run, _grades_by_topic(prior_qrels), bool):
+        if judged.any():
+            keep = ~judged
+            ranking = Ranking(ranking.doc_ids, ranking.positions[keep], ranking.scores[keep])
+        filtered.rankings[topic_id] = ranking
     return filtered
+
+
+def _ndcg(row_grades: np.ndarray, grades: dict[str, int], k: int) -> float:
+    """One topic's NDCG@k from its rows' grades and its judgments."""
+    top = row_grades[:k]
+    gains = top.tolist()
+    dcg = 0.0
+    # An unjudged row would add +0.0, which leaves the sum's bits as they are.
+    for i in np.flatnonzero(top).tolist():
+        dcg += gains[i] / math.log2(i + 2)
+    ideal = sorted(grades.values(), reverse=True)[:k]
+    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+    return dcg / idcg if idcg > 0 else 0.0
+
+
+def _ap(row_grades: np.ndarray, grades: dict[str, int]) -> float:
+    """One topic's average precision from its rows' grades and its judgments."""
+    total_relevant = sum(1 for g in grades.values() if g >= 1)
+    if total_relevant == 0:
+        return 0.0
+    precision_sum = 0.0
+    ranks = (np.flatnonzero(row_grades >= 1) + 1).tolist()
+    for hits, rank in enumerate(ranks, start=1):
+        precision_sum += hits / rank
+    return precision_sum / total_relevant
+
+
+def _per_topic(run: Run, qrels: Qrels, *metrics: Callable) -> list[dict[int, float]]:
+    """Each metric's value per topic of the run, from one pass over the run."""
+    by_topic = _grades_by_topic(qrels)
+    out: list[dict[int, float]] = [{} for _ in metrics]
+    for topic_id, _, row_grades in _rows_judged(run, by_topic):
+        grades = by_topic.get(topic_id, {})
+        for values, metric in zip(out, metrics):
+            values[topic_id] = metric(row_grades, grades)
+    return out
 
 
 def ndcg_at_k(run: Run, qrels: Qrels, k: int) -> dict[int, float]:
     """Per-topic NDCG@k. Topics with no relevant judged documents score 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    by_topic = _grades_by_topic(qrels)
-    out: dict[int, float] = {}
-    for topic_id in run.topic_ids():
-        grades = by_topic.get(topic_id, {})
-        dcg = 0.0
-        for i, (doc_id, _) in enumerate(run.rankings[topic_id][:k], start=1):
-            dcg += grades.get(doc_id, 0) / math.log2(i + 1)
-        ideal = sorted(grades.values(), reverse=True)[:k]
-        idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
-        out[topic_id] = dcg / idcg if idcg > 0 else 0.0
-    return out
+    return _per_topic(run, qrels, lambda rows, grades: _ndcg(rows, grades, k))[0]
 
 
 def map_metric(run: Run, qrels: Qrels) -> dict[int, float]:
     """Per-topic average precision over the full ranking depth."""
-    by_topic = _grades_by_topic(qrels)
-    out: dict[int, float] = {}
-    for topic_id in run.topic_ids():
-        grades = by_topic.get(topic_id, {})
-        total_relevant = sum(1 for g in grades.values() if g >= 1)
-        if total_relevant == 0:
-            out[topic_id] = 0.0
-            continue
-        hits = 0
-        precision_sum = 0.0
-        for rank, (doc_id, _) in enumerate(run.rankings[topic_id], start=1):
-            if grades.get(doc_id, 0) >= 1:
-                hits += 1
-                precision_sum += hits / rank
-        out[topic_id] = precision_sum / total_relevant
-    return out
+    return _per_topic(run, qrels, _ap)[0]
 
 
 @dataclass(frozen=True)
@@ -181,8 +295,9 @@ def evaluate_run(run: Run, qrels: Qrels, k: int = 20) -> MetricReport:
 
     Judged topics absent from the run are not scored; ``trec_eval -c`` would
     score them 0 and divide by the number of judged topics."""
-    ndcg = ndcg_at_k(run, qrels, k)
-    ap = map_metric(run, qrels)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ndcg, ap = _per_topic(run, qrels, lambda rows, grades: _ndcg(rows, grades, k), _ap)
     n = len(ndcg)
     return MetricReport(
         k=k,

@@ -17,7 +17,8 @@ the unit length norm and each term's BM25 contributions, at first use, so all
 topics, sweep cells and classifiers sharing an index score each term once.
 A ranking is a pair of arrays, document positions in collection order and
 their float64 scores; ``top_ranked`` orders one for search, fusion and
-re-ranking alike, and doc_id strings are attached only when a run is built.
+re-ranking alike. A run keeps them (``evaluation.Ranking``), and doc_id
+strings are looked up only when a run file is written.
 """
 
 from __future__ import annotations

@@ -11,18 +11,21 @@ rankings are emitted in topic-id order, so output is deterministic.
 
 Within a topic, rankings stay (document position, score) arrays through
 search, fusion and re-ranking, whose priors or task proximities are arrays by
-position built at set-up; ``run_topic`` maps positions to doc_ids at the end.
+position built at set-up; ``run_topic`` returns them as an
+``evaluation.Ranking`` over the collection's doc-id table, which every topic
+of a run shares. A config that sets an expansion or re-ranking setting its
+variant never reads is rejected.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from .corpus import load_collection
 from .errors import TaskRankError
-from .evaluation import Run, parse_qrels
+from .evaluation import Ranking, Run, parse_qrels
 from .fusion import FusionConfig, rrf_fuse
 from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, Tokenizer, search
 from .querygen import (
@@ -65,8 +68,8 @@ class RunVariant(Enum):
     VECTOR = "vector"
 
 
-_TASK_EXPANDED = {RunVariant.QUERY_TASK, RunVariant.QUERY_UDEL_TASK}
-_NEEDS_ASSIGNMENT = _TASK_EXPANDED | {RunVariant.JOURNAL_TASK, RunVariant.VECTOR}
+TASK_EXPANDED = {RunVariant.QUERY_TASK, RunVariant.QUERY_UDEL_TASK}
+_NEEDS_ASSIGNMENT = TASK_EXPANDED | {RunVariant.JOURNAL_TASK, RunVariant.VECTOR}
 _RERANKED = {RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK, RunVariant.VECTOR}
 
 
@@ -108,6 +111,17 @@ class PipelineConfig:
         if missing:
             raise TaskRankError(
                 f"variant {self.variant.value} requires: {', '.join(missing)}"
+            )
+        unread = []
+        if self.variant not in TASK_EXPANDED:
+            default = ExpansionConfig()
+            unread += [f.name for f in fields(ExpansionConfig)
+                       if getattr(self.expansion, f.name) != getattr(default, f.name)]
+        if self.variant not in _RERANKED and self.rerank is not None:
+            unread += [f.name for f in fields(RerankConfig)]
+        if unread:
+            raise TaskRankError(
+                f"variant {self.variant.value} does not read: {', '.join(unread)}"
             )
 
     def default_rerank(self) -> RerankConfig:
@@ -180,7 +194,7 @@ class Pipeline:
 
     def _select_all_task_terms(self, framework: TaskFramework) -> dict[str, list[str]]:
         """Every candidate term of each task, best first."""
-        if self.config.variant not in _TASK_EXPANDED:
+        if self.config.variant not in TASK_EXPANDED:
             return {}
         abstracts_index = self.indices[IndexVariant.TITLE_ABSTRACT]
         return {
@@ -192,7 +206,7 @@ class Pipeline:
         variant = self.config.variant
         if variant is RunVariant.QUERY_UDEL:
             return generate_udel(topic, self.extractor, self.tokenizer)
-        if variant in _TASK_EXPANDED:
+        if variant in TASK_EXPANDED:
             assignment = self._assignments[topic.topic_id]
             base = (
                 QueryBase.UDEL
@@ -210,7 +224,7 @@ class Pipeline:
             )
         return generate_plain(topic, self.tokenizer)
 
-    def run_topic(self, topic: Topic) -> list[tuple[str, float]]:
+    def run_topic(self, topic: Topic) -> Ranking:
         """Generate, search all three indices, fuse and optionally re-rank."""
         generated = self._generate(topic)
         config = self.config
@@ -225,8 +239,7 @@ class Pipeline:
             rerank = (rerank_by_task_vector if config.variant is RunVariant.VECTOR
                       else rerank_by_journal)
             ranked = rerank(ranked, aux, self._doc_rank, config.default_rerank(), config.top_k)
-        docs, scores = ranked
-        return list(zip(map(self._doc_ids.__getitem__, docs.tolist()), scores.tolist()))
+        return Ranking(self._doc_ids, *ranked)
 
     def run(self) -> Run:
         """Run every topic in file order; emit rankings in topic-id order."""

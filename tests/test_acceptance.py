@@ -87,17 +87,17 @@ def test_criterion_2_metric_oracle_equivalence():
         for _ in range(100):
             n_topics = rng.randint(1, 20)
             docs = [f"d{i:03d}" for i in range(rng.randint(5, 200))]
-            run = Run(run_tag="acc")
-            judged_by_topic = {}
+            rankings, judged_by_topic = {}, {}
             for topic in range(1, n_topics + 1):
                 depth = rng.randint(0, min(50, len(docs)))
-                run.rankings[topic] = [
+                rankings[topic] = [
                     (d, float(depth - i)) for i, d in enumerate(rng.sample(docs, depth))
                 ]
                 judged_by_topic[topic] = {
                     d: rng.choice([0, 0, 1, 2])
                     for d in rng.sample(docs, rng.randint(0, min(40, len(docs))))
                 }
+            run = Run(run_tag="acc", rankings=rankings)
             qrels = Qrels()
             for topic, judged in judged_by_topic.items():
                 for doc, grade in judged.items():

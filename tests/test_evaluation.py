@@ -9,6 +9,7 @@ from taskrank.cli import main
 from taskrank.errors import MalformedRow
 from taskrank.evaluation import (
     Qrels,
+    Ranking,
     Run,
     evaluate_run,
     map_metric,
@@ -30,10 +31,7 @@ def make_qrels(rows):
 
 
 def make_run(rankings, tag="test"):
-    run = Run(run_tag=tag)
-    for topic, docs in rankings.items():
-        run.rankings[topic] = docs
-    return run
+    return Run(run_tag=tag, rankings=dict(rankings))
 
 
 def test_parse_qrels_direct_row(tmp_path):
@@ -328,11 +326,40 @@ rankings = st.dictionaries(
 )
 
 
+def over_shared_table(ranked):
+    """The rankings as Rankings over one doc-id table, which also holds an id
+    that no topic ranks."""
+    table = sorted({d for pairs in ranked.values() for d, _ in pairs} | {"unranked"})
+    return {topic_id: Ranking(table, [table.index(d) for d, _ in pairs], [s for _, s in pairs])
+            for topic_id, pairs in ranked.items()}
+
+
 @settings(max_examples=200, deadline=None)
-@given(judged=judgments, ranked=rankings, k=st.integers(1, 12))
-def test_grouped_metrics_equal_per_topic_definitions(judged, ranked, k):
+@given(judged=judgments, ranked=rankings, k=st.integers(1, 12),
+       form=st.sampled_from(["pairs", "shared table"]))
+def test_grouped_metrics_equal_per_topic_definitions(judged, ranked, k, form):
     qrels = Qrels(judgments=dict(judged))
-    run = make_run(ranked)
+    run = make_run(ranked if form == "pairs" else over_shared_table(ranked))
+    assert_metrics_equal_per_topic_definitions(run, qrels, k)
+
+
+def test_grouped_metrics_equal_per_topic_definitions_on_long_rankings():
+    # 1,000 rows with hundreds of relevant ones: a fold in another order (a
+    # pairwise numpy sum, say) would change the last bits here.
+    rng = random.Random(14)
+    docs = [f"d{i:04d}" for i in range(3000)]
+    qrels = make_qrels([(t, d, rng.randint(0, 3)) for t in (1, 2, 3)
+                        for d in rng.sample(docs, 900)])
+    ranked = {t: [(d, 1.0 / (i + 1)) for i, d in enumerate(rng.sample(docs, 1000))]
+              for t in (1, 2, 3)}
+    for form in (ranked, over_shared_table(ranked)):
+        for k in (20, 1000):
+            assert_metrics_equal_per_topic_definitions(make_run(form), qrels, k)
+
+
+def assert_metrics_equal_per_topic_definitions(run, qrels, k):
+    """NDCG@k, AP and the residual run of every topic, each by its per-row
+    definition, equal the library's, bit for bit."""
     want_ndcg, want_ap, want_residual = {}, {}, {}
     for topic_id, ranking in run.rankings.items():
         grades = [g for (t, _d), g in qrels.judgments.items() if t == topic_id]
@@ -354,3 +381,68 @@ def test_grouped_metrics_equal_per_topic_definitions(judged, ranked, k):
     assert ndcg_at_k(run, qrels, k) == want_ndcg
     assert map_metric(run, qrels) == want_ap
     assert residual_filter(run, qrels).rankings == want_residual
+
+
+def per_line_write_run(run_tag, rankings, path):
+    """The run writer as one f-string per row, kept as the oracle of write_run."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for topic_id in sorted(rankings):
+            for rank, (doc_id, score) in enumerate(rankings[topic_id], start=1):
+                fh.write(f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n")
+
+
+no_space = st.text(st.sampled_from("ab%d1-_\u00e9"), min_size=1, max_size=6)
+scores = st.one_of(
+    st.floats(width=64),
+    st.floats(-1e3, 1e3),
+    # Odd multiples of 2**-7 are exact half-way cases at six decimals (0.0078125).
+    st.integers(-2**12, 2**12).map(lambda m: (2 * m + 1) * 2.0**-7),
+)
+pair_rankings = st.dictionaries(
+    st.integers(1, 500),
+    st.lists(st.tuples(no_space, scores), max_size=8, unique_by=lambda pair: pair[0]),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_tag=no_space, ranked=pair_rankings, form=st.sampled_from(["pairs", "shared table"]))
+def test_write_run_bytes_equal_the_per_line_writer(tmp_path_factory, run_tag, ranked, form):
+    directory = tmp_path_factory.mktemp("runs")
+    per_line_write_run(run_tag, ranked, directory / "want.run")
+    run = Run(run_tag=run_tag, rankings=ranked if form == "pairs" else over_shared_table(ranked))
+    write_run(run, directory / "got.run")
+    assert (directory / "got.run").read_bytes() == (directory / "want.run").read_bytes()
+
+
+def test_ranking_is_a_read_only_sequence_of_pairs():
+    ranking = Ranking(("x", "a", "b", "c"), [3, 1, 2], [0.5, 0.25, -1.0])
+    assert len(ranking) == 3
+    assert list(ranking) == [("c", 0.5), ("a", 0.25), ("b", -1.0)]
+    assert ranking[1] == ("a", 0.25) and ranking[-1] == ("b", -1.0)
+    assert isinstance(ranking[:2], Ranking) and list(ranking[:2]) == [("c", 0.5), ("a", 0.25)]
+    assert ranking == [("c", 0.5), ("a", 0.25), ("b", -1.0)]
+    assert ranking != [("c", 0.5)]
+    for values in (ranking.positions, ranking.scores):
+        with pytest.raises(ValueError):
+            values[0] = 0
+    with pytest.raises(ValueError):
+        Ranking(("a",), [0, 0], [1.0])
+
+
+def test_pairs_entering_a_run_become_rankings_with_one_row_per_pair():
+    run = Run(run_tag="t", rankings={1: [("a", 2.0), ("b", 1.0), ("a", 0.5)], 2: []})
+    assert all(isinstance(r, Ranking) for r in run.rankings.values())
+    assert list(run.rankings[1]) == [("a", 2.0), ("b", 1.0), ("a", 0.5)]
+    assert len(run.rankings[2]) == 0
+    qrels = make_qrels([(1, "a", 1)])
+    assert map_metric(run, qrels)[1] == (1 / 1 + 2 / 3) / 1
+    assert residual_filter(run, qrels).rankings[1] == [("b", 1.0)]
+
+
+def test_parse_run_shares_one_doc_id_table(tmp_path):
+    path = tmp_path / "in.run"
+    path.write_text("2 Q0 b 1 0.5 t\n1 Q0 a 2 0.25 t\n1 Q0 b 1 0.5 t\n", encoding="utf-8")
+    run = parse_run(path)
+    assert run.rankings == {1: [("b", 0.5), ("a", 0.25)], 2: [("b", 0.5)]}
+    assert run.rankings[1].doc_ids is run.rankings[2].doc_ids

@@ -8,7 +8,8 @@ import pytest
 from taskrank import cli, pipeline as pipeline_module
 from taskrank.cli import main
 from taskrank.corpus import load_collection
-from taskrank.evaluation import Run, parse_run, write_run
+from taskrank.errors import TaskRankError
+from taskrank.evaluation import Ranking, Run, parse_run, write_run
 from taskrank.indexing import IndexVariant, InvertedIndex, TokenizedCollection, Tokenizer
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import (
@@ -17,6 +18,7 @@ from taskrank.querygen import (
     LexiconExtractor,
     select_task_terms,
 )
+from taskrank.rerank import RerankConfig
 from taskrank.tasks import TaskClassifier, load_manual_map, load_tasks
 
 
@@ -384,6 +386,80 @@ def test_bad_count_is_one_error_before_the_corpus_is_read(mini, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {complaint}"]
+
+
+def test_eval_bad_k_is_one_error_before_any_file_is_read(tmp_path, capsys):
+    absent_run, absent_qrels = tmp_path / "absent.run", tmp_path / "absent.qrels"
+    assert main(["eval", "--run", str(absent_run), "--qrels", str(absent_qrels),
+                 "--k", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --k must be >= 1"]
+
+
+@pytest.mark.parametrize("command, variant, flags, unread", [
+    ("run", "query", ["--dup-query", "1", "--n-task-terms", "7", "--alpha", "0.1"],
+     "n_task_terms, dup_query, alpha"),
+    ("run", "query+udel", ["--no-route-task-terms", "--confidence-mode", "gate"],
+     "confidence_mode, route_task_terms_fulltext_only"),
+    ("run", "journal.prior", ["--qrels", "q.txt", "--dup-task", "2"], "dup_task"),
+    ("run", "query+task", ["--alpha", "0.7"], "alpha"),
+    ("sweep", "query+udel+task", ["--qrels", "q.txt", "--alpha", "0.5"], "alpha"),
+])
+def test_settings_the_variant_never_reads_are_one_error_before_the_corpus_is_read(
+        mini, tmp_path, capsys, command, variant, flags, unread):
+    corpus = str(tmp_path / "absent.jsonl")
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text('{"n_task_terms": 1}\n', encoding="utf-8")
+    out = tmp_path / "never.run"
+    extra = ["--output", str(out)] if command == "run" else ["--grid", str(grid)]
+    argv = [command, *mini_args({**mini, "corpus": corpus}), "--variant", variant, *flags, *extra]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: variant {variant} does not read: {unread}"
+    ]
+
+
+def test_settings_the_variant_reads_or_leaves_at_defaults_validate():
+    for config in (
+        PipelineConfig("c", "t", RunVariant.QUERY, expansion=ExpansionConfig()),
+        PipelineConfig("c", "t", RunVariant.QUERY_TASK, expansion=ExpansionConfig(dup_query=1)),
+        PipelineConfig("c", "t", RunVariant.JOURNAL_PRIOR, qrels_path="q"),
+        PipelineConfig("c", "t", RunVariant.JOURNAL_PRIOR, qrels_path="q",
+                       rerank=RerankConfig(alpha=0.1)),
+        PipelineConfig("c", "t", RunVariant.VECTOR, vectors_path="v",
+                       rerank=RerankConfig(alpha=0.1)),
+    ):
+        config.validate()
+    with pytest.raises(TaskRankError, match="^variant vector does not read: dup_task$"):
+        PipelineConfig("c", "t", RunVariant.VECTOR, vectors_path="v",
+                       expansion=ExpansionConfig(dup_task=2)).validate()
+
+
+@pytest.mark.parametrize("variant", ["query", "query+udel", "journal.prior"])
+def test_sweep_over_a_variant_without_expansion_is_one_error_before_the_corpus_is_read(
+        mini, tmp_path, capsys, variant):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text('{"n_task_terms": 1}\n', encoding="utf-8")
+    argv = ["sweep", *mini_args({**mini, "corpus": str(tmp_path / "absent.jsonl")}),
+            "--qrels", mini["qrels"], "--grid", str(grid), "--variant", variant]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: sweep varies task-term expansion, which variant {variant} does not read; "
+        "use query+task or query+udel+task"
+    ]
+
+
+def test_run_topic_returns_rankings_over_the_pipeline_doc_id_table(mini):
+    config = PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"],
+                            tasks_path=mini["tasks"], lexicon_path=mini["lexicon"])
+    run = Pipeline(config).run()
+    assert all(isinstance(r, Ranking) for r in run.rankings.values())
+    assert len({id(r.doc_ids) for r in run.rankings.values()}) == 1
+    assert sum(len(r) for r in run.rankings.values()) > 0
 
 
 def test_config_file_with_flag_precedence(mini, tmp_path):
