@@ -33,10 +33,7 @@ collection = Collection.from_documents([
 
 # Past judgments: Diabetes Care and Heart Journal papers were mostly
 # relevant to risk-factor topics, Omics Letters never was.
-qrels = Qrels()
-qrels.judgments.update({
-    (1, "d1"): 2, (1, "d2"): 1, (1, "d3"): 0, (2, "d4"): 1, (2, "d3"): 0,
-})
+qrels = Qrels(grades={1: {"d1": 2, "d2": 1, "d3": 0}, 2: {"d4": 1, "d3": 0}})
 priors = build_journal_priors(qrels, collection)
 print("journal priors:")
 for journal, score in sorted(priors.scores.items()):

@@ -15,8 +15,6 @@ from .evaluation import (
     Ranking,
     Run,
     evaluate_run,
-    map_metric,
-    ndcg_at_k,
     parse_qrels,
     parse_run,
     residual_filter,

@@ -56,12 +56,6 @@ class EmptyQrels(TaskRankError):
     """No judgments available in the requested scope."""
 
 
-class UnknownTask(TaskRankError):
-    def __init__(self, task_id: str):
-        super().__init__(f"task {task_id!r} absent from the manual map")
-        self.task_id = task_id
-
-
 class MissingTaskVector(TaskRankError):
     def __init__(self, task_id: str):
         super().__init__(f"no vector available for task {task_id!r}")

@@ -4,6 +4,10 @@ Metrics follow the trec_eval conventions: linear-gain DCG with a log2(i+1)
 discount, unjudged documents counted as non-relevant, topics without relevant
 judged documents scored 0.
 
+``Qrels`` holds the judgments in one layout, ``grades[topic_id][doc_id]``,
+built once by ``parse_qrels``; residual filtering, the metrics and the journal
+priors read each topic's grades from it as stored.
+
 A run holds one ``Ranking`` per topic: positions into a doc-id table that the
 topics of one pipeline run (or one parsed run file) share, and their float64
 scores. Writing, residual filtering and the metrics work on those arrays and
@@ -14,8 +18,9 @@ look doc ids up once per judged document, not once per ranked row; a list of
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -25,44 +30,43 @@ from .errors import read_rows
 
 @dataclass
 class Qrels:
-    """Graded judgments keyed by (topic_id, doc_id)."""
+    """Graded judgments by topic: ``grades[topic_id][doc_id]`` is a grade.
 
-    judgments: dict[tuple[int, str], int] = field(default_factory=dict)
-    duplicate_rows: int = 0
+    Topics, and each topic's documents, are in order of first appearance.
+    """
+
+    grades: dict[int, dict[str, int]] = field(default_factory=dict)
 
     def grade(self, topic_id: int, doc_id: str) -> int:
-        return self.judgments.get((topic_id, doc_id), 0)
+        return self.grades.get(topic_id, {}).get(doc_id, 0)
 
-    def judged(self, topic_id: int) -> set[str]:
-        return {doc for (topic, doc) in self.judgments if topic == topic_id}
+    def judged(self, topic_id: int) -> KeysView[str]:
+        return self.grades.get(topic_id, {}).keys()
 
     def topic_ids(self) -> set[int]:
-        return {topic for (topic, _) in self.judgments}
+        return set(self.grades)
 
     def __len__(self) -> int:
-        return len(self.judgments)
+        return sum(map(len, self.grades.values()))
 
 
 def parse_qrels(path) -> Qrels:
     """Parse ``topic_id iteration doc_id grade`` rows.
 
-    Duplicate (topic, doc) rows keep the last grade; the duplicate count is
-    reported on the result.
+    A repeated (topic, doc) row keeps its first position and its last grade.
     """
-    def parse(line: str) -> tuple[tuple[int, str], int]:
+    def parse(line: str) -> tuple[int, str, int]:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"{len(parts)} columns, expected 4")
         grade = int(parts[3])
         if grade < 0:
             raise ValueError("negative grade")
-        return (int(parts[0]), parts[2]), grade
+        return int(parts[0]), parts[2], grade
 
     qrels = Qrels()
-    for _, _, (key, grade) in read_rows(path, parse):
-        if key in qrels.judgments:
-            qrels.duplicate_rows += 1
-        qrels.judgments[key] = grade
+    for _, _, (topic_id, doc_id, grade) in read_rows(path, parse):
+        qrels.grades.setdefault(topic_id, {})[doc_id] = grade
     return qrels
 
 
@@ -120,19 +124,20 @@ class Ranking(Sequence):
         return f"Ranking({list(self)!r})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Run:
     """Ranked result lists per topic, with a run tag.
 
-    Every value of ``rankings`` is a Ranking; one given as a list of
-    (doc_id, score) pairs is converted here.
+    ``rankings`` is a read-only mapping whose every value is a Ranking; one
+    given as a list of (doc_id, score) pairs is converted here.
     """
 
     run_tag: str
-    rankings: dict[int, Ranking] = field(default_factory=dict)
+    rankings: Mapping[int, Ranking] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.rankings = {topic_id: Ranking.of(rows) for topic_id, rows in self.rankings.items()}
+        rankings = {topic_id: Ranking.of(rows) for topic_id, rows in self.rankings.items()}
+        object.__setattr__(self, "rankings", MappingProxyType(rankings))
 
     def topic_ids(self) -> list[int]:
         return sorted(self.rankings)
@@ -181,23 +186,15 @@ def parse_run(path) -> Run:
     for _, _, (topic_id, rank, doc_id, score, run_tag) in read_rows(path, parse):
         rows.setdefault(topic_id, []).append((rank, table.setdefault(doc_id, len(table)), score))
     doc_ids = list(table)
-    run = Run(run_tag=run_tag)
+    rankings = {}
     for topic_id, entries in rows.items():
         entries.sort(key=lambda item: item[0])
         positions = np.array([position for _, position, _ in entries], np.int64)
-        run.rankings[topic_id] = Ranking(doc_ids, positions, [score for *_, score in entries])
-    return run
+        rankings[topic_id] = Ranking(doc_ids, positions, [score for *_, score in entries])
+    return Run(run_tag, rankings)
 
 
-def _grades_by_topic(qrels: Qrels) -> dict[int, dict[str, int]]:
-    """One pass over the judgments: topic -> {doc_id: grade}, in file order."""
-    by_topic: dict[int, dict[str, int]] = {}
-    for (topic_id, doc_id), grade in qrels.judgments.items():
-        by_topic.setdefault(topic_id, {})[doc_id] = grade
-    return by_topic
-
-
-def _rows_judged(run: Run, by_topic: dict[int, dict[str, int]], dtype=np.int64
+def _rows_judged(run: Run, qrels: Qrels, dtype=np.int64
                  ) -> Iterator[tuple[int, Ranking, np.ndarray]]:
     """Each topic of the run in id order, with an array by row: the row's
     grade (0 if unjudged), or with ``dtype=bool`` whether it is judged.
@@ -213,7 +210,7 @@ def _rows_judged(run: Run, by_topic: dict[int, dict[str, int]], dtype=np.int64
             tables[id(doc_ids)] = ({d: i for i, d in enumerate(doc_ids)},
                                    np.zeros(len(doc_ids), dtype))
         position, by_position = tables[id(doc_ids)]
-        grades = by_topic.get(topic_id, {})
+        grades = qrels.grades.get(topic_id, {})
         judged = [(position[d], g) for d, g in grades.items() if d in position]
         at = [p for p, _ in judged]
         by_position[at] = True if dtype is bool else [g for _, g in judged]
@@ -223,13 +220,13 @@ def _rows_judged(run: Run, by_topic: dict[int, dict[str, int]], dtype=np.int64
 
 def residual_filter(run: Run, prior_qrels: Qrels) -> Run:
     """Drop documents already judged in prior rounds; ranks close up."""
-    filtered = Run(run_tag=run.run_tag)
-    for topic_id, ranking, judged in _rows_judged(run, _grades_by_topic(prior_qrels), bool):
+    rankings = {}
+    for topic_id, ranking, judged in _rows_judged(run, prior_qrels, bool):
         if judged.any():
             keep = ~judged
             ranking = Ranking(ranking.doc_ids, ranking.positions[keep], ranking.scores[keep])
-        filtered.rankings[topic_id] = ranking
-    return filtered
+        rankings[topic_id] = ranking
+    return Run(run.run_tag, rankings)
 
 
 def _ndcg(row_grades: np.ndarray, grades: dict[str, int], k: int) -> float:
@@ -257,29 +254,6 @@ def _ap(row_grades: np.ndarray, grades: dict[str, int]) -> float:
     return precision_sum / total_relevant
 
 
-def _per_topic(run: Run, qrels: Qrels, *metrics: Callable) -> list[dict[int, float]]:
-    """Each metric's value per topic of the run, from one pass over the run."""
-    by_topic = _grades_by_topic(qrels)
-    out: list[dict[int, float]] = [{} for _ in metrics]
-    for topic_id, _, row_grades in _rows_judged(run, by_topic):
-        grades = by_topic.get(topic_id, {})
-        for values, metric in zip(out, metrics):
-            values[topic_id] = metric(row_grades, grades)
-    return out
-
-
-def ndcg_at_k(run: Run, qrels: Qrels, k: int) -> dict[int, float]:
-    """Per-topic NDCG@k. Topics with no relevant judged documents score 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _per_topic(run, qrels, lambda rows, grades: _ndcg(rows, grades, k))[0]
-
-
-def map_metric(run: Run, qrels: Qrels) -> dict[int, float]:
-    """Per-topic average precision over the full ranking depth."""
-    return _per_topic(run, qrels, _ap)[0]
-
-
 @dataclass(frozen=True)
 class MetricReport:
     k: int
@@ -297,7 +271,11 @@ def evaluate_run(run: Run, qrels: Qrels, k: int = 20) -> MetricReport:
     score them 0 and divide by the number of judged topics."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ndcg, ap = _per_topic(run, qrels, lambda rows, grades: _ndcg(rows, grades, k), _ap)
+    ndcg, ap = {}, {}
+    for topic_id, _, row_grades in _rows_judged(run, qrels):
+        grades = qrels.grades.get(topic_id, {})
+        ndcg[topic_id] = _ndcg(row_grades, grades, k)
+        ap[topic_id] = _ap(row_grades, grades)
     n = len(ndcg)
     return MetricReport(
         k=k,

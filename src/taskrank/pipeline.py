@@ -171,9 +171,11 @@ class Pipeline:
 
     def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
         """A copy that shares this pipeline's set-up (topics, indices and their
-        memos, task assignments and terms, priors) and runs other expansion."""
+        memos, task assignments and terms, priors) and runs other expansion.
+        An expansion the variant does not read is rejected as in ``validate``."""
         other = copy.copy(self)
         other.config = replace(self.config, expansion=expansion)
+        other.config.validate()
         return other
 
     def _resolve_assignments(

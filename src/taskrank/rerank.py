@@ -6,22 +6,24 @@ combine them linearly with an auxiliary score in [-1, 1] (journal prior) or
 [0, 1] (mapped cosine proximity). Rankings are (document position, score)
 arrays, and the auxiliary score is an array indexed by document position,
 built once per prior table (``JournalPriorTable.by_position``) or per task
-(``InMemoryVectorProvider.proximities``) before any topic runs. Vectors are
-held in memory; a bad row of a vectors file is an error naming the file and
-the line.
+(``InMemoryVectorProvider.proximities``) before any topic runs. Journal priors
+count the judgments of ``Qrels.grades`` for all topics, or per task for the
+topics the manual map assigns to it. Vectors are held in memory; a bad row of
+a vectors file is an error naming the file and the line.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .corpus import Collection
-from .errors import EmptyQrels, MissingTaskVector, UnknownTask, read_rows
+from .errors import EmptyQrels, MissingTaskVector, read_rows
 from .indexing import top_ranked
 from .tasks import TaskAssignment
 
@@ -55,12 +57,11 @@ class RerankConfig:
 class JournalPriorTable:
     """Per-journal relevance priors in [-1, 1], keyed by normalized name.
 
-    ``task_id`` is None for the global table. Journals never judged in the
-    covered scope are absent; lookups for them return 0.
+    Journals never judged in the covered scope are absent; lookups for them
+    return 0.
     """
 
     scores: dict[str, float]
-    task_id: str | None = None
 
     def score(self, journal: str) -> float:
         return self.scores.get(normalize_journal(journal), 0.0)
@@ -70,58 +71,54 @@ class JournalPriorTable:
         return np.array([self.score(doc.journal) for doc in collection], dtype=np.float64)
 
 
-def build_journal_priors(qrels, collection: Collection, task_id: str | None = None,
-                         manual_map: list[TaskAssignment] | None = None) -> JournalPriorTable:
+def build_journal_priors(qrels, collection: Collection,
+                         topics: Iterable[int] | None = None) -> JournalPriorTable:
     """Compute per-journal priors from graded judgments.
 
     For a journal with r relevant (grade >= 1) and i non-relevant judged
     papers the prior is 2*r/(r+i) - 1: -1 when only irrelevant papers were
-    judged, +1 when only relevant ones. With ``task_id`` set, judgments are
-    restricted to topics manually assigned to that task.
+    judged, +1 when only relevant ones. With ``topics`` given, only those
+    topics' judgments count.
     """
-    topics = None
-    if task_id is not None:
-        if manual_map is None:
-            raise ValueError("per-task priors require a manual map")
-        topics = {a.topic_id for a in manual_map if a.task_id == task_id}
-        if not topics:
-            raise UnknownTask(task_id)
     relevant: dict[str, int] = {}
     judged: dict[str, int] = {}
     n_used = 0
-    for (topic_id, doc_id), grade in qrels.judgments.items():
-        if topics is not None and topic_id not in topics:
-            continue
-        doc = collection.get(doc_id)
-        if doc is None or not doc.journal:
-            continue
-        journal = normalize_journal(doc.journal)
-        judged[journal] = judged.get(journal, 0) + 1
-        if grade >= 1:
-            relevant[journal] = relevant.get(journal, 0) + 1
-        n_used += 1
+    for topic_id in qrels.grades if topics is None else topics:
+        for doc_id, grade in qrels.grades.get(topic_id, {}).items():
+            doc = collection.get(doc_id)
+            if doc is None or not doc.journal:
+                continue
+            journal = normalize_journal(doc.journal)
+            judged[journal] = judged.get(journal, 0) + 1
+            if grade >= 1:
+                relevant[journal] = relevant.get(journal, 0) + 1
+            n_used += 1
     if n_used == 0:
         raise EmptyQrels("no usable judgments in the requested scope")
     scores = {
         journal: 2.0 * relevant.get(journal, 0) / total - 1.0
         for journal, total in judged.items()
     }
-    return JournalPriorTable(scores=scores, task_id=task_id)
+    return JournalPriorTable(scores=scores)
 
 
 def build_per_task_priors(qrels, collection: Collection,
                           manual_map: list[TaskAssignment]) -> dict[str, JournalPriorTable]:
-    """One prior table per task appearing in the manual map.
+    """One prior table per task appearing in the manual map, from the
+    judgments of the topics mapped to it.
 
     Tasks whose topics carry no usable judgments get an empty table (all
     lookups 0) rather than an error.
     """
+    topics_by_task: dict[str, set[int]] = {}
+    for assignment in manual_map:
+        topics_by_task.setdefault(assignment.task_id, set()).add(assignment.topic_id)
     tables: dict[str, JournalPriorTable] = {}
-    for task_id in sorted({a.task_id for a in manual_map}):
+    for task_id in sorted(topics_by_task):
         try:
-            tables[task_id] = build_journal_priors(qrels, collection, task_id, manual_map)
+            tables[task_id] = build_journal_priors(qrels, collection, topics_by_task[task_id])
         except EmptyQrels:
-            tables[task_id] = JournalPriorTable(scores={}, task_id=task_id)
+            tables[task_id] = JournalPriorTable(scores={})
     return tables
 
 

@@ -17,12 +17,17 @@ import pytest
 
 from taskrank.cli import main
 from taskrank.corpus import Collection, Document
-from taskrank.evaluation import Qrels, Run, evaluate_run, map_metric, ndcg_at_k
+from taskrank.evaluation import Qrels, Run, evaluate_run
 from taskrank.fusion import FusionConfig
 from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, build_index
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import ExpansionConfig, QueryBase, generate_task_expanded
-from taskrank.rerank import JournalPriorTable, build_journal_priors, normalize_journal
+from taskrank.rerank import (
+    JournalPriorTable,
+    build_journal_priors,
+    build_per_task_priors,
+    normalize_journal,
+)
 from taskrank.tasks import (
     AssignmentSource,
     Task,
@@ -98,13 +103,11 @@ def test_criterion_2_metric_oracle_equivalence():
                     for d in rng.sample(docs, rng.randint(0, min(40, len(docs))))
                 }
             run = Run(run_tag="acc", rankings=rankings)
-            qrels = Qrels()
-            for topic, judged in judged_by_topic.items():
-                for doc, grade in judged.items():
-                    qrels.judgments[(topic, doc)] = grade
+            qrels = Qrels(grades={topic: dict(judged)
+                                  for topic, judged in judged_by_topic.items()})
 
-            got_ndcg = ndcg_at_k(run, qrels, 20)
-            got_ap = map_metric(run, qrels)
+            report = evaluate_run(run, qrels, 20)
+            got_ndcg, got_ap = report.ndcg, report.ap
             for topic in run.rankings:
                 ranking = [d for d, _ in run.rankings[topic]]
                 judged = judged_by_topic[topic]
@@ -238,29 +241,22 @@ def test_criterion_5_journal_prior_endpoints_and_per_task_oracle():
                 rows.append((topic, doc, rng.choice([0, 0, 1, 2])))
         qrels = Qrels()
         for topic, doc, grade in rows:
-            qrels.judgments[(topic, doc)] = grade
+            qrels.grades.setdefault(topic, {})[doc] = grade
 
         # Endpoint cases, exact.
         endpoint_coll = Collection.from_documents(
             [Document(doc_id=f"e{i}", title="t", journal="Endpoint J") for i in range(4)]
         )
-        all_rel = Qrels()
-        for i in range(4):
-            all_rel.judgments[(1, f"e{i}")] = 1
+        all_rel = Qrels(grades={1: {f"e{i}": 1 for i in range(4)}})
         assert build_journal_priors(all_rel, endpoint_coll).score("Endpoint J") == 1.0
-        all_irr = Qrels()
-        for i in range(4):
-            all_irr.judgments[(1, f"e{i}")] = 0
+        all_irr = Qrels(grades={1: {f"e{i}": 0 for i in range(4)}})
         assert build_journal_priors(all_irr, endpoint_coll).score("Endpoint J") == -1.0
-        even = Qrels()
-        even.judgments[(1, "e0")] = 1
-        even.judgments[(1, "e1")] = 0
+        even = Qrels(grades={1: {"e0": 1, "e1": 0}})
         assert build_journal_priors(even, endpoint_coll).score("Endpoint J") == 0.0
         assert JournalPriorTable(scores={}).score("Unknown Journal") == 0.0
 
         # Per-task table against a counting oracle over the raw rows.
-        table = build_journal_priors(qrels, collection, task_id="alpha",
-                                     manual_map=manual_map)
+        table = build_per_task_priors(qrels, collection, manual_map)["alpha"]
         alpha_topics = {1, 2, 3}
         counts = {}
         for topic, doc, grade in rows:

@@ -12,8 +12,6 @@ from taskrank.evaluation import (
     Ranking,
     Run,
     evaluate_run,
-    map_metric,
-    ndcg_at_k,
     parse_qrels,
     parse_run,
     residual_filter,
@@ -26,7 +24,7 @@ from taskrank.querygen import ExpansionConfig
 def make_qrels(rows):
     q = Qrels()
     for topic, doc, grade in rows:
-        q.judgments[(topic, doc)] = grade
+        q.grades.setdefault(topic, {})[doc] = grade
     return q
 
 
@@ -52,7 +50,19 @@ def test_parse_qrels_duplicate_last_wins(tmp_path):
     path.write_text("1 0 d 0\n1 0 d 2\n", encoding="utf-8")
     qrels = parse_qrels(path)
     assert qrels.grade(1, "d") == 2
-    assert qrels.duplicate_rows == 1
+    assert list(qrels.grades[1].items()) == [("d", 2)]
+
+
+def test_parse_qrels_groups_grades_by_topic_in_file_order(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("3 0 x 1\n1 0 b 0\n3 0 y 2\n1 0 a 1\n3 0 x 0\n2 0 c 2\n1 0 b 2\n",
+                    encoding="utf-8")
+    qrels = parse_qrels(path)
+    assert list(qrels.grades) == [3, 1, 2]
+    assert list(qrels.grades[3].items()) == [("x", 0), ("y", 2)]
+    assert list(qrels.grades[1].items()) == [("b", 2), ("a", 1)]
+    assert list(qrels.grades[2].items()) == [("c", 2)]
+    assert len(qrels) == 5
 
 
 def test_parse_qrels_malformed_row(tmp_path):
@@ -77,7 +87,7 @@ def test_parse_qrels_matches_counting_oracle(tmp_path):
     expected = {}
     for topic, doc, grade in rows:
         expected[(topic, doc)] = grade
-    assert qrels.judgments == expected
+    assert {(t, d): g for t, docs in qrels.grades.items() for d, g in docs.items()} == expected
     for topic in range(1, 11):
         assert qrels.judged(topic) == {d for (t, d) in expected if t == topic}
 
@@ -107,7 +117,7 @@ def test_residual_matches_set_difference_oracle():
     prior = make_qrels(prior_rows)
     filtered = residual_filter(run, prior)
     for topic, ranking in run.rankings.items():
-        judged = {d for (t, d) in prior.judgments if t == topic}
+        judged = {d for (t, d, _) in prior_rows if t == topic}
         expected = [(d, s) for d, s in ranking if d not in judged]
         assert filtered.rankings[topic] == expected
 
@@ -123,7 +133,7 @@ def test_residual_is_idempotent():
 def test_ndcg_perfect_ranking_is_one():
     qrels = make_qrels([(1, "a", 2), (1, "b", 1), (1, "c", 0)])
     run = make_run({1: [("a", 3.0), ("b", 2.0), ("c", 1.0)]})
-    assert ndcg_at_k(run, qrels, 3)[1] == pytest.approx(1.0)
+    assert evaluate_run(run, qrels, 3).ndcg[1] == pytest.approx(1.0)
 
 
 def test_ndcg_hand_computed_case():
@@ -131,7 +141,7 @@ def test_ndcg_hand_computed_case():
     # DCG = 2 + 0 + 1/2 = 2.5; IDCG = 2 + 1/log2(3).
     qrels = make_qrels([(1, "a", 2), (1, "c", 1), (1, "b", 0)])
     run = make_run({1: [("a", 3.0), ("b", 2.0), ("c", 1.0)]})
-    value = ndcg_at_k(run, qrels, 3)[1]
+    value = evaluate_run(run, qrels, 3).ndcg[1]
     expected = 2.5 / (2.0 + 1.0 / math.log2(3.0))
     assert value == pytest.approx(expected, abs=1e-9)
     assert value == pytest.approx(0.95023, abs=1e-5)
@@ -140,33 +150,33 @@ def test_ndcg_hand_computed_case():
 def test_ndcg_no_relevant_judged_is_zero():
     qrels = make_qrels([(1, "a", 0)])
     run = make_run({1: [("a", 1.0)]})
-    assert ndcg_at_k(run, qrels, 20)[1] == 0.0
+    assert evaluate_run(run, qrels, 20).ndcg[1] == 0.0
 
 
 def test_ndcg_unjudged_docs_count_zero_gain():
     qrels = make_qrels([(1, "rel", 2)])
     run = make_run({1: [("mystery", 2.0), ("rel", 1.0)]})
-    value = ndcg_at_k(run, qrels, 2)[1]
+    value = evaluate_run(run, qrels, 2).ndcg[1]
     assert value == pytest.approx((2.0 / math.log2(3.0)) / 2.0)
 
 
 def test_map_all_relevant_on_top():
     qrels = make_qrels([(1, "a", 1), (1, "b", 2)])
     run = make_run({1: [("a", 2.0), ("b", 1.0), ("x", 0.5)]})
-    assert map_metric(run, qrels)[1] == pytest.approx(1.0)
+    assert evaluate_run(run, qrels).ap[1] == pytest.approx(1.0)
 
 
 def test_map_hand_computed_case():
     # Relevant at ranks 1 and 3, R=2: AP = (1 + 2/3) / 2.
     qrels = make_qrels([(1, "a", 1), (1, "c", 1)])
     run = make_run({1: [("a", 3.0), ("b", 2.0), ("c", 1.0)]})
-    assert map_metric(run, qrels)[1] == pytest.approx(5.0 / 6.0, abs=1e-9)
+    assert evaluate_run(run, qrels).ap[1] == pytest.approx(5.0 / 6.0, abs=1e-9)
 
 
 def test_map_empty_ranking_is_zero():
     qrels = make_qrels([(1, "a", 1)])
     run = make_run({1: []})
-    assert map_metric(run, qrels)[1] == 0.0
+    assert evaluate_run(run, qrels).ap[1] == 0.0
 
 
 def test_metrics_bounded_and_promoting_relevant_never_hurts():
@@ -176,8 +186,8 @@ def test_metrics_bounded_and_promoting_relevant_never_hurts():
         qrels = make_qrels([(1, d, rng.randint(0, 2)) for d in rng.sample(docs, 15)])
         ranked = rng.sample(docs, 20)
         run = make_run({1: [(d, float(20 - i)) for i, d in enumerate(ranked)]})
-        ndcg = ndcg_at_k(run, qrels, 20)[1]
-        ap = map_metric(run, qrels)[1]
+        ndcg = evaluate_run(run, qrels, 20).ndcg[1]
+        ap = evaluate_run(run, qrels).ap[1]
         assert 0.0 <= ndcg <= 1.0 and 0.0 <= ap <= 1.0
 
         # Swap a relevant doc one step up past a strictly lower-graded doc.
@@ -194,8 +204,8 @@ def test_metrics_bounded_and_promoting_relevant_never_hurts():
         swapped = ranked.copy()
         swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
         run2 = make_run({1: [(d, float(20 - j)) for j, d in enumerate(swapped)]})
-        assert ndcg_at_k(run2, qrels, 20)[1] >= ndcg - 1e-12
-        assert map_metric(run2, qrels)[1] >= ap - 1e-12
+        assert evaluate_run(run2, qrels, 20).ndcg[1] >= ndcg - 1e-12
+        assert evaluate_run(run2, qrels).ap[1] >= ap - 1e-12
 
 
 def test_report_means_are_arithmetic():
@@ -338,7 +348,7 @@ def over_shared_table(ranked):
 @given(judged=judgments, ranked=rankings, k=st.integers(1, 12),
        form=st.sampled_from(["pairs", "shared table"]))
 def test_grouped_metrics_equal_per_topic_definitions(judged, ranked, k, form):
-    qrels = Qrels(judgments=dict(judged))
+    qrels = make_qrels((t, d, g) for (t, d), g in judged.items())
     run = make_run(ranked if form == "pairs" else over_shared_table(ranked))
     assert_metrics_equal_per_topic_definitions(run, qrels, k)
 
@@ -362,7 +372,7 @@ def assert_metrics_equal_per_topic_definitions(run, qrels, k):
     definition, equal the library's, bit for bit."""
     want_ndcg, want_ap, want_residual = {}, {}, {}
     for topic_id, ranking in run.rankings.items():
-        grades = [g for (t, _d), g in qrels.judgments.items() if t == topic_id]
+        grades = list(qrels.grades.get(topic_id, {}).values())
         dcg = sum(qrels.grade(topic_id, d) / math.log2(i + 1)
                   for i, (d, _) in enumerate(ranking[:k], start=1))
         ideal = sorted(grades, reverse=True)[:k]
@@ -378,8 +388,9 @@ def assert_metrics_equal_per_topic_definitions(run, qrels, k):
         want_residual[topic_id] = [
             (d, s) for d, s in ranking if d not in qrels.judged(topic_id)
         ]
-    assert ndcg_at_k(run, qrels, k) == want_ndcg
-    assert map_metric(run, qrels) == want_ap
+    report = evaluate_run(run, qrels, k)
+    assert report.ndcg == want_ndcg
+    assert report.ap == want_ap
     assert residual_filter(run, qrels).rankings == want_residual
 
 
@@ -436,8 +447,16 @@ def test_pairs_entering_a_run_become_rankings_with_one_row_per_pair():
     assert list(run.rankings[1]) == [("a", 2.0), ("b", 1.0), ("a", 0.5)]
     assert len(run.rankings[2]) == 0
     qrels = make_qrels([(1, "a", 1)])
-    assert map_metric(run, qrels)[1] == (1 / 1 + 2 / 3) / 1
+    assert evaluate_run(run, qrels).ap[1] == (1 / 1 + 2 / 3) / 1
     assert residual_filter(run, qrels).rankings[1] == [("b", 1.0)]
+
+
+def test_run_rankings_take_no_assignment_after_construction():
+    run = make_run({1: [("a", 1.0)]})
+    with pytest.raises(TypeError):
+        run.rankings[2] = [("b", 2.0)]
+    assert list(run.rankings) == [1]
+    assert evaluate_run(run, make_qrels([(1, "a", 1)])).ap == {1: 1.0}
 
 
 def test_parse_run_shares_one_doc_id_table(tmp_path):

@@ -602,6 +602,15 @@ def test_with_expansion_leaves_the_original_untouched(mini):
     assert other.indices is pipeline.indices
 
 
+def test_with_expansion_rejects_an_expansion_the_variant_does_not_read(mini):
+    pipeline = Pipeline(PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"],
+                                       variant=RunVariant.QUERY))
+    with pytest.raises(TaskRankError,
+                       match="^variant query does not read: n_task_terms, dup_query$"):
+        pipeline.with_expansion(ExpansionConfig(dup_query=1, n_task_terms=7))
+    assert pipeline.with_expansion(ExpansionConfig()).run().rankings == pipeline.run().rankings
+
+
 def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):
     grid = tmp_path / "grid.jsonl"
     grid.write_text('{"n_task_terms": 1}\n{"n_task_terms": 2}\n', encoding="utf-8")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taskrank.corpus import Collection, Document
-from taskrank.errors import EmptyQrels, MissingTaskVector, UnknownTask
+from taskrank.errors import EmptyQrels, MissingTaskVector
 from taskrank.evaluation import Qrels
 from taskrank.rerank import (
     InMemoryVectorProvider,
@@ -24,7 +24,7 @@ from by_id import rerank_journal_ids, rerank_vector_ids
 def qrels_from(rows):
     q = Qrels()
     for topic_id, doc_id, grade in rows:
-        q.judgments[(topic_id, doc_id)] = grade
+        q.grades.setdefault(topic_id, {})[doc_id] = grade
     return q
 
 
@@ -105,7 +105,7 @@ def test_per_task_priors_restrict_topics_and_match_counting_oracle():
             rows.append((topic, doc, rng.choice([0, 0, 1, 2])))
     qrels = qrels_from(rows)
 
-    table = build_journal_priors(qrels, coll, task_id="alpha", manual_map=manual_map())
+    table = build_per_task_priors(qrels, coll, manual_map())["alpha"]
 
     # Counting oracle over the raw rows, alpha covers topics 1 and 2 only.
     counts = {}
@@ -117,13 +117,6 @@ def test_per_task_priors_restrict_topics_and_match_counting_oracle():
         counts[journal] = (rel + (1 if grade >= 1 else 0), tot + 1)
     for journal, (rel, tot) in counts.items():
         assert table.score(journal) == pytest.approx(2 * rel / tot - 1, abs=1e-12)
-
-
-def test_per_task_priors_unknown_task():
-    coll = collection_with_journals({"d0": "J"})
-    qrels = qrels_from([(1, "d0", 1)])
-    with pytest.raises(UnknownTask):
-        build_journal_priors(qrels, coll, task_id="gamma", manual_map=manual_map())
 
 
 def test_build_per_task_priors_covers_all_mapped_tasks():
