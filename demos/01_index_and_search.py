@@ -8,7 +8,6 @@ from the same token ids.
 
 from taskrank import (
     Bm25Params,
-    Collection,
     Document,
     IndexVariant,
     InvertedIndex,
@@ -40,14 +39,13 @@ docs = [
     ),
 ]
 
-collection = Collection.from_documents(docs)
 tokenizer = Tokenizer()
 params = Bm25Params()  # k1=0.9, b=0.4
 
 query = tokenizer.tokenize("coronavirus transmission masks")
 print(f"query tokens: {query}\n")
 
-tokens = TokenizedCollection(collection, tokenizer)
+tokens = TokenizedCollection(docs, tokenizer)
 for variant in IndexVariant:
     index = InvertedIndex(tokens, variant)
     print(f"{variant.value}: {index.unit_count} units over {index.doc_count} docs, "

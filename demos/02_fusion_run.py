@@ -10,7 +10,6 @@ import random
 
 from taskrank import (
     Bm25Params,
-    Collection,
     Document,
     FusionConfig,
     IndexVariant,
@@ -34,13 +33,12 @@ for i in range(12):
             body=(" ".join(rng.choices([theme] + filler, k=12)),),
         )
     )
-collection = Collection.from_documents(docs)
 params = Bm25Params()
 
 query = ["transmission", "model"]
 rankings = []
 for variant in IndexVariant:
-    index = build_index(collection, variant)
+    index = build_index(docs, variant)
     positions, _scores = search(index, params, query, top_k=10)
     rankings.append(positions)
     top = ", ".join(index.doc_ids[p] for p in positions[:3].tolist())

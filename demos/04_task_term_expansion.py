@@ -8,7 +8,6 @@ repeating them, and task terms are routed to the full-text index only.
 """
 
 from taskrank import (
-    Collection,
     Document,
     ExpansionConfig,
     IndexVariant,
@@ -33,10 +32,10 @@ abstracts = [
     "antiviral efficacy in hospitalized patients",
     "immune response after vaccination",
 ]
-collection = Collection.from_documents(
-    [Document(doc_id=f"a{i}", abstract=text) for i, text in enumerate(abstracts)]
+abstracts_index = build_index(
+    [Document(doc_id=f"a{i}", abstract=text) for i, text in enumerate(abstracts)],
+    IndexVariant.TITLE_ABSTRACT,
 )
-abstracts_index = build_index(collection, IndexVariant.TITLE_ABSTRACT)
 
 framework = default_framework()
 extractor = default_lexicon()

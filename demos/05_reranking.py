@@ -13,7 +13,6 @@ in an array built once: ``JournalPriorTable.by_position`` for the priors and
 import numpy as np
 
 from taskrank import (
-    Collection,
     Document,
     InMemoryVectorProvider,
     Qrels,
@@ -24,25 +23,27 @@ from taskrank import (
     rerank_by_task_vector,
 )
 
-collection = Collection.from_documents([
+docs = [
     Document(doc_id="d1", title="risk factors in diabetes", journal="Diabetes Care"),
     Document(doc_id="d2", title="cardiovascular outcomes", journal="Heart Journal"),
     Document(doc_id="d3", title="unrelated metabolomics", journal="Omics Letters"),
     Document(doc_id="d4", title="hypertension cohort", journal="Heart Journal"),
-])
+]
+# The priors read only each document's journal.
+journal_of = {doc.doc_id: doc.journal for doc in docs}
 
 # Past judgments: Diabetes Care and Heart Journal papers were mostly
 # relevant to risk-factor topics, Omics Letters never was.
 qrels = Qrels(grades={1: {"d1": 2, "d2": 1, "d3": 0}, 2: {"d4": 1, "d3": 0}})
-priors = build_journal_priors(qrels, collection)
+priors = build_journal_priors(qrels, journal_of)
 print("journal priors:")
 for journal, score in sorted(priors.scores.items()):
     print(f"  {journal:<16} {score:+.2f}")
 
 # A fused ranking: document positions in the collection, and their scores.
-doc_ids = [doc.doc_id for doc in collection]
+doc_ids = list(journal_of)
 doc_rank = np.argsort(np.argsort(doc_ids))  # tie-break: doc_id order
-fused = (np.array([collection.by_id[d] for d in ["d3", "d1", "d4", "d2"]]),
+fused = (np.array([doc_ids.index(d) for d in ["d3", "d1", "d4", "d2"]]),
          np.array([0.95, 0.90, 0.60, 0.40]))
 
 
@@ -51,7 +52,7 @@ def show(ranking):
         print(f"  {score:.4f}  {doc_ids[position]}")
 
 
-reranked = rerank_by_journal(fused, priors.by_position(collection), doc_rank,
+reranked = rerank_by_journal(fused, priors.by_position(journal_of.values()), doc_rank,
                              RerankConfig(alpha=0.7), 10)
 print("\njournal re-rank (alpha=0.7):")
 show(reranked)

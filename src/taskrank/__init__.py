@@ -7,7 +7,7 @@ weighting, journal-prior and task-vector re-ranking, and TREC-style
 evaluation with residual filtering and parameter sweeps.
 """
 
-from .corpus import Collection, Document, load_collection, segment_paragraphs
+from .corpus import Document, load_collection, segment_paragraphs
 from .errors import TaskRankError
 from .evaluation import (
     MetricReport,

@@ -152,9 +152,8 @@ def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> Pipe
 
 
 def cmd_index_stats(args) -> int:
-    collection = load_collection(args.corpus)
     variants = list(IndexVariant) if args.variant == "all" else [IndexVariant(args.variant)]
-    tokens = TokenizedCollection(collection)
+    tokens = TokenizedCollection(load_collection(args.corpus))
     print(f"{'variant':<16} {'docs':>8} {'units':>8} {'avg_len':>10} {'vocab':>8} "
           f"{'bytes':>12}")
     for variant in variants:
@@ -239,12 +238,12 @@ def cmd_classify(args) -> int:
 def cmd_select_terms(args) -> int:
     if args.n < 0:
         raise TaskRankError("--n must be >= 0")
-    collection = load_collection(args.corpus)
+    documents = load_collection(args.corpus)
     framework = load_tasks(args.tasks) if args.tasks else default_framework()
     extractor = (
         LexiconExtractor.from_file(args.lexicon) if args.lexicon else default_lexicon()
     )
-    abstracts_index = build_index(collection, IndexVariant.TITLE_ABSTRACT)
+    abstracts_index = build_index(documents, IndexVariant.TITLE_ABSTRACT)
     for task in framework:
         terms = select_task_terms(task, abstracts_index, extractor, args.n)
         print(f"{task.task_id}\t{', '.join(terms)}")
@@ -253,20 +252,20 @@ def cmd_select_terms(args) -> int:
 
 def cmd_priors(args) -> int:
     qrels = parse_qrels(args.qrels)
-    collection = load_collection(args.corpus)
+    journal_of = {doc.doc_id: doc.journal for doc in load_collection(args.corpus)}
     if args.per_task:
         if not args.manual_map:
             raise TaskRankError("--per-task requires --manual-map")
         framework = load_tasks(args.tasks) if args.tasks else default_framework()
         manual = load_manual_map(args.manual_map, framework)
-        tables = build_per_task_priors(qrels, collection, manual)
+        tables = build_per_task_priors(qrels, journal_of, manual)
         text = "".join(
             f"{task_id}\t{line}\n"
             for task_id, table in tables.items()
             for line in export_priors(table).splitlines()
         )
     else:
-        text = export_priors(build_journal_priors(qrels, collection))
+        text = export_priors(build_journal_priors(qrels, journal_of))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -2,19 +2,21 @@
 
 The corpus file is UTF-8, line-delimited JSON: one record per line with the
 fields ``doc_id``, ``title``, ``abstract``, ``body``, ``journal`` and ``date``.
-Absent fields are treated as empty. ``body`` may be a single string (split
-into paragraphs on blank lines) or a pre-split list of paragraph strings.
-The file is read through ``errors.read_rows``: a line that is not a record
-with a non-empty string ``doc_id`` free of whitespace, or that repeats an
-earlier ``doc_id``, raises MalformedRow naming the file and the line.
+Absent and ``null`` fields are treated as empty. ``body`` may be a single
+string (split into paragraphs on blank lines) or a pre-split list of
+paragraph strings. The file is read through ``errors.read_rows``: a line that
+is not a record with a non-empty string ``doc_id`` free of whitespace, that
+repeats an earlier ``doc_id``, or whose other fields are not strings, raises
+MalformedRow naming the file and the line. ``load_collection`` returns the
+documents as a tuple in file order; callers take what they need from them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DuplicateDocId, json_object, read_rows
+from .errors import json_object, read_rows
 
 _BLANK_RUN = re.compile(r"\n\s*\n")
 
@@ -43,35 +45,13 @@ class Document:
     publish_date: str = ""
 
 
-@dataclass(frozen=True)
-class Collection:
-    """Immutable, ordered set of documents with O(1) id lookup."""
-
-    docs: tuple[Document, ...]
-    by_id: dict[str, int] = field(compare=False)
-
-    @classmethod
-    def from_documents(cls, docs) -> "Collection":
-        docs = tuple(docs)
-        by_id: dict[str, int] = {}
-        for i, doc in enumerate(docs):
-            if doc.doc_id in by_id:
-                raise DuplicateDocId(doc.doc_id)
-            by_id[doc.doc_id] = i
-        return cls(docs=docs, by_id=by_id)
-
-    def __len__(self) -> int:
-        return len(self.docs)
-
-    def __iter__(self):
-        return iter(self.docs)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.by_id
-
-    def get(self, doc_id: str) -> Document | None:
-        idx = self.by_id.get(doc_id)
-        return self.docs[idx] if idx is not None else None
+def _text(value, name: str) -> str:
+    """A string field's value; ``None`` (absent or ``null``) is empty."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, not {type(value).__name__}")
+    return value
 
 
 def _record_to_document(record: dict) -> Document:
@@ -80,24 +60,24 @@ def _record_to_document(record: dict) -> Document:
         raise ValueError("missing or empty doc_id")
     if doc_id.split() != [doc_id]:
         raise ValueError(f"doc_id {doc_id!r} contains whitespace")
-    body = record.get("body", "")
-    if isinstance(body, str):
-        paragraphs = segment_paragraphs(body)
-    elif isinstance(body, list):
-        paragraphs = [str(p).strip() for p in body if str(p).strip()]
+    body = record.get("body")
+    if isinstance(body, list):
+        if not all(isinstance(p, str) for p in body):
+            raise TypeError("body must be a string or a list of strings")
+        paragraphs = [p.strip() for p in body if p.strip()]
     else:
-        raise ValueError("body must be a string or a list of strings")
+        paragraphs = segment_paragraphs(_text(body, "body"))
     return Document(
         doc_id=doc_id,
-        title=str(record.get("title", "") or ""),
-        abstract=str(record.get("abstract", "") or ""),
+        title=_text(record.get("title"), "title"),
+        abstract=_text(record.get("abstract"), "abstract"),
         body=tuple(paragraphs),
-        journal=str(record.get("journal", "") or ""),
-        publish_date=str(record.get("date", "") or ""),
+        journal=_text(record.get("journal"), "journal"),
+        publish_date=_text(record.get("date"), "date"),
     )
 
 
-def load_collection(path) -> Collection:
+def load_collection(path) -> tuple[Document, ...]:
     """Load a corpus file; every line must be a valid record with a new doc_id."""
     seen: set[str] = set()
 
@@ -108,4 +88,4 @@ def load_collection(path) -> Collection:
         seen.add(doc.doc_id)
         return doc
 
-    return Collection.from_documents([doc for _, _, doc in read_rows(path, parse)])
+    return tuple(doc for _, _, doc in read_rows(path, parse))

@@ -1,13 +1,15 @@
-"""Exception types shared across the package, and ``read_rows``, the one reader
-of line-based input files. A bad line in any of them, a repeated or unknown id
-included, raises MalformedRow naming the file and the line; the in-memory APIs
-raise DuplicateDocId, DuplicateTopic and UnknownTaskId instead.
+"""Exception types shared across the package, ``read_rows``, the one reader
+of line-based input files, and ``integer``, the one rule by which they read an
+integer. A bad line in any of them, a repeated or unknown id included, raises
+MalformedRow naming the file and the line; the in-memory APIs raise
+DuplicateDocId, DuplicateTopic and UnknownTaskId instead.
 """
 
 import json
 import re
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class TaskRankError(Exception):
@@ -96,6 +98,15 @@ def read_rows(path, parse):
                 reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise MalformedRow(line_no, line, path, reason) from exc
             yield line_no, line, value
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int: a JSON integer (not a bool) or a string of an
+    optional ``-`` and ASCII digits. Anything else (``"+3"``, ``"1_0"``,
+    non-ASCII digits, a float) raises ValueError naming ``name``."""
+    if type(value) is int or isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def json_object(line: str) -> dict:

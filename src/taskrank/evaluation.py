@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import read_rows
+from .errors import integer, read_rows
 
 
 @dataclass
@@ -59,10 +59,10 @@ def parse_qrels(path) -> Qrels:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"{len(parts)} columns, expected 4")
-        grade = int(parts[3])
+        grade = integer(parts[3], "grade")
         if grade < 0:
             raise ValueError("negative grade")
-        return int(parts[0]), parts[2], grade
+        return integer(parts[0], "topic_id"), parts[2], grade
 
     qrels = Qrels()
     for _, _, (topic_id, doc_id, grade) in read_rows(path, parse):
@@ -173,8 +173,8 @@ def parse_run(path) -> Run:
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"{len(parts)} columns, expected 6")
-        topic_id, doc_id = int(parts[0]), parts[2]
-        row = (topic_id, int(parts[3]), doc_id, float(parts[4]), parts[5])
+        topic_id, doc_id = integer(parts[0], "topic_id"), parts[2]
+        row = (topic_id, integer(parts[3], "rank"), doc_id, float(parts[4]), parts[5])
         if (topic_id, doc_id) in seen:
             raise ValueError(f"topic {topic_id} repeats doc_id {doc_id!r}")
         seen.add((topic_id, doc_id))

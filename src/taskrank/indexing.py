@@ -4,8 +4,9 @@ Three index variants are supported: full text (title+abstract+body as one
 unit per document), title+abstract, and title+abstract+paragraph where every
 body paragraph becomes its own index unit mapped back to the parent document.
 
-A ``TokenizedCollection`` tokenizes each document's title+abstract ("head")
-once and each body paragraph once, into token ids over one vocabulary. Every
+A ``TokenizedCollection`` reads the documents in one pass and tokenizes each
+one's title+abstract ("head") once and each body paragraph once, into token
+ids over one vocabulary; of the documents it keeps only their ids. Every
 variant is assembled from those arrays: full text = head + all paragraphs,
 title+abstract = head, paragraph = head + paragraph_i (the head alone for a
 document without a body). An ``InvertedIndex`` stores its postings in CSR
@@ -25,16 +26,17 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from itertools import count, filterfalse, product
+from itertools import count, filterfalse, pairwise, product
 
 import numpy as np
 
-from .corpus import Collection
-from .errors import EmptyCollection
+from .corpus import Document
+from .errors import DuplicateDocId, EmptyCollection
 
 _TOKEN_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _TABLE = bytes(b if chr(b) in _TOKEN_CHARS else 0x20 for b in range(256))
@@ -112,15 +114,14 @@ class TokenizedCollection:
     texts a variant indexes gives the concatenation of these segments, because
     the joining space never belongs to a token. With ``bodies=False`` only
     heads are tokenized, which suffices for the title+abstract variant.
+    ``documents`` is read once; no documents or a repeated doc_id is an error.
     """
 
-    def __init__(self, collection: Collection, tokenizer: Tokenizer | None = None,
+    def __init__(self, documents: Iterable[Document], tokenizer: Tokenizer | None = None,
                  bodies: bool = True):
-        if len(collection) == 0:
-            raise EmptyCollection("cannot index an empty collection")
         self.tokenizer = tokenizer or Tokenizer()
         self.bodies = bodies
-        self.doc_ids = tuple(doc.doc_id for doc in collection)
+        doc_ids: list[str] = []
         split = self.tokenizer.tokenize
         # A term's id is the number of distinct terms seen before its first
         # occurrence, so no token strings outlive their text.
@@ -128,7 +129,8 @@ class TokenizedCollection:
         raw: list[int] = []
         seg_lengths: list[int] = []
         paragraphs: list[int] = []
-        for doc in collection:
+        for doc in documents:
+            doc_ids.append(doc.doc_id)
             head = f"{doc.title} {doc.abstract}"
             texts = [head, *doc.body] if bodies else [head]
             paragraphs.append(len(texts) - 1)
@@ -136,6 +138,9 @@ class TokenizedCollection:
                 tokens = split(text)
                 seg_lengths.append(len(tokens))
                 raw += map(vocab.__getitem__, tokens)
+        if not doc_ids:
+            raise EmptyCollection("cannot index an empty collection")
+        self.doc_ids = tuple(doc_ids)
         self.tokens = np.array(raw, dtype=np.int32)
         # A plain dict, so looking up an unknown query term adds nothing. Built
         # from items, it holds only str and int and the collector skips it.
@@ -145,7 +150,10 @@ class TokenizedCollection:
         self.paragraphs = np.array(paragraphs, dtype=np.int64)
         # Segment index of each document's head; its paragraphs follow it.
         self.head_segment = np.cumsum(self.paragraphs + 1) - (self.paragraphs + 1)
-        order = sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__)
+        order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+        for a, b in pairwise(order):
+            if doc_ids[a] == doc_ids[b]:
+                raise DuplicateDocId(doc_ids[a])
         self.doc_rank = np.empty(len(order), dtype=np.int32)
         self.doc_rank[order] = np.arange(len(order), dtype=np.int32)
 
@@ -281,15 +289,15 @@ class InvertedIndex:
         return [memo[term] for term in terms]
 
 
-def build_index(collection: Collection, variant: IndexVariant,
+def build_index(documents: Iterable[Document], variant: IndexVariant,
                 tokenizer: Tokenizer | None = None) -> InvertedIndex:
-    """Tokenize ``collection`` and index one variant of it.
+    """Tokenize ``documents`` and index one variant of them.
 
     To build several variants of one collection, make one
     TokenizedCollection and pass it to InvertedIndex per variant.
     """
     bodies = variant is not IndexVariant.TITLE_ABSTRACT
-    return InvertedIndex(TokenizedCollection(collection, tokenizer, bodies), variant)
+    return InvertedIndex(TokenizedCollection(documents, tokenizer, bodies), variant)
 
 
 def top_ranked(docs: np.ndarray, scores: np.ndarray, doc_rank: np.ndarray,

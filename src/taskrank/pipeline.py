@@ -2,7 +2,8 @@
 reciprocal rank fusion and optional re-ranking, per topic.
 
 A Pipeline is built once per invocation: every title+abstract and every
-body paragraph is tokenized once, and the three index variants are assembled
+body paragraph is tokenized once, the documents are dropped (the journal
+priors keep each one's journal) and the three index variants are assembled
 from those token ids. Set-up does not read the expansion settings (each
 task's terms are ranked once; a run takes the first ``n_task_terms``), so a
 sweep builds one pipeline and runs each grid cell through ``with_expansion``.
@@ -137,7 +138,7 @@ class Pipeline:
         config.validate()
         self.config = config
         self.tokenizer = tokenizer or Tokenizer()
-        collection = load_collection(config.corpus_path)
+        documents = load_collection(config.corpus_path)
         self.topics = load_topics(config.topics_path)
         framework = load_tasks(config.tasks_path) if config.tasks_path else default_framework()
         self.extractor = (
@@ -145,7 +146,10 @@ class Pipeline:
             if config.lexicon_path
             else default_lexicon()
         )
-        tokens = TokenizedCollection(collection, self.tokenizer)
+        tokens = TokenizedCollection(documents, self.tokenizer)
+        journal_priors = config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK)
+        journals = [doc.journal for doc in documents] if journal_priors else []
+        del documents  # the index builds need only the token ids
         self.indices = {variant: InvertedIndex(tokens, variant) for variant in IndexVariant}
         self._doc_ids, self._doc_rank = tokens.doc_ids, tokens.doc_rank
         manual = None
@@ -155,14 +159,15 @@ class Pipeline:
         self._task_terms = self._select_all_task_terms(framework)
         # Re-ranking's score by position: for journal.prior, or per task.
         self._prior, self._aux_by_task = None, {}
-        if config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
+        if journal_priors:
             qrels = parse_qrels(config.qrels_path)
+            journal_of = dict(zip(self._doc_ids, journals))
             if config.variant is RunVariant.JOURNAL_PRIOR:
-                table = build_journal_priors(qrels, collection)
-                self._prior = table.by_position(collection)
+                table = build_journal_priors(qrels, journal_of)
+                self._prior = table.by_position(journals)
             else:
-                tables = build_per_task_priors(qrels, collection, manual)
-                self._aux_by_task = {task_id: table.by_position(collection)
+                tables = build_per_task_priors(qrels, journal_of, manual)
+                self._aux_by_task = {task_id: table.by_position(journals)
                                      for task_id, table in tables.items()}
         if config.variant is RunVariant.VECTOR:
             vectors = InMemoryVectorProvider.from_file(config.vectors_path)

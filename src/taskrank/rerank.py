@@ -8,7 +8,8 @@ arrays, and the auxiliary score is an array indexed by document position,
 built once per prior table (``JournalPriorTable.by_position``) or per task
 (``InMemoryVectorProvider.proximities``) before any topic runs. Journal priors
 count the judgments of ``Qrels.grades`` for all topics, or per task for the
-topics the manual map assigns to it. Vectors are held in memory; a bad row of
+topics the manual map assigns to it, with each judged document's journal
+from a ``{doc_id: journal}`` mapping. Vectors are held in memory; a bad row of
 a vectors file is an error naming the file and the line.
 """
 
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .corpus import Collection
 from .errors import EmptyQrels, MissingTaskVector, read_rows
 from .indexing import top_ranked
 from .tasks import TaskAssignment
@@ -57,8 +57,8 @@ class RerankConfig:
 class JournalPriorTable:
     """Per-journal relevance priors in [-1, 1], keyed by normalized name.
 
-    Journals never judged in the covered scope are absent; lookups for them
-    return 0.
+    Journals never judged in the covered scope are absent, as is the empty
+    name; lookups for them return 0.
     """
 
     scores: dict[str, float]
@@ -66,12 +66,13 @@ class JournalPriorTable:
     def score(self, journal: str) -> float:
         return self.scores.get(normalize_journal(journal), 0.0)
 
-    def by_position(self, collection: Collection) -> np.ndarray:
-        """Each document's prior, indexed by its position in ``collection``."""
-        return np.array([self.score(doc.journal) for doc in collection], dtype=np.float64)
+    def by_position(self, journals: Iterable[str]) -> np.ndarray:
+        """The prior of each of ``journals``, in their order: indexed by
+        document position when given the documents' journals in that order."""
+        return np.array([self.score(journal) for journal in journals], dtype=np.float64)
 
 
-def build_journal_priors(qrels, collection: Collection,
+def build_journal_priors(qrels, journal_of: Mapping[str, str],
                          topics: Iterable[int] | None = None) -> JournalPriorTable:
     """Compute per-journal priors from graded judgments.
 
@@ -85,10 +86,9 @@ def build_journal_priors(qrels, collection: Collection,
     n_used = 0
     for topic_id in qrels.grades if topics is None else topics:
         for doc_id, grade in qrels.grades.get(topic_id, {}).items():
-            doc = collection.get(doc_id)
-            if doc is None or not doc.journal:
+            journal = normalize_journal(journal_of.get(doc_id, ""))
+            if not journal:
                 continue
-            journal = normalize_journal(doc.journal)
             judged[journal] = judged.get(journal, 0) + 1
             if grade >= 1:
                 relevant[journal] = relevant.get(journal, 0) + 1
@@ -102,7 +102,7 @@ def build_journal_priors(qrels, collection: Collection,
     return JournalPriorTable(scores=scores)
 
 
-def build_per_task_priors(qrels, collection: Collection,
+def build_per_task_priors(qrels, journal_of: Mapping[str, str],
                           manual_map: list[TaskAssignment]) -> dict[str, JournalPriorTable]:
     """One prior table per task appearing in the manual map, from the
     judgments of the topics mapped to it.
@@ -116,7 +116,7 @@ def build_per_task_priors(qrels, collection: Collection,
     tables: dict[str, JournalPriorTable] = {}
     for task_id in sorted(topics_by_task):
         try:
-            tables[task_id] = build_journal_priors(qrels, collection, topics_by_task[task_id])
+            tables[task_id] = build_journal_priors(qrels, journal_of, topics_by_task[task_id])
         except EmptyQrels:
             tables[task_id] = JournalPriorTable(scores={})
     return tables

@@ -13,18 +13,18 @@ framework lacks raises MalformedRow naming the file and the line.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .corpus import Collection, Document
+from .corpus import Document
 from .errors import (
     DuplicateTopic,
     EmptyFramework,
     EmptyQuery,
     TopicSetMismatch,
     UnknownTaskId,
+    integer,
     json_object,
     read_rows,
 )
@@ -132,9 +132,7 @@ class TaskClassifier:
         self.params = params or Bm25Params()
         self.tokenizer = tokenizer or Tokenizer()
         docs = [Document(doc_id=t.task_id, abstract=t.description) for t in framework]
-        self._index = build_index(
-            Collection.from_documents(docs), IndexVariant.TITLE_ABSTRACT, self.tokenizer
-        )
+        self._index = build_index(docs, IndexVariant.TITLE_ABSTRACT, self.tokenizer)
 
     def classify(self, query: str) -> TaskPrediction:
         tokens = self.tokenizer.tokenize(query)
@@ -201,20 +199,13 @@ def load_tasks(path) -> TaskFramework:
     return TaskFramework(tasks=tasks)
 
 
-def _topic_id(value) -> int:
-    """A JSON integer (not a bool) or a decimal-integer string, as an int."""
-    if type(value) is int or isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
-    raise ValueError(f"topic_id must be an integer, not {value!r}")
-
-
 def load_topics(path) -> list[Topic]:
     """Load a topic file: one JSON record per line with topic_id/query/question/narrative."""
     seen: set[int] = set()
 
     def parse(line: str) -> Topic:
         record = json_object(line)
-        topic = Topic(topic_id=_topic_id(record["topic_id"]), query=record["query"],
+        topic = Topic(topic_id=integer(record["topic_id"], "topic_id"), query=record["query"],
                       question=record.get("question", ""), narrative=record.get("narrative", ""))
         if topic.topic_id in seen:
             raise ValueError(f"duplicate topic_id {topic.topic_id}")
@@ -236,8 +227,9 @@ def load_manual_map(path, framework: TaskFramework) -> list[TaskAssignment]:
         if line.lstrip().startswith("#"):
             return None
         topic_id, task_id, *rest = line.split()
-        assignment = TaskAssignment(int(topic_id), task_id, AssignmentSource.MANUAL,
-                                    int(rest[0]) if rest else 3)
+        assignment = TaskAssignment(integer(topic_id, "topic_id"), task_id,
+                                    AssignmentSource.MANUAL,
+                                    integer(rest[0], "confidence") if rest else 3)
         if task_id not in valid_ids:
             raise ValueError(f"unknown task_id {task_id!r}")
         if assignment.topic_id in seen:

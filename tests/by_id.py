@@ -45,11 +45,11 @@ def fuse_ids(rankings, config, top_k):
     return as_ids(doc_ids, rrf_fuse(lists, doc_rank_of(doc_ids), config, top_k))
 
 
-def rerank_journal_ids(ranking, table, collection, config, top_k):
-    doc_ids = [doc.doc_id for doc in collection]
-    fused = as_positions(collection.by_id, ranking)
-    out = rerank_by_journal(fused, table.by_position(collection), doc_rank_of(doc_ids),
-                            config, top_k)
+def rerank_journal_ids(ranking, table, journal_of, config, top_k):
+    doc_ids = list(journal_of)
+    fused = as_positions({d: i for i, d in enumerate(doc_ids)}, ranking)
+    out = rerank_by_journal(fused, table.by_position(journal_of.values()),
+                            doc_rank_of(doc_ids), config, top_k)
     return as_ids(doc_ids, out)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from taskrank.cli import main
-from taskrank.corpus import Collection, Document
+from taskrank.corpus import Document
 from taskrank.evaluation import Qrels, Run, evaluate_run
 from taskrank.fusion import FusionConfig
 from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, build_index
@@ -135,7 +135,7 @@ def build_synthetic_collection(n_docs, rng):
                 ),
             )
         )
-    return Collection.from_documents(docs), vocab
+    return tuple(docs), vocab
 
 
 def unit_token_lists(collection, variant, tokenizer):
@@ -227,9 +227,6 @@ def test_criterion_5_journal_prior_endpoints_and_per_task_oracle():
         rng = random.Random(505)
         journals = ["Alpha Journal", "Beta Review", "Gamma Letters", "Delta Notes"]
         docs = {f"d{i:02d}": rng.choice(journals) for i in range(40)}
-        collection = Collection.from_documents(
-            [Document(doc_id=d, title=d, journal=j) for d, j in docs.items()]
-        )
         manual_map = [
             TaskAssignment(topic_id=t, task_id="alpha" if t <= 3 else "beta",
                            source=AssignmentSource.MANUAL)
@@ -244,9 +241,7 @@ def test_criterion_5_journal_prior_endpoints_and_per_task_oracle():
             qrels.grades.setdefault(topic, {})[doc] = grade
 
         # Endpoint cases, exact.
-        endpoint_coll = Collection.from_documents(
-            [Document(doc_id=f"e{i}", title="t", journal="Endpoint J") for i in range(4)]
-        )
+        endpoint_coll = {f"e{i}": "Endpoint J" for i in range(4)}
         all_rel = Qrels(grades={1: {f"e{i}": 1 for i in range(4)}})
         assert build_journal_priors(all_rel, endpoint_coll).score("Endpoint J") == 1.0
         all_irr = Qrels(grades={1: {f"e{i}": 0 for i in range(4)}})
@@ -256,7 +251,7 @@ def test_criterion_5_journal_prior_endpoints_and_per_task_oracle():
         assert JournalPriorTable(scores={}).score("Unknown Journal") == 0.0
 
         # Per-task table against a counting oracle over the raw rows.
-        table = build_per_task_priors(qrels, collection, manual_map)["alpha"]
+        table = build_per_task_priors(qrels, docs, manual_map)["alpha"]
         alpha_topics = {1, 2, 3}
         counts = {}
         for topic, doc, grade in rows:
@@ -300,10 +295,10 @@ def test_criterion_6_expansion_weighting():
         # Duplication linearity at the BM25 level: a full-text unit is one
         # document, so each document's score is its unit's score. The term
         # has two characters; a one-character token is never indexed.
-        coll = Collection.from_documents([
+        coll = [
             Document(doc_id="a", title="xx filler words here"),
             Document(doc_id="b", title="xx xx other words"),
-        ])
+        ]
         index = build_index(coll, IndexVariant.FULL_TEXT)
         once = search_ids(index, PARAMS, ["xx"], 2)
         twice = search_ids(index, PARAMS, ["xx", "xx"], 2)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from taskrank.corpus import Collection, Document, load_collection, segment_paragraphs
-from taskrank.errors import DuplicateDocId, MalformedRow
+from taskrank.corpus import Document, load_collection, segment_paragraphs
+from taskrank.errors import MalformedRow
 
 
 def write_corpus(path, records):
@@ -22,7 +22,7 @@ def test_load_three_records(tmp_path):
     ])
     coll = load_collection(path)
     assert len(coll) == 3
-    assert coll.get("c").body == ("three", "four")
+    assert coll[2].body == ("three", "four")
 
 
 def test_duplicate_doc_id_strict_raises(tmp_path):
@@ -62,6 +62,27 @@ def test_missing_doc_id_is_malformed(tmp_path):
     with pytest.raises(MalformedRow) as excinfo:
         load_collection(path)
     assert excinfo.value.line_no == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("title", 5), ("abstract", ["x"]), ("journal", 7), ("date", False), ("body", 3),
+    ("body", {"p": "x"}), ("body", [1]), ("body", ["ok", None]), ("body", ["ok", ["x"]]),
+])
+def test_non_string_field_is_malformed(tmp_path, field, value):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, [{"doc_id": "a"}, {"doc_id": "b", field: value}])
+    with pytest.raises(MalformedRow) as excinfo:
+        load_collection(path)
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value).startswith(f"{path} line 2: ")
+    assert f"{field} must be a string" in str(excinfo.value)
+
+
+def test_null_and_absent_fields_are_empty(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    fields = ("title", "abstract", "body", "journal", "date")
+    write_corpus(path, [{"doc_id": "a", **dict.fromkeys(fields)}, {"doc_id": "b"}])
+    assert load_collection(path) == (Document(doc_id="a"), Document(doc_id="b"))
 
 
 def test_missing_file_raises():
@@ -112,13 +133,13 @@ def test_load_is_deterministic(tmp_path):
     assert [d.doc_id for d in first] == [d.doc_id for d in second]
 
 
-def test_by_id_is_bijection_onto_positions(tmp_path):
+def test_documents_come_in_file_order(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    write_corpus(path, [{"doc_id": f"d{i}"} for i in range(10)])
+    doc_ids = [f"d{i}" for i in random.Random(3).sample(range(10), 10)]
+    write_corpus(path, [{"doc_id": doc_id} for doc_id in doc_ids])
     coll = load_collection(path)
-    assert sorted(coll.by_id.values()) == list(range(len(coll)))
-    for doc_id, idx in coll.by_id.items():
-        assert coll.docs[idx].doc_id == doc_id
+    assert isinstance(coll, tuple)
+    assert [doc.doc_id for doc in coll] == doc_ids
 
 
 def test_segment_two_blocks():
@@ -171,7 +192,7 @@ def test_segment_preserves_non_whitespace_characters():
 def test_paragraphs_are_trimmed_and_non_empty(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"doc_id": "a", "body": "  first  \n\n\n  \n\nsecond\n"}])
-    doc = load_collection(path).get("a")
+    doc = load_collection(path)[0]
     assert doc.body == ("first", "second")
     for para in doc.body:
         assert para == para.strip() and para
@@ -180,9 +201,5 @@ def test_paragraphs_are_trimmed_and_non_empty(tmp_path):
 def test_body_as_list_is_accepted(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"doc_id": "a", "body": ["  one ", "", "two"]}])
-    assert load_collection(path).get("a").body == ("one", "two")
+    assert load_collection(path)[0].body == ("one", "two")
 
-
-def test_collection_from_documents_rejects_duplicates():
-    with pytest.raises(DuplicateDocId):
-        Collection.from_documents([Document(doc_id="a"), Document(doc_id="a")])

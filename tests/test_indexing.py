@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank import indexing
-from taskrank.corpus import Collection, Document
-from taskrank.errors import EmptyCollection
+from taskrank.corpus import Document, load_collection
+from taskrank.errors import DuplicateDocId, EmptyCollection
 from taskrank.indexing import (
     Bm25Params,
     IndexVariant,
@@ -37,7 +37,7 @@ def make_collection(texts_by_id, paragraphs_by_id=None):
         Document(doc_id=doc_id, title=text, body=tuple(paragraphs_by_id.get(doc_id, ())))
         for doc_id, text in texts_by_id.items()
     ]
-    return Collection.from_documents(docs)
+    return tuple(docs)
 
 
 def character_scanner_runs(text):
@@ -133,7 +133,33 @@ def test_title_abstract_excludes_body():
 
 def test_empty_collection_rejected(tmp_path):
     with pytest.raises(EmptyCollection):
-        build_index(Collection.from_documents([]), IndexVariant.FULL_TEXT)
+        build_index([], IndexVariant.FULL_TEXT)
+
+
+@pytest.mark.parametrize("build", [TokenizedCollection,
+                                   lambda docs: build_index(docs, IndexVariant.FULL_TEXT)],
+                         ids=["TokenizedCollection", "build_index"])
+def test_repeated_doc_id_rejected(build):
+    docs = [Document(doc_id="b"), Document(doc_id="a", title="x"), Document(doc_id="b", title="y")]
+    for given_docs in (docs, iter(docs)):
+        with pytest.raises(DuplicateDocId) as excinfo:
+            build(given_docs)
+        assert excinfo.value.doc_id == "b"
+
+
+def assert_same_tokenization(got, want):
+    for name in ("tokens", "seg_offsets", "doc_rank"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert list(got.vocab.items()) == list(want.vocab.items())
+    assert got.doc_ids == want.doc_ids
+
+
+def test_tokenized_collection_reads_a_one_pass_generator(mini):
+    documents = load_collection(mini["corpus"])
+    for bodies in (True, False):
+        assert_same_tokenization(
+            TokenizedCollection((doc for doc in documents), bodies=bodies),
+            TokenizedCollection(documents, bodies=bodies))
 
 
 def synthetic_corpus(n_docs, seed, with_paragraphs=True):
@@ -152,7 +178,7 @@ def synthetic_corpus(n_docs, seed, with_paragraphs=True):
         docs.append(
             Document(doc_id=f"doc{i:03d}", title=title, abstract=abstract, body=paragraphs)
         )
-    return Collection.from_documents(docs)
+    return tuple(docs)
 
 
 def oracle_unit_tokens(collection, variant, tokenizer):
@@ -333,9 +359,9 @@ def test_paragraph_search_never_repeats_doc():
 
 def test_collection_order_does_not_change_scores():
     coll = synthetic_corpus(40, seed=55)
-    shuffled_docs = list(coll.docs)
+    shuffled_docs = list(coll)
     random.Random(1).shuffle(shuffled_docs)
-    permuted = Collection.from_documents(shuffled_docs)
+    permuted = tuple(shuffled_docs)
     for variant in IndexVariant:
         a = build_index(coll, variant)
         b = build_index(permuted, variant)
@@ -373,7 +399,7 @@ documents = st.lists(
 
 def random_collection(docs):
     """A collection from drawn ``(doc_id, title, abstract, paragraphs)`` tuples."""
-    return Collection.from_documents(
+    return tuple(
         Document(doc_id=doc_id, title=title, abstract=abstract,
                  body=tuple(p for p in body if p.strip()))
         for doc_id, title, abstract, body in docs
@@ -383,7 +409,7 @@ def random_collection(docs):
 @settings(max_examples=150, deadline=None)
 @given(docs=documents, bodies=st.booleans())
 def test_tokenized_collection_matches_per_text_oracle(docs, bodies):
-    coll = Collection.from_documents(
+    coll = tuple(
         Document(doc_id=doc_id, title=title, abstract=abstract, body=tuple(body))
         for doc_id, title, abstract, body in docs
     )
@@ -395,6 +421,7 @@ def test_tokenized_collection_matches_per_text_oracle(docs, bodies):
             tokens += [vocab.setdefault(t, len(vocab)) for t in tok.tokenize(text)]
             seg_offsets.append(len(tokens))
     tc = TokenizedCollection(coll, tok, bodies=bodies)
+    assert_same_tokenization(TokenizedCollection((doc for doc in coll), tok, bodies), tc)
     assert tc.tokens.dtype == np.int32 and tc.tokens.tolist() == tokens
     assert tc.seg_offsets.tolist() == seg_offsets
     assert list(tc.vocab.items()) == list(vocab.items())
@@ -511,7 +538,7 @@ def test_warm_memo_searches_equal_fresh_index_and_oracle(docs, params, steps):
 @given(docs=documents, description=st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),
        n=st.integers(1, 6))
 def test_random_corpora_select_task_terms_match_brute_force_df(docs, description, n):
-    coll = Collection.from_documents(
+    coll = tuple(
         Document(doc_id=doc_id, title=title, abstract=abstract)
         for doc_id, title, abstract, _body in docs
     )

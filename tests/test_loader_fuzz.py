@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank.corpus import load_collection
-from taskrank.errors import EmptyFramework, TaskRankError
+from taskrank.errors import EmptyFramework, MalformedRow, TaskRankError
 from taskrank.evaluation import parse_qrels, parse_run
 from taskrank.querygen import LexiconExtractor
 from taskrank.rerank import InMemoryVectorProvider
@@ -55,7 +55,7 @@ def test_corpus_lines_load_or_raise_naming_file_and_line(tmp_path_factory, lines
         assert_names_file_and_line(exc, path, lines)
     else:
         assert len(collection) == sum(1 for line in lines if line.strip())
-        assert sorted(collection.by_id.values()) == list(range(len(collection)))
+        assert len({doc.doc_id for doc in collection}) == len(collection)
 
 
 @settings(max_examples=300, deadline=None)
@@ -118,3 +118,36 @@ def test_byte_lines_load_or_raise_naming_file_and_line(tmp_path_factory, kind, d
         assert not any(line.decode("utf-8", "surrogateescape").strip() for line in lines)
     except TaskRankError as exc:
         assert_names_file_and_line(exc, path, lines)
+
+
+TWO_TASKS = TaskFramework((Task("t", "", "d"), Task("u", "", "e")))
+NOT_INTEGERS = ["1_0", "+3", "\u0661", "1.0"]
+
+
+def topic_line(topic_id):
+    return json.dumps({"topic_id": topic_id, "query": "q"})
+
+
+# (loader, a valid line, the line with {} for one integer field) per reader.
+INTEGER_FIELDS = {
+    "qrels topic": (parse_qrels, "1 0 d 1", "{} 0 e 1"),
+    "qrels grade": (parse_qrels, "1 0 d 1", "1 0 e {}"),
+    "run topic": (parse_run, "1 Q0 d 1 0.5 t", "{} Q0 e 2 0.4 t"),
+    "run rank": (parse_run, "1 Q0 d 1 0.5 t", "1 Q0 e {} 0.4 t"),
+    "manual map topic": (lambda p: load_manual_map(p, TWO_TASKS), "1 t", "{} u"),
+    "manual map confidence": (lambda p: load_manual_map(p, TWO_TASKS), "1 t", "2 u {}"),
+    "topics": (load_topics, topic_line(1), topic_line("{}")),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_every_reader_takes_only_ascii_digits_with_an_optional_minus(tmp_path, field, value):
+    load, good, bad = INTEGER_FIELDS[field]
+    path = tmp_path / "input.txt"
+    write_lines(path, [good, bad.replace("{}", value)])
+    with pytest.raises(MalformedRow) as excinfo:
+        load(path)
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value).startswith(f"{path} line 2: ")
+    assert "must be an integer" in str(excinfo.value)

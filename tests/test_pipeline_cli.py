@@ -293,11 +293,36 @@ def test_sweep_cli_grid(mini, tmp_path, capsys):
     assert out.count("task, n=") == 6
 
 
+def priors_oracle(corpus, qrels, topics=None):
+    """``journal<TAB>prior`` lines counted from the raw corpus JSON and qrels
+    rows: a journal is its lowercase [0-9a-z] runs joined by single spaces, a
+    document without one counts for none, and a repeated row's last grade
+    stands. Only ``topics``' rows count when given."""
+    journal_of = {}
+    for line in Path(corpus).read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        runs = re.findall("[0-9a-z]+", record.get("journal", "").lower())
+        journal_of[record["doc_id"]] = " ".join(runs)
+    grades = {}
+    for line in Path(qrels).read_text(encoding="utf-8").splitlines():
+        topic, _, doc_id, grade = line.split()
+        grades[int(topic), doc_id] = int(grade)
+    counts = {}
+    for (topic, doc_id), grade in grades.items():
+        journal = journal_of.get(doc_id)
+        if journal and (topics is None or topic in topics):
+            relevant, judged = counts.get(journal, (0, 0))
+            counts[journal] = (relevant + (grade >= 1), judged + 1)
+    return [f"{journal}\t{2 * relevant / judged - 1:.6f}"
+            for journal, (relevant, judged) in sorted(counts.items())]
+
+
 def test_priors_cli_global_and_per_task(mini, tmp_path, capsys):
     assert main(["priors", "--qrels", mini["qrels"], "--corpus", mini["corpus"]]) == 0
     out = capsys.readouterr().out
     assert "the lancet\t1.000000" in out
     assert "bioinformatics\t-1.000000" in out
+    assert out.splitlines() == priors_oracle(mini["corpus"], mini["qrels"])
 
     target = tmp_path / "per_task.tsv"
     assert main([
@@ -308,6 +333,13 @@ def test_priors_cli_global_and_per_task(mini, tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert "vaccines\tvaccine\t1.000000" in text
     assert "transmission\tvaccine\t-1.000000" in text
+    topics_of = {}
+    for line in Path(mini["manual_map"]).read_text(encoding="utf-8").splitlines():
+        topic, task_id, *_ = line.split()
+        topics_of.setdefault(task_id, set()).add(int(topic))
+    assert text.splitlines() == [
+        f"{task_id}\t{line}" for task_id in sorted(topics_of)
+        for line in priors_oracle(mini["corpus"], mini["qrels"], topics_of[task_id])]
 
 
 def test_index_stats_cli(mini, capsys):

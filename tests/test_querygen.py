@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from taskrank.corpus import Collection, Document
+from taskrank.corpus import Document
 from taskrank.errors import EmptyQuery
 from taskrank.indexing import IndexVariant, Tokenizer, build_index
 from taskrank.querygen import (
@@ -104,8 +104,7 @@ def test_lexicon_extractor_greedy_longest_match():
 
 
 def abstracts_collection(texts):
-    docs = [Document(doc_id=f"a{i:02d}", abstract=t) for i, t in enumerate(texts)]
-    return Collection.from_documents(docs)
+    return [Document(doc_id=f"a{i:02d}", abstract=t) for i, t in enumerate(texts)]
 
 
 def test_select_task_terms_zero_n():

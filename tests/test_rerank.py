@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from taskrank.corpus import Collection, Document
 from taskrank.errors import EmptyQrels, MissingTaskVector
 from taskrank.evaluation import Qrels
 from taskrank.rerank import (
@@ -28,11 +27,6 @@ def qrels_from(rows):
     return q
 
 
-def collection_with_journals(journals_by_doc):
-    docs = [Document(doc_id=d, title=d, journal=j) for d, j in journals_by_doc.items()]
-    return Collection.from_documents(docs)
-
-
 def test_normalize_journal_is_idempotent():
     for raw in ["J. Virol.", "  The   LANCET ", "Nature (Medicine)", "plos one"]:
         once = normalize_journal(raw)
@@ -44,46 +38,54 @@ def test_normalize_journal_merges_spellings():
 
 
 def test_prior_all_relevant_is_plus_one():
-    coll = collection_with_journals({f"d{i}": "Good Journal" for i in range(4)})
+    journal_of = {f"d{i}": "Good Journal" for i in range(4)}
     qrels = qrels_from([(1, f"d{i}", 1) for i in range(4)])
-    table = build_journal_priors(qrels, coll)
+    table = build_journal_priors(qrels, journal_of)
     assert table.score("Good Journal") == 1.0
 
 
 def test_prior_all_irrelevant_is_minus_one():
-    coll = collection_with_journals({f"d{i}": "Bad Journal" for i in range(5)})
+    journal_of = {f"d{i}": "Bad Journal" for i in range(5)}
     qrels = qrels_from([(1, f"d{i}", 0) for i in range(5)])
-    table = build_journal_priors(qrels, coll)
+    table = build_journal_priors(qrels, journal_of)
     assert table.score("Bad Journal") == -1.0
 
 
 def test_prior_three_to_one_is_half():
-    coll = collection_with_journals({f"d{i}": "Mixed Journal" for i in range(4)})
+    journal_of = {f"d{i}": "Mixed Journal" for i in range(4)}
     qrels = qrels_from([(1, "d0", 2), (1, "d1", 1), (2, "d2", 1), (2, "d3", 0)])
-    table = build_journal_priors(qrels, coll)
+    table = build_journal_priors(qrels, journal_of)
     assert table.score("Mixed Journal") == 0.5
 
 
 def test_prior_balanced_is_zero_and_unknown_is_zero():
-    coll = collection_with_journals({"d0": "Even Journal", "d1": "Even Journal"})
+    journal_of = {"d0": "Even Journal", "d1": "Even Journal"}
     qrels = qrels_from([(1, "d0", 1), (1, "d1", 0)])
-    table = build_journal_priors(qrels, coll)
+    table = build_journal_priors(qrels, journal_of)
     assert table.score("Even Journal") == 0.0
     assert table.score("Never Judged Quarterly") == 0.0
     assert "never judged quarterly" not in table.scores
 
 
 def test_priors_skip_docs_without_journal_or_outside_collection():
-    coll = collection_with_journals({"d0": "Known", "d1": ""})
+    journal_of = {"d0": "Known", "d1": ""}
     qrels = qrels_from([(1, "d0", 1), (1, "d1", 1), (1, "ghost", 1)])
-    table = build_journal_priors(qrels, coll)
+    table = build_journal_priors(qrels, journal_of)
     assert set(table.scores) == {"known"}
 
 
+def test_journal_that_normalizes_to_nothing_gets_no_prior():
+    # "--" normalizes to "", the same as no journal; neither is a journal.
+    journal_of = {"a": "--", "b": "", "c": "J"}
+    table = build_journal_priors(qrels_from([(1, "a", 0), (1, "c", 1)]), journal_of)
+    assert table.scores == {"j": 1.0}
+    assert table.by_position(journal_of.values()).tolist() == [0.0, 0.0, 1.0]
+
+
 def test_empty_qrels_rejected():
-    coll = collection_with_journals({"d0": "J"})
+    journal_of = {"d0": "J"}
     with pytest.raises(EmptyQrels):
-        build_journal_priors(Qrels(), coll)
+        build_journal_priors(Qrels(), journal_of)
 
 
 def manual_map():
@@ -98,14 +100,13 @@ def test_per_task_priors_restrict_topics_and_match_counting_oracle():
     rng = random.Random(41)
     journals = ["J One", "J Two", "J Three"]
     docs = {f"d{i}": rng.choice(journals) for i in range(30)}
-    coll = collection_with_journals(docs)
     rows = []
     for topic in (1, 2, 3):
         for doc in rng.sample(list(docs), 12):
             rows.append((topic, doc, rng.choice([0, 0, 1, 2])))
     qrels = qrels_from(rows)
 
-    table = build_per_task_priors(qrels, coll, manual_map())["alpha"]
+    table = build_per_task_priors(qrels, docs, manual_map())["alpha"]
 
     # Counting oracle over the raw rows, alpha covers topics 1 and 2 only.
     counts = {}
@@ -120,27 +121,27 @@ def test_per_task_priors_restrict_topics_and_match_counting_oracle():
 
 
 def test_build_per_task_priors_covers_all_mapped_tasks():
-    coll = collection_with_journals({"d0": "J", "d1": "K"})
+    journal_of = {"d0": "J", "d1": "K"}
     qrels = qrels_from([(1, "d0", 1), (3, "d1", 0)])
-    tables = build_per_task_priors(qrels, coll, manual_map())
+    tables = build_per_task_priors(qrels, journal_of, manual_map())
     assert set(tables) == {"alpha", "beta"}
     assert tables["alpha"].score("J") == 1.0
     assert tables["beta"].score("K") == -1.0
 
 
 def test_rerank_alpha_one_preserves_order():
-    coll = collection_with_journals({"a": "Bad", "b": "Good"})
+    journal_of = {"a": "Bad", "b": "Good"}
     table = JournalPriorTable(scores={"bad": -1.0, "good": 1.0})
     ranking = [("a", 5.0), ("b", 1.0)]
-    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=1.0), 10)
+    out = rerank_journal_ids(ranking, table, journal_of, RerankConfig(alpha=1.0), 10)
     assert [d for d, _ in out] == ["a", "b"]
 
 
 def test_rerank_alpha_zero_sorts_by_prior():
-    coll = collection_with_journals({"a": "Bad", "b": "Good"})
+    journal_of = {"a": "Bad", "b": "Good"}
     table = JournalPriorTable(scores={"bad": -1.0, "good": 1.0})
     ranking = [("a", 5.0), ("b", 1.0)]
-    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=0.0), 10)
+    out = rerank_journal_ids(ranking, table, journal_of, RerankConfig(alpha=0.0), 10)
     assert [d for d, _ in out] == ["b", "a"]
 
 
@@ -148,13 +149,12 @@ def test_rerank_matches_recompute_oracle():
     rng = random.Random(59)
     journals = ["J A", "J B", "J C", ""]
     docs = {f"d{i:02d}": rng.choice(journals) for i in range(50)}
-    coll = collection_with_journals(docs)
     priors = {"j a": 0.4, "j b": -0.7, "j c": 1.0}
     table = JournalPriorTable(scores=priors)
     ranking = [(d, rng.uniform(0, 10)) for d in docs]
     ranking.sort(key=lambda item: -item[1])
     alpha = 0.7
-    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=alpha), 50)
+    out = rerank_journal_ids(ranking, table, docs, RerankConfig(alpha=alpha), 50)
 
     scores = [s for _, s in ranking]
     lo, hi = min(scores), max(scores)
@@ -168,22 +168,22 @@ def test_rerank_matches_recompute_oracle():
 
 
 def test_rerank_constant_scores_normalize_to_one():
-    coll = collection_with_journals({"a": "Good", "b": "Bad"})
+    journal_of = {"a": "Good", "b": "Bad"}
     table = JournalPriorTable(scores={"good": 1.0, "bad": -1.0})
     ranking = [("a", 2.0), ("b", 2.0)]
-    out = dict(rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=0.5), 10))
+    out = dict(rerank_journal_ids(ranking, table, journal_of, RerankConfig(alpha=0.5), 10))
     assert out["a"] == pytest.approx(0.5 * 1.0 + 0.5 * 1.0)
     assert out["b"] == pytest.approx(0.5 * 1.0 - 0.5 * 1.0)
 
 
 def test_rerank_output_is_permutation_of_input_prefix():
     rng = random.Random(61)
-    coll = collection_with_journals({f"d{i}": "J" for i in range(20)})
+    journal_of = {f"d{i}": "J" for i in range(20)}
     table = JournalPriorTable(scores={"j": 0.3})
     ranking = sorted(
         [(f"d{i}", rng.uniform(0, 1)) for i in range(20)], key=lambda x: -x[1]
     )
-    out = rerank_journal_ids(ranking, table, coll, RerankConfig(alpha=0.7), 8)
+    out = rerank_journal_ids(ranking, table, journal_of, RerankConfig(alpha=0.7), 8)
     assert len(out) == 8
     assert {d for d, _ in out} <= {d for d, _ in ranking}
 
