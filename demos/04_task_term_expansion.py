@@ -19,7 +19,7 @@ from taskrank import (
     generate_task_expanded,
     select_task_terms,
 )
-from taskrank.tasks import AssignmentSource, TaskAssignment
+from taskrank.tasks import TaskAssignment
 
 # A small abstracts corpus: df statistics for the TF-IDF selection.
 abstracts = [
@@ -51,8 +51,7 @@ topic = Topic(
     query="coronavirus transmission",
     question="how does the coronavirus spread indoors",
 )
-assignment = TaskAssignment(topic_id=0, task_id="transmission",
-                            source=AssignmentSource.MANUAL)
+assignment = TaskAssignment(topic_id=0, task_id="transmission", confidence=3)
 task_terms = select_task_terms(framework.get("transmission"), abstracts_index,
                                extractor, n=3)
 generated = generate_task_expanded(

@@ -56,7 +56,6 @@ from .rerank import (
     rerank_by_task_vector,
 )
 from .tasks import (
-    AssignmentSource,
     Task,
     TaskAssignment,
     TaskClassifier,

@@ -17,10 +17,11 @@ import json
 import os
 import sys
 import typing
+from dataclasses import replace
 from enum import Enum
 
 from .corpus import load_collection
-from .errors import TaskRankError, json_object, read_rows
+from .errors import TaskRankError, integer, json_object, number, read_rows
 from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, sweep, write_run
 from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, build_index
@@ -28,7 +29,6 @@ from .pipeline import TASK_EXPANDED, Pipeline, PipelineConfig, RunVariant
 from .querygen import ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
 from .rerank import RerankConfig, build_journal_priors, build_per_task_priors, export_priors
 from .tasks import (
-    AssignmentSource,
     TaskAssignment,
     TaskClassifier,
     agreement,
@@ -76,8 +76,10 @@ _field_types = functools.cache(typing.get_type_hints)
 def _convert(owner: type, name: str, value):
     """Convert a JSON or flag value to the type the dataclass field declares.
 
-    Flag values arrive as strings. A bool is not a number, a float with a
-    fractional part is not an int, and a path or run tag must be a string.
+    Flag values arrive as strings. A string is read by ``errors.integer`` or
+    ``errors.number``, the rules of the input files. A bool is not a number, a
+    float with a fractional part is not an int, and a path or run tag must be
+    a string.
     """
     kind = _field_types(owner)[name]
     if kind is bool:
@@ -85,12 +87,14 @@ def _convert(owner: type, name: str, value):
             raise ValueError(f"expected true or false, got {value!r}")
         return value
     if kind in (int, float):
+        if isinstance(value, str):
+            return integer(value, "value") if kind is int else number(value, "value")
         if isinstance(value, bool):
             raise ValueError(f"expected a number, got {value!r}")
-        number = kind(value)
-        if kind is int and isinstance(value, float) and number != value:
+        converted = kind(value)
+        if kind is int and isinstance(value, float) and converted != value:
             raise ValueError(f"expected an integer, got {value!r}")
-        return number
+        return converted
     if isinstance(kind, type) and issubclass(kind, Enum):
         return kind(value)
     if not isinstance(value, (str, type(None))):
@@ -227,10 +231,8 @@ def cmd_classify(args) -> int:
         print(f"{topic.topic_id:<8} {pred.task_id:<28} {'yes' if pred.low_confidence else 'no'}")
     if args.manual_map:
         manual = load_manual_map(args.manual_map, framework)
-        automatic = [
-            TaskAssignment(topic_id=t, task_id=p.task_id, source=AssignmentSource.AUTOMATIC)
-            for t, p in predictions.items()
-        ]
+        automatic = [TaskAssignment(topic_id=t, task_id=p.task_id)
+                     for t, p in predictions.items()]
         print(f"agreement {agreement(manual, automatic):.4f}")
     return 0
 
@@ -288,10 +290,15 @@ def cmd_sweep(args) -> int:
     # Grid lines go over the expansion that flags and --config set.
     expansion = {key: getattr(base.expansion, name)
                  for key, (owner, name, _help) in SETTINGS.items() if owner is ExpansionConfig}
-    grid = [
-        build_config(ExpansionConfig, (f"{args.grid} line {line_no}", {**expansion, **record}))
-        for line_no, _line, record in read_rows(args.grid, json_object)
-    ]
+    grid = []
+    for line_no, _line, record in read_rows(args.grid, json_object):
+        source = f"{args.grid} line {line_no}"
+        cell = build_config(ExpansionConfig, (source, {**expansion, **record}))
+        try:
+            replace(base, expansion=cell).validate()
+        except TaskRankError as exc:
+            raise TaskRankError(f"{source}: {exc}") from exc
+        grid.append(cell)
     qrels = parse_qrels(base.qrels_path)
     pipeline = Pipeline(base)
     rows = sweep(grid, lambda e: pipeline.with_expansion(e).run(), qrels, k=args.k)

@@ -1,15 +1,18 @@
 """Exception types shared across the package, ``read_rows``, the one reader
-of line-based input files, and ``integer``, the one rule by which they read an
-integer. A bad line in any of them, a repeated or unknown id included, raises
+of line-based input files, and ``integer`` and ``number``, the rules by which
+those files and the settings' strings read an integer and any other number.
+A bad line in any of the files, a repeated or unknown id included, raises
 MalformedRow naming the file and the line; the in-memory APIs raise
 DuplicateDocId, DuplicateTopic and UnknownTaskId instead.
 """
 
 import json
+import math
 import re
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 _INTEGER = re.compile("-?[0-9]+")
+_NUMBER = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 class TaskRankError(Exception):
@@ -107,6 +110,16 @@ def integer(value, name: str) -> int:
     if type(value) is int or isinstance(value, str) and _INTEGER.fullmatch(value):
         return int(value)
     raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def number(value, name: str) -> float:
+    """``value`` as a float: a string of an optional ``-``, ASCII digits, an
+    optional fraction and exponent, whose value is finite. Anything else
+    (``"nan"``, ``"1e999"``, ``"+2"``, ``"1_0"``, non-ASCII digits, a
+    non-string) raises ValueError naming ``name``."""
+    if isinstance(value, str) and _NUMBER.fullmatch(value) and math.isfinite(float(value)):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 def json_object(line: str) -> dict:

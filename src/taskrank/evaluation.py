@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import integer, read_rows
+from .errors import integer, number, read_rows
 
 
 @dataclass
@@ -174,7 +174,7 @@ def parse_run(path) -> Run:
         if len(parts) != 6:
             raise ValueError(f"{len(parts)} columns, expected 6")
         topic_id, doc_id = integer(parts[0], "topic_id"), parts[2]
-        row = (topic_id, integer(parts[3], "rank"), doc_id, float(parts[4]), parts[5])
+        row = (topic_id, integer(parts[3], "rank"), doc_id, number(parts[4], "score"), parts[5])
         if (topic_id, doc_id) in seen:
             raise ValueError(f"topic {topic_id} repeats doc_id {doc_id!r}")
         seen.add((topic_id, doc_id))

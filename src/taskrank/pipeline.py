@@ -11,11 +11,14 @@ Topics run one after another in a single thread. Per-topic work is pure and
 rankings are emitted in topic-id order, so output is deterministic.
 
 Within a topic, rankings stay (document position, score) arrays through
-search, fusion and re-ranking, whose priors or task proximities are arrays by
-position built at set-up; ``run_topic`` returns them as an
+search, fusion and re-ranking; ``run_topic`` returns them as an
 ``evaluation.Ranking`` over the collection's doc-id table, which every topic
-of a run shares. A config that sets an expansion or re-ranking setting its
-variant never reads is rejected.
+of a run shares. For a re-ranking variant, set-up resolves the re-rank config
+and one score array by position per topic: the one prior table's for
+journal.prior, the topic's task's priors (journal.task) or proximities
+(vector) otherwise. A config that sets an expansion or re-ranking setting its
+variant never reads is rejected, and so is a gate or proportional confidence
+mode without the manual map whose annotator confidences it reads.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ import copy
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
+import numpy as np
+
 from .corpus import load_collection
 from .errors import TaskRankError
 from .evaluation import Ranking, Run, parse_qrels
 from .fusion import FusionConfig, rrf_fuse
 from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, Tokenizer, search
 from .querygen import (
+    ConfidenceMode,
     ExpansionConfig,
     GeneratedQuery,
     LexiconExtractor,
@@ -113,6 +119,11 @@ class PipelineConfig:
             raise TaskRankError(
                 f"variant {self.variant.value} requires: {', '.join(missing)}"
             )
+        mode = self.expansion.confidence_mode
+        if (self.variant in TASK_EXPANDED and mode is not ConfidenceMode.IGNORE
+                and not self.manual_map_path):
+            raise TaskRankError(f"confidence_mode {mode.value} reads the annotator "
+                                f"confidences of a manual map: requires manual_map_path")
         unread = []
         if self.variant not in TASK_EXPANDED:
             default = ExpansionConfig()
@@ -124,11 +135,6 @@ class PipelineConfig:
             raise TaskRankError(
                 f"variant {self.variant.value} does not read: {', '.join(unread)}"
             )
-
-    def default_rerank(self) -> RerankConfig:
-        if self.rerank is not None:
-            return self.rerank
-        return RerankConfig(alpha=0.5) if self.variant is RunVariant.VECTOR else RerankConfig()
 
 
 class Pipeline:
@@ -157,22 +163,29 @@ class Pipeline:
             manual = load_manual_map(config.manual_map_path, framework)
         self._assignments = self._resolve_assignments(framework, manual)
         self._task_terms = self._select_all_task_terms(framework)
-        # Re-ranking's score by position: for journal.prior, or per task.
-        self._prior, self._aux_by_task = None, {}
+        # Re-ranking's score by position, per topic: the one prior table's
+        # (journal.prior), or the topic's task's priors or proximities.
+        self._rerank_config = config.rerank or RerankConfig(
+            alpha=0.5 if config.variant is RunVariant.VECTOR else RerankConfig.alpha)
+        self._rerank_scores: dict[int, np.ndarray] = {}
+        by_task: dict[str, np.ndarray] = {}
         if journal_priors:
             qrels = parse_qrels(config.qrels_path)
             journal_of = dict(zip(self._doc_ids, journals))
             if config.variant is RunVariant.JOURNAL_PRIOR:
-                table = build_journal_priors(qrels, journal_of)
-                self._prior = table.by_position(journals)
+                prior = build_journal_priors(qrels, journal_of).by_position(journals)
+                self._rerank_scores = {topic.topic_id: prior for topic in self.topics}
             else:
                 tables = build_per_task_priors(qrels, journal_of, manual)
-                self._aux_by_task = {task_id: table.by_position(journals)
-                                     for task_id, table in tables.items()}
+                by_task = {task_id: table.by_position(journals)
+                           for task_id, table in tables.items()}
         if config.variant is RunVariant.VECTOR:
             vectors = InMemoryVectorProvider.from_file(config.vectors_path)
             used = sorted({a.task_id for a in self._assignments.values()})
-            self._aux_by_task = {t: vectors.proximities(t, self._doc_ids) for t in used}
+            by_task = {t: vectors.proximities(t, self._doc_ids) for t in used}
+        if by_task:
+            self._rerank_scores = {topic_id: by_task[a.task_id]
+                                   for topic_id, a in self._assignments.items()}
 
     def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
         """A copy that shares this pipeline's set-up (topics, indices and their
@@ -213,23 +226,14 @@ class Pipeline:
         variant = self.config.variant
         if variant is RunVariant.QUERY_UDEL:
             return generate_udel(topic, self.extractor, self.tokenizer)
-        if variant in TASK_EXPANDED:
-            assignment = self._assignments[topic.topic_id]
-            base = (
-                QueryBase.UDEL
-                if variant is RunVariant.QUERY_UDEL_TASK
-                else QueryBase.PLAIN
-            )
-            return generate_task_expanded(
-                topic,
-                base,
-                self._task_terms[assignment.task_id][:self.config.expansion.n_task_terms],
-                self.config.expansion,
-                assignment=assignment,
-                extractor=self.extractor,
-                tokenizer=self.tokenizer,
-            )
-        return generate_plain(topic, self.tokenizer)
+        if variant not in TASK_EXPANDED:
+            return generate_plain(topic, self.tokenizer)
+        assignment = self._assignments[topic.topic_id]
+        base = QueryBase.UDEL if variant is RunVariant.QUERY_UDEL_TASK else QueryBase.PLAIN
+        expansion = self.config.expansion
+        return generate_task_expanded(
+            topic, base, self._task_terms[assignment.task_id][:expansion.n_task_terms],
+            expansion, assignment=assignment, extractor=self.extractor, tokenizer=self.tokenizer)
 
     def run_topic(self, topic: Topic) -> Ranking:
         """Generate, search all three indices, fuse and optionally re-rank."""
@@ -239,13 +243,10 @@ class Pipeline:
                     for v in IndexVariant]
         ranked = rrf_fuse(rankings, self._doc_rank, config.fusion, config.top_k)
         if config.variant in _RERANKED:
-            if config.variant is RunVariant.JOURNAL_PRIOR:
-                aux = self._prior
-            else:
-                aux = self._aux_by_task[self._assignments[topic.topic_id].task_id]
             rerank = (rerank_by_task_vector if config.variant is RunVariant.VECTOR
                       else rerank_by_journal)
-            ranked = rerank(ranked, aux, self._doc_rank, config.default_rerank(), config.top_k)
+            ranked = rerank(ranked, self._rerank_scores[topic.topic_id], self._doc_rank,
+                            self._rerank_config, config.top_k)
         return Ranking(self._doc_ids, *ranked)
 
     def run(self) -> Run:

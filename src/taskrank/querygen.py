@@ -2,14 +2,15 @@
 task-expanded variants.
 
 Term weighting is done purely by duplication: a token repeated n times in the
-query list is counted n times by BM25. Task terms can be routed to the
-full-text index only, leaving the other index variants' queries untouched.
+query list is counted n times by BM25. A ``GeneratedQuery`` is a value: the
+``core`` tokens, which every index gets, and the task-term ``expansion``,
+which with routing on only the full-text index gets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from importlib import resources
@@ -111,63 +112,56 @@ class QueryBase(Enum):
 
 @dataclass(frozen=True)
 class GeneratedQuery:
-    """Per-index-variant query token lists (with intentional repetition)."""
+    """A topic's query tokens, with intentional repetition.
 
-    per_variant: dict[IndexVariant, tuple[str, ...]] = field(compare=False)
+    ``core`` goes to every index; ``expansion`` (the task-term tokens) goes
+    to the full-text index only when ``routed``, else to every index, after
+    the core. ``fallback`` flags a udel query whose fields held no lexicon
+    term, so that it is the plain query.
+    """
+
+    core: tuple[str, ...]
+    expansion: tuple[str, ...] = ()
+    routed: bool = True
     fallback: bool = False
 
     def tokens(self, variant: IndexVariant) -> list[str]:
-        return list(self.per_variant[variant])
+        if self.routed and variant is not IndexVariant.FULL_TEXT:
+            return list(self.core)
+        return [*self.core, *self.expansion]
 
 
-@dataclass(frozen=True)
-class _BaseTokens:
-    query_tokens: tuple[str, ...]
-    question_tokens: tuple[str, ...]
-    fallback: bool = False
+def _base_tokens(topic: Topic, tokenizer: Tokenizer, extractor: LexiconExtractor | None
+                 ) -> tuple[list[str], list[str], bool]:
+    """The query's and the question's tokens, and the fallback flag.
 
-
-def _uniform(tokens, fallback: bool = False) -> GeneratedQuery:
-    tokens = tuple(tokens)
-    return GeneratedQuery(
-        per_variant={variant: tokens for variant in IndexVariant}, fallback=fallback
-    )
-
-
-def _base_plain(topic: Topic, tokenizer: Tokenizer) -> _BaseTokens:
+    Without an extractor, the query's tokens alone. With one (udel), each
+    field's lexicon terms, extracted separately so that the two can be
+    weighted differently; duplicates across the fields are kept. When neither
+    field holds a term, the plain query is used and flagged.
+    """
+    if extractor is not None:
+        query, question = (
+            [token for term in extractor.extract(text) for token in tokenizer.tokenize(term)]
+            for text in (topic.query, topic.question)
+        )
+        if query or question:
+            return query, question, False
     tokens = tokenizer.tokenize(topic.query)
     if not tokens:
         raise EmptyQuery(f"topic {topic.topic_id}: query has no indexable tokens")
-    return _BaseTokens(query_tokens=tuple(tokens), question_tokens=())
+    return tokens, [], extractor is not None
 
 
-def _base_udel(topic: Topic, extractor: LexiconExtractor, tokenizer: Tokenizer) -> _BaseTokens:
-    """Entity-filtered query+question terms, kept separated by source.
-
-    The two fields are extracted independently so that query- and
-    question-sourced tokens can later be weighted differently; duplicates
-    across the fields are intentional and kept.
-    """
-    query_tokens: list[str] = []
-    for term in extractor.extract(topic.query):
-        query_tokens.extend(tokenizer.tokenize(term))
-    question_tokens: list[str] = []
-    for term in extractor.extract(topic.question):
-        question_tokens.extend(tokenizer.tokenize(term))
-    if not query_tokens and not question_tokens:
-        plain = _base_plain(topic, tokenizer)
-        return _BaseTokens(
-            query_tokens=plain.query_tokens, question_tokens=(), fallback=True
-        )
-    return _BaseTokens(
-        query_tokens=tuple(query_tokens), question_tokens=tuple(question_tokens)
-    )
+def _repeat(tokens, dup: int) -> list[str]:
+    """Each token ``dup`` times in place, so BM25 counts it ``dup`` times."""
+    return [token for token in tokens for _ in range(dup)]
 
 
 def generate_plain(topic: Topic, tokenizer: Tokenizer | None = None) -> GeneratedQuery:
     """Topic query terms only, identical across index variants."""
-    base = _base_plain(topic, tokenizer or Tokenizer())
-    return _uniform(base.query_tokens)
+    query, _question, _fallback = _base_tokens(topic, tokenizer or Tokenizer(), None)
+    return GeneratedQuery(core=tuple(query))
 
 
 def generate_udel(topic: Topic, extractor: LexiconExtractor,
@@ -176,8 +170,8 @@ def generate_udel(topic: Topic, extractor: LexiconExtractor,
 
     Falls back to the plain query (flagged) when extraction finds nothing.
     """
-    base = _base_udel(topic, extractor, tokenizer or Tokenizer())
-    return _uniform(base.query_tokens + base.question_tokens, fallback=base.fallback)
+    query, question, fallback = _base_tokens(topic, tokenizer or Tokenizer(), extractor)
+    return GeneratedQuery(core=(*query, *question), fallback=fallback)
 
 
 def select_task_terms(task: Task, abstracts_index: InvertedIndex,
@@ -215,10 +209,12 @@ def select_task_terms(task: Task, abstracts_index: InvertedIndex,
 
 def _effective_dup_task(config: ExpansionConfig,
                         assignment: TaskAssignment | None) -> int:
+    """``dup_task``, gated or scaled by the annotator's confidence when
+    configured; a classifier's assignment carries none."""
     if config.confidence_mode is ConfidenceMode.IGNORE:
         return config.dup_task
-    if assignment is None:
-        raise ValueError(f"{config.confidence_mode.value} mode needs a task assignment")
+    if assignment is None or assignment.confidence is None:
+        raise ValueError(f"{config.confidence_mode.value} mode needs an annotator's confidence")
     if config.confidence_mode is ConfidenceMode.GATE:
         return config.dup_task if assignment.confidence >= config.gate_threshold else 0
     return config.dup_task * assignment.confidence
@@ -231,9 +227,10 @@ def generate_task_expanded(topic: Topic, base: QueryBase, task_terms: list[str],
                            tokenizer: Tokenizer | None = None) -> GeneratedQuery:
     """Base query with task terms appended under duplication weighting.
 
-    Base tokens are repeated per their source's duplication count; task-term
-    tokens are appended ``dup_task`` times each (scaled or gated by annotator
-    confidence when configured). With routing on, task tokens appear only in
+    The core repeats each query token ``dup_query`` times and then each
+    question token ``dup_question`` times; the expansion repeats each
+    task-term token ``dup_task`` times (gated or scaled by annotator
+    confidence when configured). With routing on, the expansion reaches only
     the full-text variant's list.
     """
     if len(task_terms) > config.n_task_terms:
@@ -241,33 +238,17 @@ def generate_task_expanded(topic: Topic, base: QueryBase, task_terms: list[str],
             f"{len(task_terms)} task terms exceed configured n_task_terms="
             f"{config.n_task_terms}"
         )
+    if base is QueryBase.UDEL and extractor is None:
+        raise ValueError("udel base requires a term extractor")
     tokenizer = tokenizer or Tokenizer()
-    if base is QueryBase.PLAIN:
-        base_tokens = _base_plain(topic, tokenizer)
-    else:
-        if extractor is None:
-            raise ValueError("udel base requires a term extractor")
-        base_tokens = _base_udel(topic, extractor, tokenizer)
-
-    core: list[str] = []
-    for token in base_tokens.query_tokens:
-        core.extend([token] * config.dup_query)
-    for token in base_tokens.question_tokens:
-        core.extend([token] * config.dup_question)
-
+    query, question, fallback = _base_tokens(
+        topic, tokenizer, extractor if base is QueryBase.UDEL else None)
     dup_task = _effective_dup_task(config, assignment)
-    expansion: list[str] = []
-    if dup_task > 0:
-        for term in task_terms:
-            for token in tokenizer.tokenize(term):
-                expansion.extend([token] * dup_task)
-
-    expanded = tuple(core + expansion)
-    core_only = tuple(core)
-    per_variant: dict[IndexVariant, tuple[str, ...]] = {}
-    for variant in IndexVariant:
-        if variant is IndexVariant.FULL_TEXT or not config.route_task_terms_fulltext_only:
-            per_variant[variant] = expanded
-        else:
-            per_variant[variant] = core_only
-    return GeneratedQuery(per_variant=per_variant, fallback=base_tokens.fallback)
+    task_tokens = ([token for term in task_terms for token in tokenizer.tokenize(term)]
+                   if dup_task else [])
+    return GeneratedQuery(
+        core=(*_repeat(query, config.dup_query), *_repeat(question, config.dup_question)),
+        expansion=tuple(_repeat(task_tokens, dup_task)),
+        routed=config.route_task_terms_fulltext_only,
+        fallback=fallback,
+    )

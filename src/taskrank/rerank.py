@@ -15,7 +15,6 @@ a vectors file is an error naming the file and the line.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyQrels, MissingTaskVector, read_rows
+from .errors import EmptyQrels, MissingTaskVector, number, read_rows
 from .indexing import top_ranked
 from .tasks import TaskAssignment
 
@@ -37,7 +36,8 @@ def normalize_journal(name: str) -> str:
 
     Journal names come in many spellings; this keeps prior lookups from
     fragmenting across them. Idempotent. Memoized per raw string, because
-    re-ranking looks up the same few journals for every fused document.
+    ``JournalPriorTable.by_position`` looks up each document's journal once
+    at set-up, and a collection repeats the same few journals.
     """
     return _SPACE.sub(" ", _PUNCT.sub(" ", name.lower())).strip()
 
@@ -161,12 +161,10 @@ class InMemoryVectorProvider:
 
         def parse(line: str) -> tuple[str, list[float]]:
             key, *values = line.split()
-            vector = [float(x) for x in values]
+            vector = [number(x, "value") for x in values]
             dim = len(next(iter(vectors.values()), vector))
             if not vector:
                 raise ValueError("no values")
-            if not all(map(math.isfinite, vector)):
-                raise ValueError("values must be finite")
             if len(vector) != dim:
                 raise ValueError(f"{len(vector)} values, expected {dim}")
             if key in vectors:

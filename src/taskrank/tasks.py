@@ -2,8 +2,10 @@
 
 Tasks are indexed as a miniature search engine (one unit per task
 description) and a query is classified into the top-ranked task. A manual
-topic-to-task map can be loaded for comparison; ``agreement`` measures the
-fraction of topics on which two assignment sources coincide.
+topic-to-task map can be loaded instead or for comparison; ``agreement``
+measures the fraction of topics on which two assignment lists coincide. A
+``TaskAssignment`` from the manual map carries the annotator's confidence
+(1-3, 3 when the row gives none); the classifier's carries None.
 
 Task, topic and manual-map files are read through ``errors.read_rows``: a
 line that does not parse, a text field that is not a string, a topic id that
@@ -14,7 +16,6 @@ framework lacks raises MalformedRow naming the file and the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 
 from .corpus import Document
@@ -93,21 +94,19 @@ class Topic:
             raise ValueError(f"topic {self.topic_id} has an empty query")
 
 
-class AssignmentSource(Enum):
-    MANUAL = "manual"
-    AUTOMATIC = "automatic"
-
-
 @dataclass(frozen=True)
 class TaskAssignment:
+    """A topic's task. ``confidence`` is the annotator's 1-3 for a manual
+    assignment and None for a classifier's."""
+
     topic_id: int
     task_id: str
-    source: AssignmentSource
-    confidence: int = 3  # annotator confidence, 1..3; meaningful for manual only
+    confidence: int | None = None
 
     def __post_init__(self):
-        if self.confidence not in (1, 2, 3):
-            raise ValueError("confidence must be 1, 2 or 3")
+        if self.confidence is not None and (type(self.confidence) is not int
+                                            or self.confidence not in (1, 2, 3)):
+            raise ValueError(f"confidence must be 1, 2 or 3, not {self.confidence!r}")
 
 
 @dataclass(frozen=True)
@@ -151,11 +150,7 @@ def classify_topics(framework: TaskFramework, topics: list[Topic],
                     params: Bm25Params | None = None) -> list[TaskAssignment]:
     classifier = TaskClassifier(framework, params)
     return [
-        TaskAssignment(
-            topic_id=t.topic_id,
-            task_id=classifier.classify(t.query).task_id,
-            source=AssignmentSource.AUTOMATIC,
-        )
+        TaskAssignment(topic_id=t.topic_id, task_id=classifier.classify(t.query).task_id)
         for t in topics
     ]
 
@@ -228,7 +223,6 @@ def load_manual_map(path, framework: TaskFramework) -> list[TaskAssignment]:
             return None
         topic_id, task_id, *rest = line.split()
         assignment = TaskAssignment(integer(topic_id, "topic_id"), task_id,
-                                    AssignmentSource.MANUAL,
                                     integer(rest[0], "confidence") if rest else 3)
         if task_id not in valid_ids:
             raise ValueError(f"unknown task_id {task_id!r}")

@@ -29,7 +29,6 @@ from taskrank.rerank import (
     normalize_journal,
 )
 from taskrank.tasks import (
-    AssignmentSource,
     Task,
     TaskAssignment,
     TaskClassifier,
@@ -228,8 +227,7 @@ def test_criterion_5_journal_prior_endpoints_and_per_task_oracle():
         journals = ["Alpha Journal", "Beta Review", "Gamma Letters", "Delta Notes"]
         docs = {f"d{i:02d}": rng.choice(journals) for i in range(40)}
         manual_map = [
-            TaskAssignment(topic_id=t, task_id="alpha" if t <= 3 else "beta",
-                           source=AssignmentSource.MANUAL)
+            TaskAssignment(topic_id=t, task_id="alpha" if t <= 3 else "beta", confidence=3)
             for t in range(1, 7)
         ]
         rows = []
@@ -273,8 +271,7 @@ def test_criterion_6_expansion_weighting():
         topic = Topic(topic_id=1, query="qalpha qbeta",
                       question="qgamma qalpha qdelta")
         config = ExpansionConfig(n_task_terms=3, dup_query=3, dup_question=3, dup_task=1)
-        assignment = TaskAssignment(topic_id=1, task_id="t",
-                                    source=AssignmentSource.MANUAL)
+        assignment = TaskAssignment(topic_id=1, task_id="t", confidence=3)
 
         # Plain base: every query token three times, task tokens once.
         generated = generate_task_expanded(
@@ -329,8 +326,7 @@ def test_criterion_7_classifier_benchmark_and_agreement_oracle():
         manual = default_manual_map()
         task_ids = sorted({a.task_id for a in manual})
         synthetic_auto = [
-            TaskAssignment(topic_id=a.topic_id, task_id=rng.choice(task_ids),
-                           source=AssignmentSource.AUTOMATIC)
+            TaskAssignment(topic_id=a.topic_id, task_id=rng.choice(task_ids))
             for a in manual
         ]
         got = agreement(manual, synthetic_auto)

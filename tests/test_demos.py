@@ -1,4 +1,6 @@
-"""Smoke-run every demo script; they must stay executable documentation."""
+"""Run every demo script and compare its standard output with the golden copy
+under ``fixtures/demos``; the demos are executable documentation, and each is
+deterministic."""
 
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "fixtures" / "demos"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -16,8 +19,12 @@ def test_demo_runs_clean(script):
     # The demos import taskrank from this checkout's src/, installed or not.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+        [sys.executable, str(script)], capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert result.stdout == (GOLDEN / f"{script.stem}.out").read_bytes()
+
+
+def test_every_demo_has_a_golden_output():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == [p.stem for p in DEMOS]

@@ -18,7 +18,7 @@ from taskrank.querygen import (
     LexiconExtractor,
     select_task_terms,
 )
-from taskrank.rerank import RerankConfig
+from taskrank.rerank import InMemoryVectorProvider, RerankConfig
 from taskrank.tasks import TaskClassifier, load_manual_map, load_tasks
 
 
@@ -643,6 +643,49 @@ def test_with_expansion_rejects_an_expansion_the_variant_does_not_read(mini):
     assert pipeline.with_expansion(ExpansionConfig()).run().rankings == pipeline.run().rankings
 
 
+def confidence_complaint(mode):
+    return (f"confidence_mode {mode} reads the annotator confidences of a manual map: "
+            "requires manual_map_path")
+
+
+@pytest.mark.parametrize("mode", ["gate", "proportional"])
+@pytest.mark.parametrize("source", ["flag", "config", "grid"])
+def test_a_confidence_mode_without_a_manual_map_is_one_error_before_the_corpus_is_read(
+        mini, tmp_path, capsys, source, mode):
+    settings = tmp_path / "settings.json"
+    out = tmp_path / "never.run"
+    argv = [*mini_args({**mini, "corpus": str(tmp_path / "absent.jsonl")}),
+            "--variant", "query+task"]
+    if source == "grid":
+        settings.write_text('{}\n{"confidence_mode": "%s"}\n' % mode, encoding="utf-8")
+        argv = ["sweep", *argv, "--qrels", mini["qrels"], "--grid", str(settings)]
+        named = f"{settings} line 2: "
+    else:
+        if source == "flag":
+            argv += ["--confidence-mode", mode]
+        else:
+            settings.write_text(json.dumps({"confidence_mode": mode}), encoding="utf-8")
+            argv += ["--config", str(settings)]
+        argv = ["run", *argv, "--output", str(out)]
+        named = ""
+    assert main(argv) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {named}{confidence_complaint(mode)}"]
+
+
+def test_with_expansion_rejects_a_confidence_mode_without_a_manual_map(mini):
+    pipeline = Pipeline(PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"],
+                                       tasks_path=mini["tasks"], variant=RunVariant.QUERY_TASK))
+    for mode in (ConfidenceMode.GATE, ConfidenceMode.PROPORTIONAL):
+        with pytest.raises(TaskRankError, match=f"^{confidence_complaint(mode.value)}$"):
+            pipeline.with_expansion(ExpansionConfig(confidence_mode=mode))
+    with_map = replace(pipeline.config, manual_map_path=mini["manual_map"],
+                       expansion=ExpansionConfig(confidence_mode=ConfidenceMode.GATE))
+    with_map.validate()
+
+
 def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):
     grid = tmp_path / "grid.jsonl"
     grid.write_text('{"n_task_terms": 1}\n{"n_task_terms": 2}\n', encoding="utf-8")
@@ -708,7 +751,7 @@ def test_sweep_grid_lines_map_onto_expansion_defaults(mini, monkeypatch, tmp_pat
     monkeypatch.setattr(cli, "Pipeline", RecordingPipeline(configs))
     assert main([
         "sweep", "--corpus", "c.jsonl", "--topics", "t.jsonl",
-        "--qrels", mini["qrels"], "--grid", str(grid),
+        "--qrels", mini["qrels"], "--manual-map", mini["manual_map"], "--grid", str(grid),
     ]) == 0
     built, *cells = configs
     assert built.expansion == ExpansionConfig()
@@ -812,6 +855,73 @@ def test_a_value_is_one_error_from_a_flag_a_config_key_or_a_grid_line(
     assert error.startswith(f"error: {named}"), error
 
 
+# (text, value under errors.number, value under errors.integer); None: rejected.
+NUMBER_TEXTS = [
+    ("2", 2.0, 2), ("007", 7.0, 7), ("-0.5", -0.5, None), ("1e-3", 0.001, None),
+    ("2.5E+1", 25.0, None), (".5", 0.5, None), ("1_0", None, None),
+    ("\u0661\u0660", None, None), ("\u0663", None, None), ("+2", None, None),
+    ("nan", None, None), ("inf", None, None), ("1e999", None, None), ("0x10", None, None),
+]
+NUMBER_READERS = ("run score", "vectors value")
+
+
+def read_number(source, text, mini, tmp_path, monkeypatch, capsys):
+    """Read ``text`` as one number through ``source``: the value read, or the
+    error raised or printed."""
+    path = tmp_path / "input"
+    if source == "run score":
+        path.write_text(f"1 Q0 doc01 1 {text} tag\n", encoding="utf-8")
+        read = lambda: float(parse_run(path).rankings[1].scores[0])
+    elif source == "vectors value":
+        path.write_text(f"doc01 0.5 {text}\n", encoding="utf-8")
+        read = lambda: float(InMemoryVectorProvider.from_file(path).vector("doc01")[1])
+    else:
+        kind, key = source.split()
+        configs = []
+        monkeypatch.setattr(cli, "Pipeline", RecordingPipeline(configs))
+        argv = ["--corpus", "c.jsonl", "--topics", "t.jsonl"]
+        if kind == "grid":
+            path.write_text("{}\n" + json.dumps({key: text}) + "\n", encoding="utf-8")
+            argv = ["sweep", *argv, "--qrels", mini["qrels"], "--grid", str(path)]
+        else:
+            if kind == "flag":
+                argv += ["--" + key.replace("_", "-"), text]
+            else:
+                path.write_text(json.dumps({key: text}), encoding="utf-8")
+                argv += ["--config", str(path)]
+            argv = ["run", *argv, "--output", str(tmp_path / "out.run")]
+
+        def read():
+            if main(argv) != 0:
+                raise TaskRankError(capsys.readouterr().err)
+            owner, name, _help = cli.SETTINGS[key]
+            config = configs[-1]
+            return getattr(config if owner is PipelineConfig
+                           else getattr(config, cli._PARTS[owner]), name)
+    try:
+        return read()
+    except TaskRankError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("source", [*NUMBER_READERS, "flag k1", "config k1",
+                                    "flag top_k", "config top_k", "grid dup_task"])
+def test_every_number_follows_one_rule_in_every_reader_and_setting_source(
+        mini, tmp_path, monkeypatch, capsys, source):
+    integral = source.endswith(("top_k", "dup_task"))
+    for text, as_number, as_integer in NUMBER_TEXTS:
+        if text.startswith("-") and source not in NUMBER_READERS:
+            continue  # no setting takes a negative value
+        expected = as_integer if integral else as_number
+        got = read_number(source, text, mini, tmp_path, monkeypatch, capsys)
+        if expected is None:
+            rule = "an integer" if integral else "a finite number"
+            assert isinstance(got, TaskRankError), (text, got)
+            assert f"must be {rule}, not {text!r}" in str(got), (text, str(got))
+        else:
+            assert got == expected and type(got) is type(expected), (text, got)
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_run_tag_with_whitespace_is_one_error_before_the_corpus_is_read(
         mini, tmp_path, capsys, source):
@@ -873,15 +983,16 @@ def test_config_file_rejects_bad_settings_naming_file(
     assert str(config_path) in err and complaint in err
 
 
-@pytest.mark.parametrize("flags, config_text", [
-    (["--k1", "nan"], None),
-    (["--k1", "inf"], None),
-    (["--rrf-k", "nan"], None),
-    (["--rrf-k", "inf"], None),
-    ([], '"k1": NaN'),
+# A flag's string goes through errors.number; a JSON NaN reaches the dataclass.
+@pytest.mark.parametrize("flags, config_text, complaint", [
+    (["--k1", "nan"], None, "k1: value must be a finite number, not 'nan'"),
+    (["--k1", "inf"], None, "k1: value must be a finite number, not 'inf'"),
+    (["--rrf-k", "nan"], None, "rrf_k: value must be a finite number, not 'nan'"),
+    (["--rrf-k", "inf"], None, "rrf_k: value must be a finite number, not 'inf'"),
+    ([], '"k1": NaN', "must be a finite number > 0"),
 ], ids=["k1-nan", "k1-inf", "rrf_k-nan", "rrf_k-inf", "config-k1-nan"])
 def test_non_finite_bm25_and_fusion_parameters_are_one_error(
-        mini, tmp_path, capsys, flags, config_text):
+        mini, tmp_path, capsys, flags, config_text, complaint):
     out = tmp_path / "never.run"
     argv = ["run", *mini_args(mini), *flags, "--output", str(out)]
     if config_text:
@@ -891,7 +1002,7 @@ def test_non_finite_bm25_and_fusion_parameters_are_one_error(
     assert main(argv) == 1
     assert not out.exists()
     [error] = capsys.readouterr().err.splitlines()
-    assert error.startswith("error: ") and "must be a finite number > 0" in error
+    assert error.startswith("error: ") and complaint in error
     if config_text:
         assert str(config_path) in error
 
@@ -941,9 +1052,9 @@ def test_bad_corpus_line_is_one_error_naming_file_and_line(
 
 
 @pytest.mark.parametrize("row, reason", [
-    ("doc02 0.1 abc 0.0 0.0", "could not convert string to float: 'abc'"),
-    ("doc02 0.1 nan 0.0 0.0", "values must be finite"),
-    ("doc02 0.1 inf 0.0 0.0", "values must be finite"),
+    ("doc02 0.1 abc 0.0 0.0", "value must be a finite number, not 'abc'"),
+    ("doc02 0.1 nan 0.0 0.0", "value must be a finite number, not 'nan'"),
+    ("doc02 0.1 inf 0.0 0.0", "value must be a finite number, not 'inf'"),
     ("doc02", "no values"),
     ("doc02 0.1 0.2 0.3", "3 values, expected 4"),
     ("transmission 1.0 0.0 0.2 0.2", "repeats key 'transmission'"),
@@ -1017,7 +1128,7 @@ TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
         ("run", "deep", DEEP, "1 columns, expected 6"),
         ("vectors", "0xff", b"\xff", "not valid UTF-8"),
         ("vectors", "deep", DEEP, "no values"),
-        ("vectors", "long", b"doc02 " + b"x" * 100_000, "could not convert string to float"),
+        ("vectors", "long", b"doc02 " + b"x" * 100_000, "value must be a finite number"),
         ("grid", "0xff", b"\xff", "not valid UTF-8"),
         ("grid", "deep", DEEP, "maximum recursion depth"),
         ("grid", "infinity", b'{"dup_query": Infinity}', "cannot convert float infinity"),

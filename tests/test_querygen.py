@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskrank.corpus import Document
 from taskrank.errors import EmptyQuery
@@ -17,15 +19,13 @@ from taskrank.querygen import (
     generate_udel,
     select_task_terms,
 )
-from taskrank.tasks import AssignmentSource, Task, TaskAssignment, Topic
+from taskrank.tasks import Task, TaskAssignment, Topic
 
 UDEL_LEXICON = LexiconExtractor(["coronavirus", "origin", "covid-19"])
 
 
 def assignment(confidence=3):
-    return TaskAssignment(
-        topic_id=1, task_id="t", source=AssignmentSource.MANUAL, confidence=confidence
-    )
+    return TaskAssignment(topic_id=1, task_id="t", confidence=confidence)
 
 
 def test_plain_identical_across_variants():
@@ -287,3 +287,93 @@ def test_multi_token_task_terms_are_tokenized():
     assert generated.tokens(IndexVariant.FULL_TEXT) == [
         "qalpha", "covid", "covid", "19", "19",
     ]
+
+
+# Single-token lexicon terms, so that udel extraction is a membership filter
+# and every word is its own token.
+TERM_WORDS = ["zalpha", "zbeta", "zgamma", "zdelta"]
+OTHER_WORDS = ["yfoo", "ybar", "ybaz"]
+TERM_LEXICON = LexiconExtractor(TERM_WORDS)
+words = st.lists(st.sampled_from(TERM_WORDS + OTHER_WORDS), max_size=6)
+
+
+def oracle_tokens(query, question, task_terms, base, config, confidence, variant):
+    """One index's query list, from the rules: each query token dup_query
+    times in place, then each question token dup_question times, then each
+    task-term token dup_task times, on full text only unless routing is off.
+    A udel base keeps the lexicon words of each field, or else the plain
+    query; a plain base keeps the query alone."""
+    query_kept, question_kept = query, []
+    if base is QueryBase.UDEL:
+        terms_q = [w for w in query if w in TERM_WORDS]
+        terms_question = [w for w in question if w in TERM_WORDS]
+        if terms_q or terms_question:
+            query_kept, question_kept = terms_q, terms_question
+    dup_task = config.dup_task
+    if config.confidence_mode is ConfidenceMode.GATE and confidence < config.gate_threshold:
+        dup_task = 0
+    if config.confidence_mode is ConfidenceMode.PROPORTIONAL:
+        dup_task *= confidence
+    tokens = []
+    for sources, dup in [(query_kept, config.dup_query), (question_kept, config.dup_question)]:
+        for word in sources:
+            tokens += [word] * dup
+    if variant is IndexVariant.FULL_TEXT or not config.route_task_terms_fulltext_only:
+        for term in task_terms:
+            for word in term.split():
+                tokens += [word] * dup_task
+    return tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=words.filter(bool), question=words,
+       task_terms=st.lists(st.lists(st.sampled_from(TERM_WORDS + OTHER_WORDS), min_size=1,
+                                    max_size=2).map(" ".join), max_size=4),
+       base=st.sampled_from(QueryBase), spare_terms=st.integers(0, 2),
+       dups=st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(1, 4)),
+       mode=st.sampled_from(ConfidenceMode), threshold=st.integers(1, 3),
+       confidence=st.integers(1, 3), route=st.booleans())
+def test_task_expanded_tokens_follow_the_duplication_and_routing_rules(
+        query, question, task_terms, base, spare_terms, dups, mode, threshold, confidence,
+        route):
+    topic = Topic(topic_id=1, query=" ".join(query), question=" ".join(question))
+    config = ExpansionConfig(n_task_terms=len(task_terms) + spare_terms, dup_query=dups[0],
+                             dup_question=dups[1], dup_task=dups[2], confidence_mode=mode,
+                             gate_threshold=threshold, route_task_terms_fulltext_only=route)
+    generated = generate_task_expanded(
+        topic, base, task_terms, config, assignment=assignment(confidence),
+        extractor=TERM_LEXICON)
+    for variant in IndexVariant:
+        assert generated.tokens(variant) == oracle_tokens(
+            query, question, task_terms, base, config, confidence, variant)
+    has_terms = any(w in TERM_WORDS for w in query + question)
+    assert generated.fallback == (base is QueryBase.UDEL and not has_terms)
+
+    # With no task terms and unit duplication, the base generators give the
+    # same value.
+    unit = ExpansionConfig(n_task_terms=0, dup_query=1, dup_question=1)
+    plain = generate_task_expanded(topic, QueryBase.PLAIN, [], unit)
+    udel = generate_task_expanded(topic, QueryBase.UDEL, [], unit, extractor=TERM_LEXICON)
+    assert generate_plain(topic) == plain and hash(generate_plain(topic)) == hash(plain)
+    assert generate_udel(topic, TERM_LEXICON) == udel
+    assert hash(generate_udel(topic, TERM_LEXICON)) == hash(udel)
+
+
+def test_queries_with_different_tokens_compare_unequal():
+    assert (generate_plain(Topic(topic_id=1, query="coronavirus origin"))
+            != generate_plain(Topic(topic_id=2, query="vaccine trial")))
+    topic = Topic(topic_id=1, query="qalpha")
+    config = ExpansionConfig(dup_query=1)
+    with_terms = generate_task_expanded(topic, QueryBase.PLAIN, ["tgamma"], config)
+    assert with_terms != generate_task_expanded(topic, QueryBase.PLAIN, [], config)
+    assert with_terms.core == ("qalpha",) and with_terms.expansion == ("tgamma",)
+
+
+@pytest.mark.parametrize("mode", [ConfidenceMode.GATE, ConfidenceMode.PROPORTIONAL])
+def test_confidence_modes_need_an_annotator_confidence(mode):
+    topic = Topic(topic_id=1, query="qalpha")
+    config = ExpansionConfig(dup_query=1, confidence_mode=mode)
+    for classified in [None, TaskAssignment(topic_id=1, task_id="t")]:
+        with pytest.raises(ValueError, match="annotator's confidence"):
+            generate_task_expanded(topic, QueryBase.PLAIN, ["tgamma"], config,
+                                   assignment=classified)

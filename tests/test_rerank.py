@@ -15,7 +15,7 @@ from taskrank.rerank import (
     export_priors,
     normalize_journal,
 )
-from taskrank.tasks import AssignmentSource, Task, TaskAssignment
+from taskrank.tasks import Task, TaskAssignment
 
 from by_id import rerank_journal_ids, rerank_vector_ids
 
@@ -90,9 +90,9 @@ def test_empty_qrels_rejected():
 
 def manual_map():
     return [
-        TaskAssignment(topic_id=1, task_id="alpha", source=AssignmentSource.MANUAL),
-        TaskAssignment(topic_id=2, task_id="alpha", source=AssignmentSource.MANUAL),
-        TaskAssignment(topic_id=3, task_id="beta", source=AssignmentSource.MANUAL),
+        TaskAssignment(topic_id=1, task_id="alpha", confidence=3),
+        TaskAssignment(topic_id=2, task_id="alpha", confidence=3),
+        TaskAssignment(topic_id=3, task_id="beta", confidence=3),
     ]
 
 

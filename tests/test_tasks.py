@@ -5,7 +5,6 @@ import pytest
 
 from taskrank.errors import EmptyQuery, MalformedRow, TopicSetMismatch
 from taskrank.tasks import (
-    AssignmentSource,
     Task,
     TaskAssignment,
     TaskClassifier,
@@ -93,9 +92,9 @@ def test_classification_invariant_to_task_order():
         )
 
 
-def make_assignments(mapping, source=AssignmentSource.MANUAL):
+def make_assignments(mapping):
     return [
-        TaskAssignment(topic_id=topic, task_id=task, source=source)
+        TaskAssignment(topic_id=topic, task_id=task)
         for topic, task in mapping.items()
     ]
 
@@ -139,7 +138,7 @@ def test_agreement_topic_set_mismatch():
 def test_shipped_map_topic_8_is_diagnostics():
     assignments = {a.topic_id: a for a in default_manual_map()}
     assert assignments[8].task_id == "diagnostics"
-    assert assignments[8].source is AssignmentSource.MANUAL
+    assert assignments[8].confidence in (1, 2, 3)
 
 
 def test_shipped_map_per_task_counts():
@@ -186,6 +185,14 @@ def test_manual_map_confidence_defaults_to_three(tmp_path):
     loaded = load_manual_map(path, default_framework())
     assert loaded[0].confidence == 3
     assert loaded[1].confidence == 1
+
+
+@pytest.mark.parametrize("confidence", [0, 4, True, 3.0, "3"])
+def test_assignment_confidence_is_an_annotators_one_to_three_or_none(confidence):
+    assert TaskAssignment(topic_id=1, task_id="t").confidence is None
+    assert TaskAssignment(topic_id=1, task_id="t", confidence=2).confidence == 2
+    with pytest.raises(ValueError, match="confidence must be 1, 2 or 3"):
+        TaskAssignment(topic_id=1, task_id="t", confidence=confidence)
 
 
 @pytest.mark.parametrize("row", ["0", "x vaccines", "1 vaccines high", "1 vaccines 5"])
@@ -248,5 +255,5 @@ def test_classify_topics_returns_automatic_assignments():
     framework = disjoint_framework(4)
     topics = [Topic(topic_id=i, query=f"task{i}word0") for i in range(4)]
     assignments = classify_topics(framework, topics)
-    assert all(a.source is AssignmentSource.AUTOMATIC for a in assignments)
+    assert all(a.confidence is None for a in assignments)
     assert [a.task_id for a in assignments] == [f"synthetic-{i}" for i in range(4)]
