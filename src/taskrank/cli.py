@@ -155,6 +155,15 @@ def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> Pipe
     return config
 
 
+def _count_flag(args, name: str, least: int) -> int:
+    """The value of ``--<name>``, read by ``errors.integer`` like a setting's
+    string; one less than ``least`` is an error."""
+    value = integer(getattr(args, name), f"--{name}")
+    if value < least:
+        raise TaskRankError(f"--{name} must be >= {least}")
+    return value
+
+
 def cmd_index_stats(args) -> int:
     variants = list(IndexVariant) if args.variant == "all" else [IndexVariant(args.variant)]
     tokens = TokenizedCollection(load_collection(args.corpus))
@@ -183,8 +192,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.k < 1:
-        raise TaskRankError("--k must be >= 1")
+    k = _count_flag(args, "k", 1)
     run = parse_run(args.run)
     qrels = parse_qrels(args.qrels)
     if args.residual_qrels:
@@ -196,7 +204,7 @@ def cmd_eval(args) -> int:
     absent = sorted(judged.difference(run.rankings))
     if absent:
         print(f"warning: judged topics {absent} not in the run; not scored", file=sys.stderr)
-    report = evaluate_run(run, qrels, k=args.k)
+    report = evaluate_run(run, qrels, k=k)
     if args.json:
         print(
             json.dumps(
@@ -238,8 +246,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_select_terms(args) -> int:
-    if args.n < 0:
-        raise TaskRankError("--n must be >= 0")
+    n = _count_flag(args, "n", 0)
     documents = load_collection(args.corpus)
     framework = load_tasks(args.tasks) if args.tasks else default_framework()
     extractor = (
@@ -247,7 +254,7 @@ def cmd_select_terms(args) -> int:
     )
     abstracts_index = build_index(documents, IndexVariant.TITLE_ABSTRACT)
     for task in framework:
-        terms = select_task_terms(task, abstracts_index, extractor, args.n)
+        terms = select_task_terms(task, abstracts_index, extractor, n)
         print(f"{task.task_id}\t{', '.join(terms)}")
     return 0
 
@@ -278,8 +285,7 @@ def cmd_priors(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.k < 1:
-        raise TaskRankError("--k must be >= 1")
+    k = _count_flag(args, "k", 1)
     base = _pipeline_config(args, _SWEEP_VARIANT)
     if base.variant not in TASK_EXPANDED:
         raise TaskRankError(f"sweep varies task-term expansion, which variant "
@@ -299,10 +305,12 @@ def cmd_sweep(args) -> int:
         except TaskRankError as exc:
             raise TaskRankError(f"{source}: {exc}") from exc
         grid.append(cell)
+    if not grid:
+        raise TaskRankError(f"{args.grid}: sweep grid is empty")
     qrels = parse_qrels(base.qrels_path)
     pipeline = Pipeline(base)
-    rows = sweep(grid, lambda e: pipeline.with_expansion(e).run(), qrels, k=args.k)
-    print(f"{'ndcg@' + str(args.k):<10} {'map':<10} config")
+    rows = sweep(grid, lambda e: pipeline.with_expansion(e).run(), qrels, k=k)
+    print(f"{'ndcg@' + str(k):<10} {'map':<10} config")
     for row in rows:
         if row.error is not None:
             print(f"{'-':<10} {'-':<10} {_expansion_label(row.config)}  FAILED: {row.error}")
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a run file against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", default=20)
     p.add_argument("--residual-qrels", dest="residual_qrels", help="filter judged docs first")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_eval)
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--tasks")
     p.add_argument("--lexicon")
-    p.add_argument("--n", type=int, default=ExpansionConfig.n_task_terms)
+    p.add_argument("--n", default=ExpansionConfig.n_task_terms)
     p.set_defaults(func=cmd_select_terms)
 
     p = sub.add_parser("priors", help="build journal prior tables from qrels")
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid-sweep expansion configs")
     _add_pipeline_options(p, _SWEEP_VARIANT)
     p.add_argument("--grid", required=True, help="JSON-lines grid of expansion configs")
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", default=20)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -7,6 +7,11 @@ priors keep each one's journal) and the three index variants are assembled
 from those token ids. Set-up does not read the expansion settings (each
 task's terms are ranked once; a run takes the first ``n_task_terms``), so a
 sweep builds one pipeline and runs each grid cell through ``with_expansion``.
+The copies share a memo of each search's ranked positions, keyed by index
+variant and query tokens: routing sends task terms to the full-text index
+only, so a topic's title-abstract and paragraph queries repeat in every cell
+and a sweep searches each (index, query) once. A pipeline that never made a
+copy keeps no memo, and its ``run`` calls ``search`` for every query.
 Topics run one after another in a single thread. Per-topic work is pure and
 rankings are emitted in topic-id order, so output is deterministic.
 
@@ -186,14 +191,25 @@ class Pipeline:
         if by_task:
             self._rerank_scores = {topic_id: by_task[a.task_id]
                                    for topic_id, a in self._assignments.items()}
+        # (variant, Bm25Params, top_k, *tokens) -> read-only ranked positions;
+        # made by with_expansion and shared with its copies.
+        self._searched: dict[tuple, np.ndarray] | None = None
 
     def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
         """A copy that shares this pipeline's set-up (topics, indices and their
         memos, task assignments and terms, priors) and runs other expansion.
-        An expansion the variant does not read is rejected as in ``validate``."""
+        An expansion the variant does not read is rejected as in ``validate``.
+
+        This pipeline and all its copies share one memo of search results, so
+        a query that repeats across cells (a routed title-abstract or
+        paragraph query, a repeated cell) is searched once; its ranked
+        positions are kept read-only for the life of the pipeline."""
+        config = replace(self.config, expansion=expansion)
+        config.validate()
+        if self._searched is None:
+            self._searched = {}
         other = copy.copy(self)
-        other.config = replace(self.config, expansion=expansion)
-        other.config.validate()
+        other.config = config
         return other
 
     def _resolve_assignments(
@@ -239,8 +255,21 @@ class Pipeline:
         """Generate, search all three indices, fuse and optionally re-rank."""
         generated = self._generate(topic)
         config = self.config
-        rankings = [search(self.indices[v], config.bm25, generated.tokens(v), config.top_k)[0]
-                    for v in IndexVariant]
+        memo = self._searched
+        if memo is None:
+            rankings = [search(self.indices[v], config.bm25, generated.tokens(v), config.top_k)[0]
+                        for v in IndexVariant]
+        else:
+            rankings = []
+            for v in IndexVariant:
+                tokens = generated.tokens(v)
+                key = (v, config.bm25, config.top_k, *tokens)
+                positions = memo.get(key)
+                if positions is None:
+                    positions = search(self.indices[v], config.bm25, tokens, config.top_k)[0]
+                    positions.flags.writeable = False
+                    memo[key] = positions
+                rankings.append(positions)
         ranked = rrf_fuse(rankings, self._doc_rank, config.fusion, config.top_k)
         if config.variant in _RERANKED:
             rerank = (rerank_by_task_vector if config.variant is RunVariant.VECTOR

@@ -1,9 +1,12 @@
 import json
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from taskrank import cli, pipeline as pipeline_module
 from taskrank.cli import main
@@ -19,7 +22,7 @@ from taskrank.querygen import (
     select_task_terms,
 )
 from taskrank.rerank import InMemoryVectorProvider, RerankConfig
-from taskrank.tasks import TaskClassifier, load_manual_map, load_tasks
+from taskrank.tasks import TaskClassifier, load_manual_map, load_tasks, load_topics
 
 
 def mini_args(mini, *extra):
@@ -429,6 +432,23 @@ def test_eval_bad_k_is_one_error_before_any_file_is_read(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: --k must be >= 1"]
 
 
+@pytest.mark.parametrize("value", ["1_0", "+3", "\u0661\u0660", "x"])
+@pytest.mark.parametrize("command", ["eval", "sweep", "select-terms"])
+def test_count_flags_follow_the_integer_rule_before_any_file_is_read(
+        tmp_path, capsys, command, value):
+    absent = str(tmp_path / "absent")
+    flag, argv = {
+        "eval": ("--k", ["eval", "--run", absent, "--qrels", absent]),
+        "sweep": ("--k", ["sweep", "--corpus", absent, "--topics", absent,
+                          "--qrels", absent, "--grid", absent]),
+        "select-terms": ("--n", ["select-terms", "--corpus", absent]),
+    }[command]
+    assert main([*argv, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} must be an integer, not {value!r}"]
+
+
 @pytest.mark.parametrize("command, variant, flags, unread", [
     ("run", "query", ["--dup-query", "1", "--n-task-terms", "7", "--alpha", "0.1"],
      "n_task_terms, dup_query, alpha"),
@@ -643,6 +663,110 @@ def test_with_expansion_rejects_an_expansion_the_variant_does_not_read(mini):
     assert pipeline.with_expansion(ExpansionConfig()).run().rankings == pipeline.run().rankings
 
 
+def search_calls(monkeypatch):
+    """Count calls to ``taskrank.pipeline.search`` per index variant; keep
+    the positions each call returns."""
+    calls, positions = {v: 0 for v in IndexVariant}, []
+    original = pipeline_module.search
+
+    def wrapper(index, params, tokens, top_k):
+        calls[index.variant] += 1
+        result = original(index, params, tokens, top_k)
+        positions.append(result[0])
+        return result
+
+    monkeypatch.setattr(pipeline_module, "search", wrapper)
+    return calls, positions
+
+
+def test_a_sweep_searches_each_index_and_query_once(mini, monkeypatch, tmp_path, capsys):
+    # Each cell changes every topic's task-term weight, so its full-text
+    # queries are new; routing keeps the other two indices' queries the same.
+    cells = [{"dup_task": d} for d in (1, 2, 3, 4)]
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text("".join(json.dumps(cell) + "\n" for cell in cells), encoding="utf-8")
+    calls, positions = search_calls(monkeypatch)
+    assert main(["sweep", *mini_args(mini, "--manual-map", mini["manual_map"]),
+                 "--variant", "query+task", "--qrels", mini["qrels"], "--grid", str(grid)]) == 0
+    assert capsys.readouterr().out.count("task, n=") == len(cells)
+    topics = len(load_topics(mini["topics"]))
+    assert calls == {IndexVariant.FULL_TEXT: len(cells) * topics,
+                     IndexVariant.TITLE_ABSTRACT: topics,
+                     IndexVariant.TITLE_ABSTRACT_PARAGRAPH: topics}
+    for kept in positions:
+        with pytest.raises(ValueError, match="read-only"):
+            kept[:1] = 0
+
+
+def test_plain_runs_search_every_query_and_keep_no_memo(mini, monkeypatch):
+    pipeline = Pipeline(PipelineConfig(
+        corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
+        lexicon_path=mini["lexicon"], manual_map_path=mini["manual_map"],
+        variant=RunVariant.QUERY_TASK,
+    ))
+    calls, positions = search_calls(monkeypatch)
+    topics = len(pipeline.topics)
+    first = pipeline.run()
+    assert calls == {v: topics for v in IndexVariant}
+    assert pipeline.run() == first
+    assert calls == {v: 2 * topics for v in IndexVariant}
+    assert all(kept.flags.writeable for kept in positions)
+
+
+MINI = Path(__file__).parent / "fixtures" / "mini"
+MINI_TERMS = max(
+    len(set(LexiconExtractor.from_file(str(MINI / "lexicon.txt")).extract(task.description)))
+    for task in load_tasks(str(MINI / "tasks.jsonl"))
+)
+expansions = st.builds(
+    ExpansionConfig,
+    n_task_terms=st.integers(0, MINI_TERMS + 2),
+    dup_query=st.integers(1, 3),
+    dup_question=st.integers(0, 2),
+    dup_task=st.integers(1, 3),
+    confidence_mode=st.sampled_from(ConfidenceMode),
+    gate_threshold=st.integers(1, 3),
+    route_task_terms_fulltext_only=st.booleans(),
+)
+
+
+@st.composite
+def sweep_grids(draw):
+    """Cells, some of them repeated, in any order."""
+    cells = draw(st.lists(expansions, min_size=1, max_size=4))
+    return draw(st.permutations(cells + draw(st.lists(st.sampled_from(cells), max_size=3))))
+
+
+def run_bytes(run) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "cell.run"
+        write_run(run, str(path))
+        return path.read_bytes()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(variant=st.sampled_from([RunVariant.QUERY_TASK, RunVariant.QUERY_UDEL_TASK]),
+       grid=sweep_grids())
+@example(variant=RunVariant.QUERY_TASK, grid=[
+    ExpansionConfig(n_task_terms=MINI_TERMS + 2, route_task_terms_fulltext_only=False),
+    ExpansionConfig(n_task_terms=1),
+    ExpansionConfig(n_task_terms=MINI_TERMS + 2, route_task_terms_fulltext_only=False),
+    ExpansionConfig(n_task_terms=MINI_TERMS + 1, route_task_terms_fulltext_only=False),
+])
+def test_sweep_cells_through_the_memo_equal_fresh_pipelines(variant, grid):
+    base = PipelineConfig(
+        corpus_path=str(MINI / "corpus.jsonl"), topics_path=str(MINI / "topics.jsonl"),
+        tasks_path=str(MINI / "tasks.jsonl"), lexicon_path=str(MINI / "lexicon.txt"),
+        manual_map_path=str(MINI / "manual_map.txt"), variant=variant,
+    )
+    pipeline = Pipeline(base)
+    for expansion in grid:
+        run = pipeline.with_expansion(expansion).run()
+        fresh = Pipeline(replace(base, expansion=expansion)).run()
+        assert run.rankings == fresh.rankings
+        assert run_bytes(run) == run_bytes(fresh)
+
+
 def confidence_complaint(mode):
     return (f"confidence_mode {mode} reads the annotator confidences of a manual map: "
             "requires manual_map_path")
@@ -708,6 +832,17 @@ def test_unreadable_grid_fails(mini, tmp_path):
         "--grid", str(tmp_path / "missing.jsonl"),
     ])
     assert code != 0
+
+
+def test_empty_sweep_grid_is_one_error_naming_the_file(mini, tmp_path, capsys):
+    # The corpus does not exist, so this error shows that it was not read first.
+    grid = tmp_path / "empty.jsonl"
+    grid.write_text("\n  \n", encoding="utf-8")
+    assert main(["sweep", *mini_args({**mini, "corpus": str(tmp_path / "absent.jsonl")}),
+                 "--qrels", mini["qrels"], "--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {grid}: sweep grid is empty"]
 
 
 class RecordingPipeline:
