@@ -32,7 +32,7 @@ for query in queries:
 # The shipped manual map covers the 50 TREC-COVID topics (ids 0-49).
 manual = default_manual_map(framework)
 per_task = {}
-for assignment in manual:
+for assignment in manual.values():
     per_task[assignment.task_id] = per_task.get(assignment.task_id, 0) + 1
 print(f"\nmanual map: {len(manual)} topics")
 for task in framework:

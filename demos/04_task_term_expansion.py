@@ -11,7 +11,6 @@ from taskrank import (
     Document,
     ExpansionConfig,
     IndexVariant,
-    QueryBase,
     Topic,
     build_index,
     default_framework,
@@ -54,9 +53,7 @@ topic = Topic(
 assignment = TaskAssignment(topic_id=0, task_id="transmission", confidence=3)
 task_terms = select_task_terms(framework.get("transmission"), abstracts_index,
                                extractor, n=3)
-generated = generate_task_expanded(
-    topic, QueryBase.PLAIN, task_terms, ExpansionConfig(), assignment=assignment
-)
+generated = generate_task_expanded(topic, task_terms, ExpansionConfig(), assignment=assignment)
 print("\nexpanded query per index variant:")
 for variant in IndexVariant:
     print(f"  {variant.value:<16} {generated.tokens(variant)}")

@@ -37,7 +37,6 @@ from .querygen import (
     ExpansionConfig,
     GeneratedQuery,
     LexiconExtractor,
-    QueryBase,
     default_lexicon,
     generate_plain,
     generate_task_expanded,

@@ -239,8 +239,7 @@ def cmd_classify(args) -> int:
         print(f"{topic.topic_id:<8} {pred.task_id:<28} {'yes' if pred.low_confidence else 'no'}")
     if args.manual_map:
         manual = load_manual_map(args.manual_map, framework)
-        automatic = [TaskAssignment(topic_id=t, task_id=p.task_id)
-                     for t, p in predictions.items()]
+        automatic = {t: TaskAssignment(t, p.task_id) for t, p in predictions.items()}
         print(f"agreement {agreement(manual, automatic):.4f}")
     return 0
 
@@ -312,11 +311,8 @@ def cmd_sweep(args) -> int:
     rows = sweep(grid, lambda e: pipeline.with_expansion(e).run(), qrels, k=k)
     print(f"{'ndcg@' + str(k):<10} {'map':<10} config")
     for row in rows:
-        if row.error is not None:
-            print(f"{'-':<10} {'-':<10} {_expansion_label(row.config)}  FAILED: {row.error}")
-        else:
-            print(f"{row.mean_ndcg:<10.4f} {row.mean_ap:<10.4f} {_expansion_label(row.config)}")
-    return 0 if any(row.error is None for row in rows) else 1
+        print(f"{row.mean_ndcg:<10.4f} {row.mean_ap:<10.4f} {_expansion_label(row.config)}")
+    return 0
 
 
 def _expansion_label(config: ExpansionConfig) -> str:

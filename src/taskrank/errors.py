@@ -3,7 +3,7 @@ of line-based input files, and ``integer`` and ``number``, the rules by which
 those files and the settings' strings read an integer and any other number.
 A bad line in any of the files, a repeated or unknown id included, raises
 MalformedRow naming the file and the line; the in-memory APIs raise
-DuplicateDocId, DuplicateTopic and UnknownTaskId instead.
+DuplicateDocId and UnknownTaskId instead.
 """
 
 import json
@@ -42,19 +42,13 @@ class EmptyFramework(TaskRankError):
 
 
 class TopicSetMismatch(TaskRankError):
-    """Two assignment lists do not cover the same topics."""
+    """Two topic-to-task assignments do not cover the same topics."""
 
 
 class UnknownTaskId(TaskRankError):
     def __init__(self, task_id: str):
         super().__init__(f"unknown task_id {task_id!r}")
         self.task_id = task_id
-
-
-class DuplicateTopic(TaskRankError):
-    def __init__(self, topic_id):
-        super().__init__(f"duplicate topic_id {topic_id!r}")
-        self.topic_id = topic_id
 
 
 class EmptyQrels(TaskRankError):

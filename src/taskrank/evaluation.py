@@ -290,26 +290,22 @@ def evaluate_run(run: Run, qrels: Qrels, k: int = 20) -> MetricReport:
 @dataclass
 class SweepRow:
     config: object
-    mean_ndcg: float | None
-    mean_ap: float | None
-    error: str | None = None
+    mean_ndcg: float
+    mean_ap: float
 
 
 def sweep(grid: list, pipeline: Callable[[object], Run], qrels: Qrels,
           k: int = 20) -> list[SweepRow]:
-    """Run the pipeline once per grid config and score each resulting run.
+    """Run the pipeline once per grid config and score each resulting run;
+    rows sort by mean NDCG@k descending, ties in grid order.
 
-    Failed cells are kept in the output with their error message and sort
-    last; successful rows sort by mean NDCG@k descending.
+    An error in any cell propagates, so a sweep fails as a run does.
     """
     if not grid:
         raise ValueError("sweep grid is empty")
     rows: list[SweepRow] = []
     for config in grid:
-        try:
-            report = evaluate_run(pipeline(config), qrels, k)
-            rows.append(SweepRow(config, report.mean_ndcg, report.mean_ap))
-        except Exception as exc:  # noqa: BLE001 - per-cell isolation
-            rows.append(SweepRow(config, None, None, error=str(exc)))
-    rows.sort(key=lambda r: (r.error is not None, -(r.mean_ndcg or 0.0)))
+        report = evaluate_run(pipeline(config), qrels, k)
+        rows.append(SweepRow(config, report.mean_ndcg, report.mean_ap))
+    rows.sort(key=lambda r: -r.mean_ndcg)
     return rows

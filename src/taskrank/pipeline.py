@@ -44,7 +44,6 @@ from .querygen import (
     ExpansionConfig,
     GeneratedQuery,
     LexiconExtractor,
-    QueryBase,
     default_lexicon,
     generate_plain,
     generate_udel,
@@ -213,20 +212,16 @@ class Pipeline:
         return other
 
     def _resolve_assignments(
-        self, framework: TaskFramework, manual: list[TaskAssignment] | None
+        self, framework: TaskFramework, manual: dict[int, TaskAssignment] | None
     ) -> dict[int, TaskAssignment]:
         if self.config.variant not in _NEEDS_ASSIGNMENT:
             return {}
-        if manual is not None:
-            by_topic = {a.topic_id: a for a in manual}
-            unmapped = [t.topic_id for t in self.topics if t.topic_id not in by_topic]
-            if unmapped:
-                raise TaskRankError(
-                    f"topics missing from the manual map: {unmapped}"
-                )
-            return by_topic
-        automatic = classify_topics(framework, self.topics, self.config.bm25)
-        return {a.topic_id: a for a in automatic}
+        if manual is None:
+            return classify_topics(framework, self.topics, self.config.bm25)
+        unmapped = [t.topic_id for t in self.topics if t.topic_id not in manual]
+        if unmapped:
+            raise TaskRankError(f"topics missing from the manual map: {unmapped}")
+        return manual
 
     def _select_all_task_terms(self, framework: TaskFramework) -> dict[str, list[str]]:
         """Every candidate term of each task, best first."""
@@ -245,11 +240,12 @@ class Pipeline:
         if variant not in TASK_EXPANDED:
             return generate_plain(topic, self.tokenizer)
         assignment = self._assignments[topic.topic_id]
-        base = QueryBase.UDEL if variant is RunVariant.QUERY_UDEL_TASK else QueryBase.PLAIN
         expansion = self.config.expansion
         return generate_task_expanded(
-            topic, base, self._task_terms[assignment.task_id][:expansion.n_task_terms],
-            expansion, assignment=assignment, extractor=self.extractor, tokenizer=self.tokenizer)
+            topic, self._task_terms[assignment.task_id][:expansion.n_task_terms], expansion,
+            assignment=assignment,
+            extractor=self.extractor if variant is RunVariant.QUERY_UDEL_TASK else None,
+            tokenizer=self.tokenizer)
 
     def run_topic(self, topic: Topic) -> Ranking:
         """Generate, search all three indices, fuse and optionally re-rank."""

@@ -105,11 +105,6 @@ class ExpansionConfig:
             raise ValueError("gate_threshold must be 1, 2 or 3")
 
 
-class QueryBase(Enum):
-    PLAIN = "plain"
-    UDEL = "udel"
-
-
 @dataclass(frozen=True)
 class GeneratedQuery:
     """A topic's query tokens, with intentional repetition.
@@ -220,29 +215,26 @@ def _effective_dup_task(config: ExpansionConfig,
     return config.dup_task * assignment.confidence
 
 
-def generate_task_expanded(topic: Topic, base: QueryBase, task_terms: list[str],
-                           config: ExpansionConfig,
+def generate_task_expanded(topic: Topic, task_terms: list[str], config: ExpansionConfig,
                            assignment: TaskAssignment | None = None,
                            extractor: LexiconExtractor | None = None,
                            tokenizer: Tokenizer | None = None) -> GeneratedQuery:
     """Base query with task terms appended under duplication weighting.
 
-    The core repeats each query token ``dup_query`` times and then each
-    question token ``dup_question`` times; the expansion repeats each
-    task-term token ``dup_task`` times (gated or scaled by annotator
-    confidence when configured). With routing on, the expansion reaches only
-    the full-text variant's list.
+    The base is the udel query when an ``extractor`` is given and the plain
+    query otherwise. The core repeats each query token ``dup_query`` times
+    and then each question token ``dup_question`` times; the expansion
+    repeats each task-term token ``dup_task`` times (gated or scaled by
+    annotator confidence when configured). With routing on, the expansion
+    reaches only the full-text variant's list.
     """
     if len(task_terms) > config.n_task_terms:
         raise ValueError(
             f"{len(task_terms)} task terms exceed configured n_task_terms="
             f"{config.n_task_terms}"
         )
-    if base is QueryBase.UDEL and extractor is None:
-        raise ValueError("udel base requires a term extractor")
     tokenizer = tokenizer or Tokenizer()
-    query, question, fallback = _base_tokens(
-        topic, tokenizer, extractor if base is QueryBase.UDEL else None)
+    query, question, fallback = _base_tokens(topic, tokenizer, extractor)
     dup_task = _effective_dup_task(config, assignment)
     task_tokens = ([token for term in task_terms for token in tokenizer.tokenize(term)]
                    if dup_task else [])

@@ -103,7 +103,8 @@ def build_journal_priors(qrels, journal_of: Mapping[str, str],
 
 
 def build_per_task_priors(qrels, journal_of: Mapping[str, str],
-                          manual_map: list[TaskAssignment]) -> dict[str, JournalPriorTable]:
+                          manual_map: Mapping[int, TaskAssignment]
+                          ) -> dict[str, JournalPriorTable]:
     """One prior table per task appearing in the manual map, from the
     judgments of the topics mapped to it.
 
@@ -111,7 +112,7 @@ def build_per_task_priors(qrels, journal_of: Mapping[str, str],
     lookups 0) rather than an error.
     """
     topics_by_task: dict[str, set[int]] = {}
-    for assignment in manual_map:
+    for assignment in manual_map.values():
         topics_by_task.setdefault(assignment.task_id, set()).add(assignment.topic_id)
     tables: dict[str, JournalPriorTable] = {}
     for task_id in sorted(topics_by_task):

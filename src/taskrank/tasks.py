@@ -2,10 +2,12 @@
 
 Tasks are indexed as a miniature search engine (one unit per task
 description) and a query is classified into the top-ranked task. A manual
-topic-to-task map can be loaded instead or for comparison; ``agreement``
-measures the fraction of topics on which two assignment lists coincide. A
-``TaskAssignment`` from the manual map carries the annotator's confidence
-(1-3, 3 when the row gives none); the classifier's carries None.
+topic-to-task map can be loaded instead or for comparison. Both give
+assignments in one layout, ``{topic_id: TaskAssignment}`` in file or topic
+order, and ``agreement`` measures the fraction of topics on which two such
+mappings coincide. A ``TaskAssignment`` from the manual map carries the
+annotator's confidence (1-3, 3 when the row gives none); the classifier's
+carries None.
 
 Task, topic and manual-map files are read through ``errors.read_rows``: a
 line that does not parse, a text field that is not a string, a topic id that
@@ -15,12 +17,12 @@ framework lacks raises MalformedRow naming the file and the line.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
 
 from .corpus import Document
 from .errors import (
-    DuplicateTopic,
     EmptyFramework,
     EmptyQuery,
     TopicSetMismatch,
@@ -147,32 +149,21 @@ class TaskClassifier:
 
 
 def classify_topics(framework: TaskFramework, topics: list[Topic],
-                    params: Bm25Params | None = None) -> list[TaskAssignment]:
+                    params: Bm25Params | None = None) -> dict[int, TaskAssignment]:
+    """Each topic's classified task, keyed by topic id in topic order."""
     classifier = TaskClassifier(framework, params)
-    return [
-        TaskAssignment(topic_id=t.topic_id, task_id=classifier.classify(t.query).task_id)
-        for t in topics
-    ]
+    return {t.topic_id: TaskAssignment(t.topic_id, classifier.classify(t.query).task_id)
+            for t in topics}
 
 
-def _assignment_map(assignments: list[TaskAssignment]) -> dict[int, str]:
-    mapping: dict[int, str] = {}
-    for a in assignments:
-        if a.topic_id in mapping:
-            raise DuplicateTopic(a.topic_id)
-        mapping[a.topic_id] = a.task_id
-    return mapping
-
-
-def agreement(a: list[TaskAssignment], b: list[TaskAssignment]) -> float:
-    """Fraction of topics assigned the same task by both lists."""
-    map_a, map_b = _assignment_map(a), _assignment_map(b)
-    if set(map_a) != set(map_b):
-        raise TopicSetMismatch("assignment lists cover different topic sets")
-    if not map_a:
-        raise TopicSetMismatch("assignment lists are empty")
-    matches = sum(1 for topic_id, task_id in map_a.items() if map_b[topic_id] == task_id)
-    return matches / len(map_a)
+def agreement(a: Mapping[int, TaskAssignment], b: Mapping[int, TaskAssignment]) -> float:
+    """Fraction of topics assigned the same task by both mappings."""
+    if a.keys() != b.keys():
+        only_one = sorted(a.keys() ^ b.keys())
+        raise TopicSetMismatch(f"topics assigned by only one of the two: {only_one}")
+    if not a:
+        raise TopicSetMismatch("assignments are empty")
+    return sum(a[topic_id].task_id == b[topic_id].task_id for topic_id in a) / len(a)
 
 
 def load_tasks(path) -> TaskFramework:
@@ -210,13 +201,14 @@ def load_topics(path) -> list[Topic]:
     return [topic for _, _, topic in read_rows(path, parse)]
 
 
-def load_manual_map(path, framework: TaskFramework) -> list[TaskAssignment]:
-    """Load manual topic-to-task rows: ``topic_id task_id [confidence]``.
+def load_manual_map(path, framework: TaskFramework) -> dict[int, TaskAssignment]:
+    """Load manual topic-to-task rows, ``topic_id task_id [confidence]``, as
+    ``{topic_id: TaskAssignment}`` in file order.
 
     ``#`` starts a comment line; confidence defaults to 3. A row that does not
     parse, repeats a topic or names a task the framework lacks is malformed."""
     valid_ids = set(framework.task_ids())
-    seen: set[int] = set()
+    assignments: dict[int, TaskAssignment] = {}
 
     def parse(line: str) -> TaskAssignment | None:
         if line.lstrip().startswith("#"):
@@ -226,12 +218,14 @@ def load_manual_map(path, framework: TaskFramework) -> list[TaskAssignment]:
                                     integer(rest[0], "confidence") if rest else 3)
         if task_id not in valid_ids:
             raise ValueError(f"unknown task_id {task_id!r}")
-        if assignment.topic_id in seen:
+        if assignment.topic_id in assignments:
             raise ValueError(f"duplicate topic_id {assignment.topic_id}")
-        seen.add(assignment.topic_id)
         return assignment
 
-    return [a for _, _, a in read_rows(path, parse) if a is not None]
+    for _, _, assignment in read_rows(path, parse):
+        if assignment is not None:
+            assignments[assignment.topic_id] = assignment
+    return assignments
 
 
 def default_framework() -> TaskFramework:
@@ -240,7 +234,7 @@ def default_framework() -> TaskFramework:
         return load_tasks(p)
 
 
-def default_manual_map(framework: TaskFramework | None = None) -> list[TaskAssignment]:
+def default_manual_map(framework: TaskFramework | None = None) -> dict[int, TaskAssignment]:
     """The shipped manual topic-to-task map over the 50 search topics."""
     framework = framework or default_framework()
     with resources.as_file(resources.files("taskrank.data").joinpath("manual_map.txt")) as p:

@@ -21,7 +21,7 @@ from taskrank.evaluation import Qrels, Run, evaluate_run
 from taskrank.fusion import FusionConfig
 from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, build_index
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
-from taskrank.querygen import ExpansionConfig, QueryBase, generate_task_expanded
+from taskrank.querygen import ExpansionConfig, generate_task_expanded
 from taskrank.rerank import (
     JournalPriorTable,
     build_journal_priors,
@@ -226,10 +226,10 @@ def test_criterion_5_journal_prior_endpoints_and_per_task_oracle():
         rng = random.Random(505)
         journals = ["Alpha Journal", "Beta Review", "Gamma Letters", "Delta Notes"]
         docs = {f"d{i:02d}": rng.choice(journals) for i in range(40)}
-        manual_map = [
-            TaskAssignment(topic_id=t, task_id="alpha" if t <= 3 else "beta", confidence=3)
+        manual_map = {
+            t: TaskAssignment(topic_id=t, task_id="alpha" if t <= 3 else "beta", confidence=3)
             for t in range(1, 7)
-        ]
+        }
         rows = []
         for topic in range(1, 7):
             for doc in rng.sample(list(docs), 15):
@@ -275,8 +275,7 @@ def test_criterion_6_expansion_weighting():
 
         # Plain base: every query token three times, task tokens once.
         generated = generate_task_expanded(
-            topic, QueryBase.PLAIN, ["tone", "ttwo", "tthree"], config,
-            assignment=assignment,
+            topic, ["tone", "ttwo", "tthree"], config, assignment=assignment,
         )
         full = Counter(generated.tokens(IndexVariant.FULL_TEXT))
         assert full == Counter(
@@ -324,15 +323,14 @@ def test_criterion_7_classifier_benchmark_and_agreement_oracle():
         assert correct == 200
 
         manual = default_manual_map()
-        task_ids = sorted({a.task_id for a in manual})
-        synthetic_auto = [
-            TaskAssignment(topic_id=a.topic_id, task_id=rng.choice(task_ids))
-            for a in manual
-        ]
+        task_ids = sorted({a.task_id for a in manual.values()})
+        synthetic_auto = {
+            topic_id: TaskAssignment(topic_id=topic_id, task_id=rng.choice(task_ids))
+            for topic_id in manual
+        }
         got = agreement(manual, synthetic_auto)
-        manual_by_topic = {a.topic_id: a.task_id for a in manual}
         oracle = sum(
-            1 for a in synthetic_auto if manual_by_topic[a.topic_id] == a.task_id
+            1 for t in manual if manual[t].task_id == synthetic_auto[t].task_id
         ) / len(manual)
         assert got == oracle
         assert len(manual) == 50

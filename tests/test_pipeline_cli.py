@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from dataclasses import replace
@@ -194,6 +195,20 @@ def test_eval_warns_on_judged_topics_missing_from_run(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["topic_count"] == 1
     assert payload["mean_ndcg"] == payload["mean_map"] == 1.0
+
+
+def test_eval_orders_each_topic_by_the_rank_column_not_by_score(tmp_path, capsys):
+    # trec_eval would sort by score (then docno), both descending, rank b
+    # first and score 1.0 on both metrics; eval reads a at rank 1.
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("1 0 b 1\n", encoding="utf-8")
+    run = tmp_path / "r.run"
+    run.write_text("1 Q0 a 1 0.1 t\n1 Q0 b 2 0.9 t\n", encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["topics"]["1"] == {"ndcg": 1 / math.log2(3), "ap": 0.5}
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["all", "0.6309", "0.5000"]
 
 
 def test_eval_residual_filtering(tmp_path, capsys):
@@ -586,7 +601,7 @@ def test_with_expansion_runs_equal_fresh_pipelines(mini, monkeypatch, variant):
     )
     extractor = LexiconExtractor.from_file(mini["lexicon"])
     framework = load_tasks(mini["tasks"])
-    task_of = {a.topic_id: a.task_id for a in load_manual_map(mini["manual_map"], framework)}
+    manual = load_manual_map(mini["manual_map"], framework)
     most_terms = max(len(set(extractor.extract(task.description))) for task in framework)
     pipeline = Pipeline(base)
     abstracts = pipeline.indices[IndexVariant.TITLE_ABSTRACT]
@@ -600,8 +615,8 @@ def test_with_expansion_runs_equal_fresh_pipelines(mini, monkeypatch, variant):
                 rankings = pipeline.with_expansion(expansion).run().rankings
                 # Each topic gets its task's top n terms, as a direct selection picks them.
                 assert len(generated) == len(pipeline.topics)
-                for topic, _base, task_terms, _expansion in generated:
-                    task = framework.get(task_of[topic.topic_id])
+                for topic, task_terms, _expansion in generated:
+                    task = framework.get(manual[topic.topic_id].task_id)
                     assert task_terms == select_task_terms(task, abstracts, extractor, n)
                 fresh = Pipeline(replace(base, expansion=expansion)).run()
                 assert rankings == fresh.rankings
@@ -820,10 +835,34 @@ def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):
     ])
     assert code == 1
     captured = capsys.readouterr()
-    assert "FAILED" not in captured.out
+    assert captured.out == ""
     errors = captured.err.splitlines()
     assert len(errors) == 1
     assert errors[0].startswith("error:") and str(absent) in errors[0]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_all_stopword_topic_is_one_error_in_a_run_and_in_a_sweep(
+        mini, tmp_path, capsys, command):
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text(Path(mini["topics"]).read_text(encoding="utf-8")
+                      + '{"topic_id": 99, "query": "the of and"}\n', encoding="utf-8")
+    manual_map = tmp_path / "manual_map.txt"
+    manual_map.write_text(Path(mini["manual_map"]).read_text(encoding="utf-8")
+                          + "99 vaccines 3\n", encoding="utf-8")
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text("".join(json.dumps({"n_task_terms": n}) + "\n" for n in (0, 1, 2)),
+                    encoding="utf-8")
+    out = tmp_path / "never.run"
+    argv = [*mini_args({**mini, "topics": str(topics)}, "--manual-map", str(manual_map)),
+            "--variant", "query+task"]
+    argv = (["run", *argv, "--output", str(out)] if command == "run"
+            else ["sweep", *argv, "--qrels", mini["qrels"], "--grid", str(grid)])
+    assert main(argv) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: topic 99: query has no indexable tokens"]
 
 
 def test_unreadable_grid_fails(mini, tmp_path):

@@ -13,7 +13,6 @@ from taskrank.querygen import (
     ConfidenceMode,
     ExpansionConfig,
     LexiconExtractor,
-    QueryBase,
     generate_plain,
     generate_task_expanded,
     generate_udel,
@@ -159,7 +158,7 @@ def test_expansion_composition_with_routing():
     topic = Topic(topic_id=1, query="qalpha qbeta")
     config = ExpansionConfig(n_task_terms=3, dup_query=3, dup_task=1)
     generated = generate_task_expanded(
-        topic, QueryBase.PLAIN, ["tgamma"], config, assignment=assignment()
+        topic, ["tgamma"], config, assignment=assignment()
     )
     full = ["qalpha"] * 3 + ["qbeta"] * 3 + ["tgamma"]
     core = ["qalpha"] * 3 + ["qbeta"] * 3
@@ -172,7 +171,7 @@ def test_expansion_without_routing_expands_everywhere():
     topic = Topic(topic_id=1, query="qalpha")
     config = ExpansionConfig(route_task_terms_fulltext_only=False, dup_query=1)
     generated = generate_task_expanded(
-        topic, QueryBase.PLAIN, ["tgamma"], config, assignment=assignment()
+        topic, ["tgamma"], config, assignment=assignment()
     )
     for variant in IndexVariant:
         assert generated.tokens(variant) == ["qalpha", "tgamma"]
@@ -184,7 +183,7 @@ def test_gate_below_threshold_drops_task_terms():
         dup_query=1, confidence_mode=ConfidenceMode.GATE, gate_threshold=3
     )
     generated = generate_task_expanded(
-        topic, QueryBase.PLAIN, ["tgamma"], config, assignment=assignment(confidence=1)
+        topic, ["tgamma"], config, assignment=assignment(confidence=1)
     )
     assert generated.tokens(IndexVariant.FULL_TEXT) == ["qalpha"]
 
@@ -195,7 +194,7 @@ def test_gate_at_threshold_keeps_task_terms():
         dup_query=1, confidence_mode=ConfidenceMode.GATE, gate_threshold=2
     )
     generated = generate_task_expanded(
-        topic, QueryBase.PLAIN, ["tgamma"], config, assignment=assignment(confidence=2)
+        topic, ["tgamma"], config, assignment=assignment(confidence=2)
     )
     assert generated.tokens(IndexVariant.FULL_TEXT) == ["qalpha", "tgamma"]
 
@@ -206,7 +205,7 @@ def test_proportional_scales_task_duplication():
         dup_query=1, dup_task=1, confidence_mode=ConfidenceMode.PROPORTIONAL
     )
     generated = generate_task_expanded(
-        topic, QueryBase.PLAIN, ["tgamma"], config, assignment=assignment(confidence=2)
+        topic, ["tgamma"], config, assignment=assignment(confidence=2)
     )
     counts = Counter(generated.tokens(IndexVariant.FULL_TEXT))
     assert counts["tgamma"] == 2
@@ -220,7 +219,6 @@ def test_expansion_multiplicities_exact():
     config = ExpansionConfig(n_task_terms=3, dup_query=3, dup_question=3, dup_task=1)
     generated = generate_task_expanded(
         topic,
-        QueryBase.UDEL,
         ["serology", "antibody"],
         config,
         assignment=assignment(),
@@ -240,7 +238,7 @@ def test_no_task_terms_equals_base_at_unit_duplication():
     topic = Topic(topic_id=1, query="coronavirus origin")
     config = ExpansionConfig(n_task_terms=0, dup_query=1)
     generated = generate_task_expanded(
-        topic, QueryBase.PLAIN, [], config, assignment=assignment()
+        topic, [], config, assignment=assignment()
     )
     base = generate_plain(topic)
     for variant in IndexVariant:
@@ -251,10 +249,10 @@ def test_routing_keeps_non_fulltext_lists_fixed():
     topic = Topic(topic_id=1, query="coronavirus origin")
     config = ExpansionConfig(n_task_terms=3)
     with_terms = generate_task_expanded(
-        topic, QueryBase.PLAIN, ["serology"], config, assignment=assignment()
+        topic, ["serology"], config, assignment=assignment()
     )
     without_terms = generate_task_expanded(
-        topic, QueryBase.PLAIN, [], config, assignment=assignment()
+        topic, [], config, assignment=assignment()
     )
     for variant in (IndexVariant.TITLE_ABSTRACT, IndexVariant.TITLE_ABSTRACT_PARAGRAPH):
         assert with_terms.tokens(variant) == without_terms.tokens(variant)
@@ -265,7 +263,7 @@ def test_too_many_task_terms_rejected():
     config = ExpansionConfig(n_task_terms=1)
     with pytest.raises(ValueError):
         generate_task_expanded(
-            topic, QueryBase.PLAIN, ["a", "b"], config, assignment=assignment()
+            topic, ["a", "b"], config, assignment=assignment()
         )
 
 
@@ -282,7 +280,7 @@ def test_multi_token_task_terms_are_tokenized():
     topic = Topic(topic_id=1, query="qalpha")
     config = ExpansionConfig(dup_query=1, dup_task=2)
     generated = generate_task_expanded(
-        topic, QueryBase.PLAIN, ["covid 19"], config, assignment=assignment()
+        topic, ["covid 19"], config, assignment=assignment()
     )
     assert generated.tokens(IndexVariant.FULL_TEXT) == [
         "qalpha", "covid", "covid", "19", "19",
@@ -297,14 +295,14 @@ TERM_LEXICON = LexiconExtractor(TERM_WORDS)
 words = st.lists(st.sampled_from(TERM_WORDS + OTHER_WORDS), max_size=6)
 
 
-def oracle_tokens(query, question, task_terms, base, config, confidence, variant):
+def oracle_tokens(query, question, task_terms, udel, config, confidence, variant):
     """One index's query list, from the rules: each query token dup_query
     times in place, then each question token dup_question times, then each
     task-term token dup_task times, on full text only unless routing is off.
-    A udel base keeps the lexicon words of each field, or else the plain
-    query; a plain base keeps the query alone."""
+    With ``udel`` the base keeps the lexicon words of each field, or else
+    the plain query; without, it keeps the query alone."""
     query_kept, question_kept = query, []
-    if base is QueryBase.UDEL:
+    if udel:
         terms_q = [w for w in query if w in TERM_WORDS]
         terms_question = [w for w in question if w in TERM_WORDS]
         if terms_q or terms_question:
@@ -329,34 +327,34 @@ def oracle_tokens(query, question, task_terms, base, config, confidence, variant
 @given(query=words.filter(bool), question=words,
        task_terms=st.lists(st.lists(st.sampled_from(TERM_WORDS + OTHER_WORDS), min_size=1,
                                     max_size=2).map(" ".join), max_size=4),
-       base=st.sampled_from(QueryBase), spare_terms=st.integers(0, 2),
+       udel=st.booleans(), spare_terms=st.integers(0, 2),
        dups=st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(1, 4)),
        mode=st.sampled_from(ConfidenceMode), threshold=st.integers(1, 3),
        confidence=st.integers(1, 3), route=st.booleans())
 def test_task_expanded_tokens_follow_the_duplication_and_routing_rules(
-        query, question, task_terms, base, spare_terms, dups, mode, threshold, confidence,
+        query, question, task_terms, udel, spare_terms, dups, mode, threshold, confidence,
         route):
     topic = Topic(topic_id=1, query=" ".join(query), question=" ".join(question))
     config = ExpansionConfig(n_task_terms=len(task_terms) + spare_terms, dup_query=dups[0],
                              dup_question=dups[1], dup_task=dups[2], confidence_mode=mode,
                              gate_threshold=threshold, route_task_terms_fulltext_only=route)
     generated = generate_task_expanded(
-        topic, base, task_terms, config, assignment=assignment(confidence),
-        extractor=TERM_LEXICON)
+        topic, task_terms, config, assignment=assignment(confidence),
+        extractor=TERM_LEXICON if udel else None)
     for variant in IndexVariant:
         assert generated.tokens(variant) == oracle_tokens(
-            query, question, task_terms, base, config, confidence, variant)
+            query, question, task_terms, udel, config, confidence, variant)
     has_terms = any(w in TERM_WORDS for w in query + question)
-    assert generated.fallback == (base is QueryBase.UDEL and not has_terms)
+    assert generated.fallback == (udel and not has_terms)
 
     # With no task terms and unit duplication, the base generators give the
     # same value.
     unit = ExpansionConfig(n_task_terms=0, dup_query=1, dup_question=1)
-    plain = generate_task_expanded(topic, QueryBase.PLAIN, [], unit)
-    udel = generate_task_expanded(topic, QueryBase.UDEL, [], unit, extractor=TERM_LEXICON)
+    plain = generate_task_expanded(topic, [], unit)
+    with_lexicon = generate_task_expanded(topic, [], unit, extractor=TERM_LEXICON)
     assert generate_plain(topic) == plain and hash(generate_plain(topic)) == hash(plain)
-    assert generate_udel(topic, TERM_LEXICON) == udel
-    assert hash(generate_udel(topic, TERM_LEXICON)) == hash(udel)
+    assert generate_udel(topic, TERM_LEXICON) == with_lexicon
+    assert hash(generate_udel(topic, TERM_LEXICON)) == hash(with_lexicon)
 
 
 def test_queries_with_different_tokens_compare_unequal():
@@ -364,8 +362,8 @@ def test_queries_with_different_tokens_compare_unequal():
             != generate_plain(Topic(topic_id=2, query="vaccine trial")))
     topic = Topic(topic_id=1, query="qalpha")
     config = ExpansionConfig(dup_query=1)
-    with_terms = generate_task_expanded(topic, QueryBase.PLAIN, ["tgamma"], config)
-    assert with_terms != generate_task_expanded(topic, QueryBase.PLAIN, [], config)
+    with_terms = generate_task_expanded(topic, ["tgamma"], config)
+    assert with_terms != generate_task_expanded(topic, [], config)
     assert with_terms.core == ("qalpha",) and with_terms.expansion == ("tgamma",)
 
 
@@ -375,5 +373,5 @@ def test_confidence_modes_need_an_annotator_confidence(mode):
     config = ExpansionConfig(dup_query=1, confidence_mode=mode)
     for classified in [None, TaskAssignment(topic_id=1, task_id="t")]:
         with pytest.raises(ValueError, match="annotator's confidence"):
-            generate_task_expanded(topic, QueryBase.PLAIN, ["tgamma"], config,
+            generate_task_expanded(topic, ["tgamma"], config,
                                    assignment=classified)

@@ -89,11 +89,11 @@ def test_empty_qrels_rejected():
 
 
 def manual_map():
-    return [
-        TaskAssignment(topic_id=1, task_id="alpha", confidence=3),
-        TaskAssignment(topic_id=2, task_id="alpha", confidence=3),
-        TaskAssignment(topic_id=3, task_id="beta", confidence=3),
-    ]
+    return {
+        1: TaskAssignment(topic_id=1, task_id="alpha", confidence=3),
+        2: TaskAssignment(topic_id=2, task_id="alpha", confidence=3),
+        3: TaskAssignment(topic_id=3, task_id="beta", confidence=3),
+    }
 
 
 def test_per_task_priors_restrict_topics_and_match_counting_oracle():

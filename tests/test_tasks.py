@@ -93,13 +93,11 @@ def test_classification_invariant_to_task_order():
 
 
 def make_assignments(mapping):
-    return [
-        TaskAssignment(topic_id=topic, task_id=task)
-        for topic, task in mapping.items()
-    ]
+    return {topic: TaskAssignment(topic_id=topic, task_id=task)
+            for topic, task in mapping.items()}
 
 
-def test_agreement_identical_lists():
+def test_agreement_identical_mappings():
     a = make_assignments({1: "x", 2: "y", 3: "x"})
     assert agreement(a, a) == 1.0
 
@@ -129,27 +127,27 @@ def test_agreement_is_symmetric():
 
 
 def test_agreement_topic_set_mismatch():
-    a = make_assignments({1: "x"})
-    b = make_assignments({2: "x"})
-    with pytest.raises(TopicSetMismatch):
+    a = make_assignments({1: "x", 3: "y"})
+    b = make_assignments({2: "x", 3: "y"})
+    with pytest.raises(TopicSetMismatch, match=r"only one of the two: \[1, 2\]$"):
         agreement(a, b)
 
 
 def test_shipped_map_topic_8_is_diagnostics():
-    assignments = {a.topic_id: a for a in default_manual_map()}
+    assignments = default_manual_map()
     assert assignments[8].task_id == "diagnostics"
     assert assignments[8].confidence in (1, 2, 3)
 
 
 def test_shipped_map_per_task_counts():
-    counts = Counter(a.task_id for a in default_manual_map())
+    counts = Counter(a.task_id for a in default_manual_map().values())
     framework = default_framework()
     assert [counts[t] for t in framework.task_ids()] == list(EXPECTED_COUNTS.values())
     assert sum(counts.values()) == 50
 
 
 def test_shipped_map_original_thirty_topics():
-    first_batch = [a for a in default_manual_map() if a.topic_id <= 29]
+    first_batch = [a for a in default_manual_map().values() if a.topic_id <= 29]
     assert len(first_batch) == 30
     counts = Counter(a.task_id for a in first_batch)
     assert [counts[t] for t in default_framework().task_ids()] == [
@@ -160,7 +158,7 @@ def test_shipped_map_original_thirty_topics():
 def test_empty_manual_map_file(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("", encoding="utf-8")
-    assert load_manual_map(path, default_framework()) == []
+    assert load_manual_map(path, default_framework()) == {}
 
 
 def test_manual_map_unknown_task(tmp_path):
@@ -183,8 +181,8 @@ def test_manual_map_confidence_defaults_to_three(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("4 vaccines\n5 genetics 1\n", encoding="utf-8")
     loaded = load_manual_map(path, default_framework())
-    assert loaded[0].confidence == 3
-    assert loaded[1].confidence == 1
+    assert loaded[4].confidence == 3
+    assert loaded[5].confidence == 1
 
 
 @pytest.mark.parametrize("confidence", [0, 4, True, 3.0, "3"])
@@ -255,5 +253,31 @@ def test_classify_topics_returns_automatic_assignments():
     framework = disjoint_framework(4)
     topics = [Topic(topic_id=i, query=f"task{i}word0") for i in range(4)]
     assignments = classify_topics(framework, topics)
-    assert all(a.confidence is None for a in assignments)
-    assert [a.task_id for a in assignments] == [f"synthetic-{i}" for i in range(4)]
+    assert all(a.confidence is None for a in assignments.values())
+    assert [a.task_id for a in assignments.values()] == [f"synthetic-{i}" for i in range(4)]
+
+
+def test_manual_map_and_classifier_give_assignments_by_topic_as_stored(tmp_path):
+    framework = disjoint_framework(3)
+    path = tmp_path / "map.txt"
+    path.write_text("# topic task confidence\n7 synthetic-2 1\n\n3 synthetic-0\n"
+                    "# the last row\n5 synthetic-2 2\n", encoding="utf-8")
+    manual = load_manual_map(path, framework)
+    assert manual == {
+        7: TaskAssignment(7, "synthetic-2", 1),
+        3: TaskAssignment(3, "synthetic-0", 3),
+        5: TaskAssignment(5, "synthetic-2", 2),
+    }
+    assert list(manual) == [7, 3, 5]
+
+    topics = [Topic(topic_id=t, query=f"task{t % 3}word1") for t in (5, 7, 3)]
+    automatic = classify_topics(framework, topics)
+    assert list(automatic) == [5, 7, 3]
+    assert automatic == {t: TaskAssignment(t, f"synthetic-{t % 3}") for t in (5, 7, 3)}
+
+    # Counting oracle over the rows: the topics whose manual task is the one
+    # the classifier picks for that topic's query (topics 3 and 5).
+    rows = [("7", "synthetic-2"), ("3", "synthetic-0"), ("5", "synthetic-2")]
+    picked = {"5": "synthetic-2", "7": "synthetic-1", "3": "synthetic-0"}
+    oracle = sum(picked[topic] == task for topic, task in rows) / len(rows)
+    assert agreement(manual, automatic) == oracle == 2 / 3
