@@ -4,9 +4,10 @@ Three index variants are supported: full text (title+abstract+body as one
 unit per document), title+abstract, and title+abstract+paragraph where every
 body paragraph becomes its own index unit mapped back to the parent document.
 
-A ``TokenizedCollection`` reads the documents in one pass and tokenizes each
-one's title+abstract ("head") once and each body paragraph once, into token
-ids over one vocabulary; of the documents it keeps only their ids. Every
+A ``TokenizedCollection`` reads the documents in one pass and splits each
+one's title+abstract ("head") once and each body paragraph once into runs,
+which one vocabulary lookup per run and a numpy mask turn into token ids
+over one vocabulary; of the documents it keeps only their ids. Every
 variant is assembled from those arrays: full text = head + all paragraphs,
 title+abstract = head, paragraph = head + paragraph_i (the head alone for a
 document without a body). An ``InvertedIndex`` stores its postings in CSR
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from itertools import count, filterfalse, pairwise, product
+from itertools import count, filterfalse, islice, pairwise, product
 
 import numpy as np
 
@@ -42,7 +43,7 @@ _TOKEN_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _TABLE = bytes(b if chr(b) in _TOKEN_CHARS else 0x20 for b in range(256))
 _ONE_CHARACTER_RUNS = frozenset(_TOKEN_CHARS)
 
-_BLOCK_TOKENS = 1 << 16  # tokens per block of an index's (term, unit) keys
+_BLOCK_TOKENS = 1 << 16  # runs per block of set-up's run ids, tokens per block of an index's keys
 _INT32_KEY_SPACE = 2**31  # the largest vocabulary size * unit count for int32 keys
 
 _NO_POSTINGS = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8))
@@ -68,9 +69,14 @@ def token_runs(text: str) -> list[str]:
 class Tokenizer:
     """Lowercasing alphanumeric tokenizer with stopword removal.
 
-    Tokens are the maximal ``[0-9a-z]+`` runs of the lowercased input, split
-    by ``token_runs`` with one ``bytes.translate`` and ``split``; stopwords and
-    one-character runs are dropped in one pass.
+    ``runs`` gives the maximal ``[0-9a-z]+`` runs of the lowercased input, by
+    ``token_runs`` with one ``bytes.translate`` and ``split``; ``dropped``
+    holds the stopwords and every one-character run. A token is a run that is
+    not dropped. Queries go through ``tokenize``; ``TokenizedCollection``
+    calls ``runs`` and reads ``dropped`` but never calls ``tokenize``. So a
+    subclass that overrides ``runs`` or passes other ``stopwords`` changes
+    documents and queries alike, while an override of ``tokenize`` reaches
+    queries only.
     """
 
     stopwords: frozenset[str] = None  # type: ignore[assignment]
@@ -79,10 +85,13 @@ class Tokenizer:
         if self.stopwords is None:
             object.__setattr__(self, "stopwords", default_stopwords())
         # Derived data, not a field, so equality and hashing see only stopwords.
-        object.__setattr__(self, "_dropped", _ONE_CHARACTER_RUNS.union(self.stopwords))
+        object.__setattr__(self, "dropped", _ONE_CHARACTER_RUNS.union(self.stopwords))
+
+    def runs(self, text: str) -> list[str]:
+        return token_runs(text)
 
     def tokenize(self, text: str) -> list[str]:
-        return list(filterfalse(self._dropped.__contains__, token_runs(text)))
+        return list(filterfalse(self.dropped.__contains__, self.runs(text)))
 
 
 class IndexVariant(Enum):
@@ -105,8 +114,29 @@ class Bm25Params:
             raise ValueError("b must be in [0, 1]")
 
 
+def _add_block(token_blocks: list[np.ndarray], end_blocks: list[np.ndarray],
+               ids: list[int], ends: list[int]) -> None:
+    """Append the non-negative run ``ids`` to ``token_blocks`` and one token
+    offset per run offset in ``ends`` to ``end_blocks``. A block starts at a
+    segment boundary, so the tokens before its first run are the last offset
+    so far; a segment ends where its runs end, less the dropped runs before."""
+    block = np.array(ids, dtype=np.int32)
+    kept_ends = np.array(ends, dtype=np.int64)
+    kept_ends += end_blocks[-1][-1] - np.searchsorted(np.flatnonzero(block < 0), kept_ends)
+    token_blocks.append(block[block >= 0])
+    end_blocks.append(kept_ends)
+
+
 class TokenizedCollection:
-    """Token ids of a collection, one tokenizer call per head and paragraph.
+    """Token ids of a collection, one ``Tokenizer.runs`` call per head and
+    paragraph.
+
+    Every run maps to an id through one vocabulary that starts with the
+    tokenizer's ``dropped`` words at negative ids; other terms get dense ids
+    from 0 in order of first occurrence. A mask over the run ids keeps the
+    non-negative ones, so ``tokens`` and ``vocab`` are exactly what
+    ``Tokenizer.tokenize`` of each text would give. The run ids are masked
+    about 65k runs at a time, so no list holds more than one block of them.
 
     Segments are laid out per document in collection order: the head
     (``f"{title} {abstract}"``) and then each body paragraph. Segment ``s``
@@ -122,12 +152,15 @@ class TokenizedCollection:
         self.tokenizer = tokenizer or Tokenizer()
         self.bodies = bodies
         doc_ids: list[str] = []
-        split = self.tokenizer.tokenize
+        runs, dropped = self.tokenizer.runs, self.tokenizer.dropped
         # A term's id is the number of distinct terms seen before its first
-        # occurrence, so no token strings outlive their text.
-        vocab: defaultdict[str, int] = defaultdict(count().__next__)
-        raw: list[int] = []
-        seg_lengths: list[int] = []
+        # occurrence, so no run strings outlive their text.
+        vocab: defaultdict[str, int] = defaultdict(count().__next__,
+                                                   zip(dropped, count(-1, -1)))
+        token_blocks = [np.zeros(0, dtype=np.int32)]
+        end_blocks = [np.zeros(1, dtype=np.int64)]  # tokens before each segment's end
+        raw: list[int] = []  # run ids since the last block
+        seg_ends: list[int] = []  # runs in raw before each of its segments' ends
         paragraphs: list[int] = []
         for doc in documents:
             doc_ids.append(doc.doc_id)
@@ -135,18 +168,22 @@ class TokenizedCollection:
             texts = [head, *doc.body] if bodies else [head]
             paragraphs.append(len(texts) - 1)
             for text in texts:
-                tokens = split(text)
-                seg_lengths.append(len(tokens))
-                raw += map(vocab.__getitem__, tokens)
+                raw += map(vocab.__getitem__, runs(text))
+                seg_ends.append(len(raw))
+                if len(raw) >= _BLOCK_TOKENS:
+                    _add_block(token_blocks, end_blocks, raw, seg_ends)
+                    raw, seg_ends = [], []
         if not doc_ids:
             raise EmptyCollection("cannot index an empty collection")
+        _add_block(token_blocks, end_blocks, raw, seg_ends)
         self.doc_ids = tuple(doc_ids)
-        self.tokens = np.array(raw, dtype=np.int32)
-        # A plain dict, so looking up an unknown query term adds nothing. Built
-        # from items, it holds only str and int and the collector skips it.
-        self.vocab = dict(vocab.items())
-        self.seg_offsets = np.zeros(len(seg_lengths) + 1, dtype=np.int64)
-        np.cumsum(seg_lengths, out=self.seg_offsets[1:])
+        self.tokens = np.concatenate(token_blocks)
+        self.seg_offsets = np.concatenate(end_blocks)
+        del token_blocks, end_blocks
+        # A plain dict of the terms after the dropped words, so looking up an
+        # unknown query term adds nothing. It holds only str and int and the
+        # collector skips it.
+        self.vocab = dict(islice(vocab.items(), len(dropped), None))
         self.paragraphs = np.array(paragraphs, dtype=np.int64)
         # Segment index of each document's head; its paragraphs follow it.
         self.head_segment = np.cumsum(self.paragraphs + 1) - (self.paragraphs + 1)

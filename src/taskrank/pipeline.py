@@ -217,7 +217,8 @@ class Pipeline:
         if self.config.variant not in _NEEDS_ASSIGNMENT:
             return {}
         if manual is None:
-            return classify_topics(framework, self.topics, self.config.bm25)
+            return classify_topics(framework, self.topics, self.config.bm25,
+                                   self.tokenizer)
         unmapped = [t.topic_id for t in self.topics if t.topic_id not in manual]
         if unmapped:
             raise TaskRankError(f"topics missing from the manual map: {unmapped}")

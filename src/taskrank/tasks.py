@@ -149,9 +149,10 @@ class TaskClassifier:
 
 
 def classify_topics(framework: TaskFramework, topics: list[Topic],
-                    params: Bm25Params | None = None) -> dict[int, TaskAssignment]:
+                    params: Bm25Params | None = None,
+                    tokenizer: Tokenizer | None = None) -> dict[int, TaskAssignment]:
     """Each topic's classified task, keyed by topic id in topic order."""
-    classifier = TaskClassifier(framework, params)
+    classifier = TaskClassifier(framework, params, tokenizer)
     return {t.topic_id: TaskAssignment(t.topic_id, classifier.classify(t.query).task_id)
             for t in topics}
 
@@ -205,15 +206,19 @@ def load_manual_map(path, framework: TaskFramework) -> dict[int, TaskAssignment]
     """Load manual topic-to-task rows, ``topic_id task_id [confidence]``, as
     ``{topic_id: TaskAssignment}`` in file order.
 
-    ``#`` starts a comment line; confidence defaults to 3. A row that does not
-    parse, repeats a topic or names a task the framework lacks is malformed."""
+    ``#`` starts a comment line; confidence defaults to 3. A row is malformed
+    if it has not two or three columns, does not parse, repeats a topic or
+    names a task the framework lacks."""
     valid_ids = set(framework.task_ids())
     assignments: dict[int, TaskAssignment] = {}
 
     def parse(line: str) -> TaskAssignment | None:
         if line.lstrip().startswith("#"):
             return None
-        topic_id, task_id, *rest = line.split()
+        parts = line.split()
+        if not 2 <= len(parts) <= 3:
+            raise ValueError(f"{len(parts)} columns, expected 2 or 3")
+        topic_id, task_id, *rest = parts
         assignment = TaskAssignment(integer(topic_id, "topic_id"), task_id,
                                     integer(rest[0], "confidence") if rest else 3)
         if task_id not in valid_ids:

@@ -92,6 +92,24 @@ def test_tokenize_matches_character_scanner_oracle(text, stopwords):
     assert Tokenizer(stopwords).tokenize(text) == character_scanner_tokens(text, stopwords)
 
 
+# Stopword sets that hold runs, one-character words and words that can never
+# be a run (upper case, non-ASCII, punctuation, the empty string).
+STOPWORD_CHOICES = ["viral", "word", "b2", "k", "x", "the", "zz", "alpha", "delta", "b3",
+                    "café", "The", "don't", "", "é"]
+stopword_sets = st.frozensets(st.one_of(st.sampled_from(STOPWORD_CHOICES), st.text(max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=scanner_texts, stopwords=stopword_sets)
+def test_tokenize_is_runs_without_dropped(text, stopwords):
+    for tok in (Tokenizer(), Tokenizer(stopwords)):
+        runs = tok.runs(text)
+        assert runs == character_scanner_runs(text)
+        assert tok.tokenize(text) == [r for r in runs if r not in tok.dropped]
+        assert tok.tokenize(text) == character_scanner_tokens(text, tok.stopwords)
+    assert Tokenizer(stopwords).dropped == stopwords | set(string.ascii_lowercase + string.digits)
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=scanner_texts)
 def test_lexicon_stream_matches_character_scanner_runs(text):
@@ -389,12 +407,19 @@ def test_bm25_params_validation():
 
 WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "the", "x", "Alpha-2", "b3"]
 texts = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
-# Doc ids in arbitrary string order, so ties exercise the doc_id tie-break.
-documents = st.lists(
-    st.tuples(st.text("aAb1", min_size=1, max_size=3), texts, texts,
-              st.lists(texts, max_size=3)),
-    min_size=1, max_size=12, unique_by=lambda doc: doc[0],
-)
+
+
+def documents_of(texts):
+    """Drawn ``(doc_id, title, abstract, paragraphs)`` tuples of ``texts``."""
+    # Doc ids in arbitrary string order, so ties exercise the doc_id tie-break.
+    return st.lists(
+        st.tuples(st.text("aAb1", min_size=1, max_size=3), texts, texts,
+                  st.lists(texts, max_size=3)),
+        min_size=1, max_size=12, unique_by=lambda doc: doc[0],
+    )
+
+
+documents = documents_of(texts)
 
 
 def random_collection(docs):
@@ -407,20 +432,24 @@ def random_collection(docs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(docs=documents, bodies=st.booleans())
-def test_tokenized_collection_matches_per_text_oracle(docs, bodies):
+@given(docs=documents_of(st.one_of(texts, scanner_texts)),
+       stopwords=st.one_of(st.none(), stopword_sets), bodies=st.booleans(),
+       block_runs=st.sampled_from([1, 3, 1 << 16]))
+def test_tokenized_collection_matches_per_text_oracle(docs, stopwords, bodies, block_runs):
     coll = tuple(
         Document(doc_id=doc_id, title=title, abstract=abstract, body=tuple(body))
         for doc_id, title, abstract, body in docs
     )
-    tok = Tokenizer()
+    tok = Tokenizer(stopwords)
     vocab, tokens, seg_offsets = {}, [], [0]
     for doc in coll:
         head = f"{doc.title} {doc.abstract}"
         for text in [head, *doc.body] if bodies else [head]:
             tokens += [vocab.setdefault(t, len(vocab)) for t in tok.tokenize(text)]
             seg_offsets.append(len(tokens))
-    tc = TokenizedCollection(coll, tok, bodies=bodies)
+    # Run ids masked in blocks of any size give the same arrays.
+    with mock.patch.object(indexing, "_BLOCK_TOKENS", block_runs):
+        tc = TokenizedCollection(coll, tok, bodies=bodies)
     assert_same_tokenization(TokenizedCollection((doc for doc in coll), tok, bodies), tc)
     assert tc.tokens.dtype == np.int32 and tc.tokens.tolist() == tokens
     assert tc.seg_offsets.tolist() == seg_offsets

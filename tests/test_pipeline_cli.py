@@ -14,7 +14,13 @@ from taskrank.cli import main
 from taskrank.corpus import load_collection
 from taskrank.errors import TaskRankError
 from taskrank.evaluation import Ranking, Run, parse_run, write_run
-from taskrank.indexing import IndexVariant, InvertedIndex, TokenizedCollection, Tokenizer
+from taskrank.indexing import (
+    IndexVariant,
+    InvertedIndex,
+    TokenizedCollection,
+    Tokenizer,
+    default_stopwords,
+)
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import (
     ConfidenceMode,
@@ -384,9 +390,9 @@ def test_pipeline_setup_tokenizes_each_head_and_paragraph_once(mini):
     texts = []
 
     class CountingTokenizer(Tokenizer):
-        def tokenize(self, text):
+        def runs(self, text):
             texts.append(text)
-            return super().tokenize(text)
+            return super().runs(text)
 
     config = PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"])
     Pipeline(config, tokenizer=CountingTokenizer())
@@ -397,6 +403,18 @@ def test_pipeline_setup_tokenizes_each_head_and_paragraph_once(mini):
     assert sorted(texts) == sorted(
         text for doc in collection for text in (f"{doc.title} {doc.abstract}", *doc.body)
     )
+
+
+def test_pipeline_classifies_topics_with_its_own_tokenizer(mini, tmp_path):
+    # With "vaccine" a stopword, "vaccine transmission" is about transmission;
+    # the default tokenizer keeps "vaccine" and picks the vaccines task.
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text('{"topic_id": 1, "query": "vaccine transmission"}\n', encoding="utf-8")
+    tokenizer = Tokenizer(default_stopwords() | {"vaccine"})
+    config = PipelineConfig(corpus_path=mini["corpus"], topics_path=str(topics),
+                            variant=RunVariant.QUERY_TASK)
+    assert Pipeline(config)._assignments[1].task_id == "vaccines"
+    assert Pipeline(config, tokenizer=tokenizer)._assignments[1].task_id == "transmission"
 
 
 def test_select_terms_cli(mini, capsys):
@@ -1292,7 +1310,7 @@ TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
         ("tasks", "title-type", b'{"task_id": "t9", "title": ["x"], "description": "d"}',
          "title must be a string"),
         ("manual_map", "0xff", b"\xff", "not valid UTF-8"),
-        ("manual_map", "deep", DEEP, "not enough values"),
+        ("manual_map", "deep", DEEP, "1 columns, expected 2 or 3"),
         ("manual_map", "unknown", b"9 nosuch", "unknown task_id 'nosuch'"),
         ("manual_map", "repeat", b"1 vaccines", "duplicate topic_id 1"),
         ("lexicon", "0xff", b"\xff", "not valid UTF-8"),

@@ -204,6 +204,17 @@ def test_manual_map_malformed_row_names_line(tmp_path, row):
     assert f"{path} line 3" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("row, columns", [("1 transmission 2 oops extra", 5),
+                                          ("1 vaccines 3 3", 4), ("7", 1)])
+def test_manual_map_row_needs_two_or_three_columns(tmp_path, row, columns):
+    path = tmp_path / "map.txt"
+    path.write_text(f"4 vaccines\n{row}\n", encoding="utf-8")
+    with pytest.raises(MalformedRow, match=f"{columns} columns, expected 2 or 3") as excinfo:
+        load_manual_map(path, default_framework())
+    assert excinfo.value.line_no == 2
+    assert f"{path} line 2" in str(excinfo.value)
+
+
 TASK_LINE = '{"task_id": "a", "title": "A", "description": "alpha words"}'
 TOPIC_LINE = '{"topic_id": 1, "query": "alpha"}'
 
