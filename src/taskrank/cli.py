@@ -24,8 +24,8 @@ from .corpus import load_collection
 from .errors import TaskRankError, integer, json_object, number, read_rows
 from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, sweep, write_run
 from .fusion import FusionConfig
-from .indexing import Bm25Params, IndexVariant, InvertedIndex, TokenizedCollection, build_index
-from .pipeline import TASK_EXPANDED, Pipeline, PipelineConfig, RunVariant
+from .indexing import Bm25Params, IndexVariant
+from .pipeline import TASK_EXPANDED, Pipeline, PipelineConfig, RunVariant, load_corpus
 from .querygen import ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
 from .rerank import RerankConfig, build_journal_priors, build_per_task_priors, export_priors
 from .tasks import (
@@ -165,12 +165,11 @@ def _count_flag(args, name: str, least: int) -> int:
 
 
 def cmd_index_stats(args) -> int:
-    variants = list(IndexVariant) if args.variant == "all" else [IndexVariant(args.variant)]
-    tokens = TokenizedCollection(load_collection(args.corpus))
+    variants = IndexVariant if args.variant == "all" else [IndexVariant(args.variant)]
+    _journal_of, indices = load_corpus(args.corpus, variants)
     print(f"{'variant':<16} {'docs':>8} {'units':>8} {'avg_len':>10} {'vocab':>8} "
           f"{'bytes':>12}")
-    for variant in variants:
-        index = InvertedIndex(tokens, variant)
+    for variant, index in indices.items():
         print(
             f"{variant.value:<16} {index.doc_count:>8} {index.unit_count:>8} "
             f"{index.avg_unit_length:>10.2f} {index.vocab_size:>8} {index.nbytes:>12}"
@@ -246,14 +245,13 @@ def cmd_classify(args) -> int:
 
 def cmd_select_terms(args) -> int:
     n = _count_flag(args, "n", 0)
-    documents = load_collection(args.corpus)
     framework = load_tasks(args.tasks) if args.tasks else default_framework()
     extractor = (
         LexiconExtractor.from_file(args.lexicon) if args.lexicon else default_lexicon()
     )
-    abstracts_index = build_index(documents, IndexVariant.TITLE_ABSTRACT)
+    _journal_of, indices = load_corpus(args.corpus, [IndexVariant.TITLE_ABSTRACT])
     for task in framework:
-        terms = select_task_terms(task, abstracts_index, extractor, n)
+        terms = select_task_terms(task, indices[IndexVariant.TITLE_ABSTRACT], extractor, n)
         print(f"{task.task_id}\t{', '.join(terms)}")
     return 0
 

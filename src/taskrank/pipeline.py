@@ -1,12 +1,12 @@
 """End-to-end run construction: query generation, three-index search,
 reciprocal rank fusion and optional re-ranking, per topic.
 
-A Pipeline is built once per invocation: every title+abstract and every
-body paragraph is tokenized once, the documents are dropped (the journal
-priors keep each one's journal) and the three index variants are assembled
-from those token ids. Set-up does not read the expansion settings (each
-task's terms are ranked once; a run takes the first ``n_task_terms``), so a
-sweep builds one pipeline and runs each grid cell through ``with_expansion``.
+A Pipeline is built once per invocation. Its corpus set-up, ``load_corpus``,
+is the CLI's too: every title+abstract and body paragraph is tokenized once,
+only each document's journal outlives that, and the index variants are
+assembled from those token ids. Set-up does not read the expansion settings
+(each task's terms are ranked once; a run takes the first ``n_task_terms``),
+so a sweep builds one pipeline and runs each cell through ``with_expansion``.
 The copies share a memo of each search's ranked positions, keyed by index
 variant and query tokens: routing sends task terms to the full-text index
 only, so a topic's title-abstract and paragraph queries repeat in every cell
@@ -29,6 +29,7 @@ mode without the manual map whose annotator confidences it reads.
 from __future__ import annotations
 
 import copy
+from collections.abc import Collection
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -141,6 +142,20 @@ class PipelineConfig:
             )
 
 
+def load_corpus(path, variants: Collection[IndexVariant], tokenizer: Tokenizer | None = None
+                ) -> tuple[dict[str, str], dict[IndexVariant, InvertedIndex]]:
+    """``{doc_id: journal}`` in position order and an index per variant of the
+    corpus file at ``path``. Bodies are tokenized only for a variant other
+    than title+abstract (as in ``build_index``), and the documents are
+    dropped before the builds."""
+    documents = load_collection(path)
+    journal_of = {doc.doc_id: doc.journal for doc in documents}
+    bodies = any(variant is not IndexVariant.TITLE_ABSTRACT for variant in variants)
+    tokens = TokenizedCollection(documents, tokenizer, bodies)
+    del documents  # the index builds need only the token ids
+    return journal_of, {variant: InvertedIndex(tokens, variant) for variant in variants}
+
+
 class Pipeline:
     """Loads inputs, builds the three indices and executes runs."""
 
@@ -148,7 +163,6 @@ class Pipeline:
         config.validate()
         self.config = config
         self.tokenizer = tokenizer or Tokenizer()
-        documents = load_collection(config.corpus_path)
         self.topics = load_topics(config.topics_path)
         framework = load_tasks(config.tasks_path) if config.tasks_path else default_framework()
         self.extractor = (
@@ -156,12 +170,9 @@ class Pipeline:
             if config.lexicon_path
             else default_lexicon()
         )
-        tokens = TokenizedCollection(documents, self.tokenizer)
-        journal_priors = config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK)
-        journals = [doc.journal for doc in documents] if journal_priors else []
-        del documents  # the index builds need only the token ids
-        self.indices = {variant: InvertedIndex(tokens, variant) for variant in IndexVariant}
-        self._doc_ids, self._doc_rank = tokens.doc_ids, tokens.doc_rank
+        journal_of, self.indices = load_corpus(config.corpus_path, IndexVariant, self.tokenizer)
+        index = self.indices[IndexVariant.FULL_TEXT]
+        self._doc_ids, self._doc_rank = index.doc_ids, index.doc_rank
         manual = None
         if config.variant in _NEEDS_ASSIGNMENT and config.manual_map_path:
             manual = load_manual_map(config.manual_map_path, framework)
@@ -173,15 +184,14 @@ class Pipeline:
             alpha=0.5 if config.variant is RunVariant.VECTOR else RerankConfig.alpha)
         self._rerank_scores: dict[int, np.ndarray] = {}
         by_task: dict[str, np.ndarray] = {}
-        if journal_priors:
+        if config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
             qrels = parse_qrels(config.qrels_path)
-            journal_of = dict(zip(self._doc_ids, journals))
             if config.variant is RunVariant.JOURNAL_PRIOR:
-                prior = build_journal_priors(qrels, journal_of).by_position(journals)
+                prior = build_journal_priors(qrels, journal_of).by_position(journal_of.values())
                 self._rerank_scores = {topic.topic_id: prior for topic in self.topics}
             else:
                 tables = build_per_task_priors(qrels, journal_of, manual)
-                by_task = {task_id: table.by_position(journals)
+                by_task = {task_id: table.by_position(journal_of.values())
                            for task_id, table in tables.items()}
         if config.variant is RunVariant.VECTOR:
             vectors = InMemoryVectorProvider.from_file(config.vectors_path)

@@ -14,8 +14,8 @@ ALLOWED = {
 }
 
 
-def open_sites(path: Path) -> set[tuple[str, str]]:
-    """(file, enclosing function) of each ``open(...)`` or ``x.open(...)`` call."""
+def call_sites(path: Path, callee: str) -> set[tuple[str, str]]:
+    """(file, enclosing function) of each ``callee(...)`` or ``x.callee(...)`` call."""
     sites = set()
 
     def visit(node, function):
@@ -24,7 +24,7 @@ def open_sites(path: Path) -> set[tuple[str, str]]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "open":
+            if name == callee:
                 sites.add((path.name, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -35,6 +35,6 @@ def open_sites(path: Path) -> set[tuple[str, str]]:
 
 def test_open_is_called_only_by_the_reader_and_the_writers():
     package = Path(taskrank.__file__).parent
-    sites = set().union(*(open_sites(path) for path in sorted(package.glob("*.py"))))
+    sites = set().union(*(call_sites(path, "open") for path in sorted(package.glob("*.py"))))
     assert ("errors.py", "read_rows") in sites
     assert sites <= ALLOWED, sorted(sites - ALLOWED)

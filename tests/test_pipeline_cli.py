@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from taskrank import cli, pipeline as pipeline_module
 from taskrank.cli import main
-from taskrank.corpus import load_collection
+from taskrank.corpus import Document, load_collection
 from taskrank.errors import TaskRankError
 from taskrank.evaluation import Ranking, Run, parse_run, write_run
 from taskrank.indexing import (
@@ -19,6 +20,7 @@ from taskrank.indexing import (
     InvertedIndex,
     TokenizedCollection,
     Tokenizer,
+    build_index,
     default_stopwords,
 )
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
@@ -386,6 +388,50 @@ def test_index_stats_cli(mini, capsys):
         assert int(nbytes) == InvertedIndex(tokens, IndexVariant(name)).nbytes > 0
 
 
+@pytest.mark.parametrize("variant", [v.value for v in IndexVariant])
+def test_index_stats_of_one_variant_is_its_row_of_a_build_that_needs_only_it(
+        mini, capsys, variant):
+    assert main(["index-stats", "--corpus", mini["corpus"]]) == 0
+    all_rows = {row.split()[0]: row for row in capsys.readouterr().out.splitlines()[1:]}
+    assert main(["index-stats", "--corpus", mini["corpus"], "--variant", variant]) == 0
+    [row] = capsys.readouterr().out.splitlines()[1:]
+    if variant != "title-abstract":
+        assert row == all_rows[variant]
+        return
+    # Without bodies the vocabulary holds no body-only term, so ``offsets``
+    # is shorter: only the bytes column differs from the --variant all row.
+    *stats, nbytes = row.split()
+    *all_stats, all_nbytes = all_rows[variant].split()
+    assert stats == all_stats
+    bodies_free = build_index(load_collection(mini["corpus"]), IndexVariant.TITLE_ABSTRACT)
+    assert int(nbytes) == bodies_free.nbytes == 1472
+    assert int(all_nbytes) == 2120
+
+
+@pytest.mark.parametrize("command", ["run", "index-stats", "select-terms"])
+def test_no_document_is_alive_during_an_index_build(mini, tmp_path, monkeypatch, command):
+    def live_documents():
+        return sum(isinstance(o, Document) for o in gc.get_objects())
+
+    alive = []
+    build = InvertedIndex.__init__
+
+    def counting_build(self, *args, **kwargs):
+        alive.append(live_documents())
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(InvertedIndex, "__init__", counting_build)
+    argv = {
+        "run": ["run", *mini_args(mini), "--output", str(tmp_path / "out.run")],
+        "index-stats": ["index-stats", "--corpus", mini["corpus"]],
+        "select-terms": ["select-terms", "--corpus", mini["corpus"]],
+    }[command]
+    gc.collect()
+    before = live_documents()
+    assert main(argv) == 0
+    assert alive == [before] * (1 if command == "select-terms" else 3)
+
+
 def test_pipeline_setup_tokenizes_each_head_and_paragraph_once(mini):
     texts = []
 
@@ -429,6 +475,19 @@ def test_select_terms_cli(mini, capsys):
         task_id, terms = line.split("\t")
         assert task_id in {"transmission", "vaccines"}
         assert len(terms.split(", ")) == 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_select_terms_prints_the_first_n_of_the_pipelines_task_terms(mini, capsys, n):
+    # select-terms indexes title+abstract without bodies, the pipeline with
+    # them; the terms they rank must agree all the same.
+    assert main(["select-terms", "--corpus", mini["corpus"], "--tasks", mini["tasks"],
+                 "--lexicon", mini["lexicon"], "--n", str(n)]) == 0
+    pipeline = Pipeline(PipelineConfig(
+        corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
+        lexicon_path=mini["lexicon"], variant=RunVariant.QUERY_TASK))
+    assert capsys.readouterr().out.splitlines() == [
+        f"{task_id}\t{', '.join(terms[:n])}" for task_id, terms in pipeline._task_terms.items()]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "sweep-k", "select-terms"])
@@ -1215,7 +1274,7 @@ def test_config_file_that_does_not_parse_is_one_error_naming_file(
     assert error.startswith(f"error: {config_path}: ") and complaint in error
 
 
-@pytest.mark.parametrize("command", ["run", "index-stats"])
+@pytest.mark.parametrize("command", ["run", "index-stats", "select-terms", "priors"])
 @pytest.mark.parametrize("bad_line, reason", [
     ("not json", "Expecting value"),
     ('{"title": "no id"}', "missing or empty doc_id"),
@@ -1232,10 +1291,12 @@ def test_bad_corpus_line_is_one_error_naming_file_and_line(
     corpus.write_text(text + bad_line + "\n", encoding="utf-8", errors="surrogateescape")
     line_no = len(text.splitlines()) + 1
     out = tmp_path / "never.run"
-    if command == "run":
-        argv = ["run", *mini_args({**mini, "corpus": str(corpus)}), "--output", str(out)]
-    else:
-        argv = ["index-stats", "--corpus", str(corpus)]
+    argv = {
+        "run": ["run", *mini_args({**mini, "corpus": str(corpus)}), "--output", str(out)],
+        "index-stats": ["index-stats", "--corpus", str(corpus)],
+        "select-terms": ["select-terms", "--corpus", str(corpus)],
+        "priors": ["priors", "--qrels", mini["qrels"], "--corpus", str(corpus)],
+    }[command]
     assert main(argv) == 1
     assert not out.exists()
     [error] = capsys.readouterr().err.splitlines()
