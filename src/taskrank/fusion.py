@@ -2,13 +2,16 @@
 
 Fused scores are exact: every ``1/(rrf_k + rank)`` lies within a few binades
 of the largest, so scaled by ``2**(53 - e)``, ``e`` the smallest exponent, each
-is an exact int64 and so is each document's sum. One conversion to float64
-rounds that sum correctly, as ``math.fsum`` does. A sum that could need more
-than 63 bits (a tiny ``rrf_k`` with long lists) falls back to ``math.fsum``.
+is an exact int64. Each list adds its scaled terms into one zeroed int64
+array indexed by document position, so each document's sum is exact in any
+order and needs no sort. One conversion to float64 rounds that sum
+correctly, as ``math.fsum`` does. A sum that could need more than 63 bits (a
+tiny ``rrf_k`` with long lists) falls back to ``math.fsum``.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,34 +38,40 @@ def rrf_fuse(rankings: list[np.ndarray], doc_rank: np.ndarray, config: FusionCon
     value of its exact sum, so the result is invariant to the order in which
     the lists are given. Output is (positions, fused scores) sorted by score
     descending, ties by ascending ``doc_rank[position]``, truncated to
-    ``top_k``. A position repeated within one list raises ValueError.
+    ``top_k``. A position repeated within one list, or a ``top_k`` below 1,
+    raises ValueError.
     """
     if not rankings:
         raise EmptyInput("rrf_fuse needs at least one ranking")
     rankings = [np.asarray(r, dtype=np.int64) for r in rankings]
     longest = max(map(len, rankings))
     if longest == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
+        return top_ranked(np.zeros(0, dtype=np.int64), np.zeros(0), doc_rank, top_k)
+    # How many lists hold each position. The buffered ``+=`` adds once per
+    # distinct index, so a position repeated within one list falls short.
+    held = np.zeros(len(doc_rank), dtype=np.int64)
+    for r in rankings:
+        held[r] += 1
+    if held.sum() < sum(map(len, rankings)):
+        repeated = min(p for r in rankings for p in np.flatnonzero(np.bincount(r) > 1).tolist())
+        raise ValueError(f"doc position {repeated} repeated within one ranking")
+    docs = np.flatnonzero(held)
     contrib = 1.0 / (config.rrf_k + np.arange(1, longest + 1))
-    # Sort (position, list) keys: a document's contributions become one run,
-    # and a position repeated within one list becomes two equal keys.
-    n_lists = len(rankings)
-    keys = np.concatenate([r * n_lists + i for i, r in enumerate(rankings)])
-    order = np.argsort(keys)
-    keys = keys[order]
-    repeated = keys[1:][keys[1:] == keys[:-1]] // n_lists
-    if len(repeated):
-        raise ValueError(f"doc position {repeated[0]} repeated within one ranking")
-    parts = np.concatenate([contrib[:len(r)] for r in rankings])[order]
-    docs = keys // n_lists
-    starts = np.flatnonzero(np.concatenate(([True], docs[1:] != docs[:-1])))
-    docs = docs[starts]
     # Contributions fall with rank: contrib[0] is the largest, contrib[-1] the smallest.
     # A normal smallest term keeps the scaled-back sums exact (no subnormal rounding).
-    shift = 53 - int(np.frexp(contrib[-1])[1])
-    if contrib[-1] >= np.finfo(float).tiny and n_lists * int(np.ldexp(contrib[0], shift)) < 2**63:
-        exact = np.add.reduceat(np.ldexp(parts, shift).astype(np.int64), starts)
-        scores = np.ldexp(exact.astype(np.float64), -shift)
+    shift = 53 - math.frexp(contrib[-1])[1]
+    largest = int(math.ldexp(contrib[0], shift))
+    if contrib[-1] >= sys.float_info.min and len(rankings) * largest < 2**63:
+        scaled = np.ldexp(contrib, shift).astype(np.int64)
+        exact = np.zeros(len(doc_rank), dtype=np.int64)
+        for r in rankings:  # its positions are distinct, so none collide
+            exact[r] += scaled[:len(r)]
+        scores = np.ldexp(exact[docs].astype(np.float64), -shift)
     else:
+        # Sort the contributions by position: each document's become one run.
+        positions = np.concatenate(rankings)
+        order = np.argsort(positions, kind="stable")
+        parts = np.concatenate([contrib[:len(r)] for r in rankings])[order]
+        starts = np.searchsorted(positions[order], docs)
         scores = np.array([math.fsum(run) for run in np.split(parts, starts[1:])])
     return top_ranked(docs, scores, doc_rank, top_k)

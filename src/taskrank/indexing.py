@@ -340,17 +340,26 @@ def build_index(documents: Iterable[Document], variant: IndexVariant,
 def top_ranked(docs: np.ndarray, scores: np.ndarray, doc_rank: np.ndarray,
                top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``top_k`` best of the positions ``docs`` with their ``scores``,
-    by score descending, ties by ascending ``doc_rank`` (doc_id order)."""
+    by score descending, ties by ascending ``doc_rank`` (doc_id order).
+    A ``top_k`` below 1 raises ValueError, whatever ``docs`` holds."""
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     if len(docs) > top_k:
         cut = len(docs) - top_k
         keep = scores >= np.partition(scores, cut)[cut]
         docs, scores = docs[keep], scores[keep]
     order = np.argsort(-scores)
-    tied = np.diff(scores[order]) == 0.0
+    ranked = scores[order]
+    tied = ranked[1:] == ranked[:-1]
     if tied.any():
-        # Sort again by (run of equal scores, doc_rank); the keys are distinct.
-        run = np.cumsum(np.concatenate(([False], ~tied)))
-        order = order[np.argsort(run * len(doc_rank) + doc_rank[docs[order]])]
+        # Sort again by (run of equal scores, doc_rank), one int64 key per
+        # document: a run's number counts the score changes before it, so the
+        # keys are distinct.
+        key = np.zeros(len(order), dtype=np.int64)
+        np.cumsum(~tied, out=key[1:])
+        key *= len(doc_rank)
+        key += doc_rank[docs[order]]
+        order = order[np.argsort(key)]
     order = order[:top_k]
     return docs[order], scores[order]
 
@@ -367,9 +376,10 @@ def search(index: InvertedIndex, params: Bm25Params,
     One ``np.bincount`` adds the memoized contributions of every query-token
     occurrence (a repeated token once per occurrence), one after another in
     query order, so each unit's score is the float sum a per-unit loop computes.
+    For the paragraph variant ``np.maximum.at`` scatters each unit's score
+    onto its document, from +0.0: every score is >= +0.0, and a maximum is
+    exact in any order.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
     pairs = [_NO_CONTRIBUTIONS, *index.contributions(params, query_tokens)]
     unit_scores = np.bincount(np.concatenate([units for units, _ in pairs]),
                               np.concatenate([contrib for _, contrib in pairs]),
@@ -377,6 +387,7 @@ def search(index: InvertedIndex, params: Bm25Params,
     if index.unit_count == index.doc_count:
         doc_scores = unit_scores
     else:
-        doc_scores = np.maximum.reduceat(unit_scores, index.first_unit)
+        doc_scores = np.zeros(index.doc_count)
+        np.maximum.at(doc_scores, index.parent, unit_scores)
     hits = np.flatnonzero(doc_scores > 0.0)
     return top_ranked(hits, doc_scores[hits], index.doc_rank, top_k)

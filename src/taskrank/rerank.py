@@ -129,11 +129,11 @@ def _rerank(ranking: tuple[np.ndarray, np.ndarray], aux: np.ndarray, doc_rank: n
     ties by ``doc_rank``. Equal scores normalize to 1. Each combined score is
     the elementwise IEEE result of that formula, as a scalar loop gives it."""
     docs, scores = ranking
-    if len(docs) == 0:
-        return docs, scores
-    lo, hi = scores.min(), scores.max()
-    normalized = np.ones(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
-    return top_ranked(docs, alpha * normalized + (1.0 - alpha) * aux[docs], doc_rank, top_k)
+    if len(docs):
+        lo, hi = scores.min(), scores.max()
+        normalized = np.ones(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
+        scores = alpha * normalized + (1.0 - alpha) * aux[docs]
+    return top_ranked(docs, scores, doc_rank, top_k)
 
 
 def rerank_by_journal(ranking: tuple[np.ndarray, np.ndarray], prior: np.ndarray,

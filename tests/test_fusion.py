@@ -164,3 +164,31 @@ def test_both_sides_of_the_63_bit_check_match_fsum(monkeypatch, rrf_k, fixed_poi
 def test_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(rrf_k=0.0)
+
+
+def test_repeats_in_several_lists_name_the_smallest_position():
+    lists = [np.array([5, 2, 5]), np.array([7, 4, 7, 1]), np.array([3, 9, 3, 0])]
+    with pytest.raises(ValueError, match="doc position 3 repeated within one ranking"):
+        rrf_fuse(lists, np.arange(10), CFG, 10)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_read_only_inputs_are_accepted_and_left_unchanged(dtype):
+    rng = random.Random(3)
+    lists = [np.array(rng.sample(range(40), 25), dtype=dtype) for _ in range(3)]
+    doc_rank = np.array(rng.sample(range(40), 40), dtype=np.int32)
+    copies = [r.copy() for r in (*lists, doc_rank)]
+    for r in (*lists, doc_rank):
+        r.flags.writeable = False
+    docs, scores = rrf_fuse(lists, doc_rank, CFG, 40)
+    assert all(np.array_equal(r, c) for r, c in zip((*lists, doc_rank), copies))
+    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(
+        [r.tolist() for r in lists], doc_rank.tolist(), CFG.rrf_k, 40)
+
+
+def test_doc_rank_longer_than_the_positions_used():
+    lists = [[2, 0, 1], [1, 2]]
+    doc_rank = [9, 3, 5, 0, 1, 2, 4, 6, 7, 8]
+    docs, scores = rrf_fuse([np.array(r) for r in lists], np.array(doc_rank), CFG, 10)
+    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(lists, doc_rank,
+                                                                     CFG.rrf_k, 10)

@@ -21,8 +21,12 @@ from taskrank.indexing import (
     Tokenizer,
     build_index,
     default_stopwords,
+    search,
     token_runs,
+    top_ranked,
 )
+from taskrank.fusion import FusionConfig, rrf_fuse
+from taskrank.rerank import RerankConfig, rerank_by_journal, rerank_by_task_vector
 from taskrank.querygen import LexiconExtractor, select_task_terms
 from taskrank.tasks import Task
 
@@ -393,6 +397,60 @@ def test_search_total_order_under_ties():
     index = build_index(coll, IndexVariant.FULL_TEXT)
     ranked = search_ids(index, PARAMS, ["same"], 10)
     assert [doc for doc, _ in ranked] == ["da", "dm", "dz"]
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "non-empty"])
+@pytest.mark.parametrize("caller", ["search", "rrf_fuse", "rerank_by_journal",
+                                    "rerank_by_task_vector"])
+def test_every_ranker_rejects_top_k_below_one(caller, empty, top_k):
+    index = build_index(make_collection({"d1": "alpha", "d2": "alpha beta"}),
+                        IndexVariant.FULL_TEXT)
+    docs = np.zeros(0, dtype=np.int64) if empty else np.array([1, 0])
+    ranking = (docs, np.linspace(2.0, 1.0, len(docs)))
+    aux, rerank = np.array([0.5, -0.5]), RerankConfig()
+    calls = {
+        "search": lambda: search(index, PARAMS, [] if empty else ["alpha"], top_k),
+        "rrf_fuse": lambda: rrf_fuse([docs, docs[::-1]], index.doc_rank, FusionConfig(), top_k),
+        "rerank_by_journal": lambda: rerank_by_journal(ranking, aux, index.doc_rank,
+                                                       rerank, top_k),
+        "rerank_by_task_vector": lambda: rerank_by_task_vector(ranking, aux, index.doc_rank,
+                                                               rerank, top_k),
+    }
+    with pytest.raises(ValueError, match="top_k must be >= 1"):
+        calls[caller]()
+
+
+@st.composite
+def tied_rankings(draw):
+    """Distinct positions in any order with scores from a small palette (negative,
+    -0.0 and +0.0 included, so ties are dense), a shuffled ``doc_rank`` that may
+    cover more positions than are ranked, and a ``top_k`` that is often drawn
+    from the cuts that fall inside a run of tied scores."""
+    pool = draw(st.integers(1, 60))
+    docs = draw(st.permutations(range(pool)))[:draw(st.integers(0, pool))]
+    palette = draw(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+                            | st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    scores = [draw(st.sampled_from(palette)) for _ in docs]
+    doc_rank = draw(st.permutations(range(pool)))
+    ranked = sorted(scores, reverse=True)
+    inside = [k for k in range(1, len(ranked)) if ranked[k - 1] == ranked[k]]
+    top_k = draw(st.sampled_from(inside) if inside and draw(st.booleans())
+                 else st.integers(1, len(docs) + 2))
+    return docs, scores, doc_rank, top_k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tied_rankings(), rank_type=st.sampled_from([np.int32, np.int64]))
+def test_top_ranked_matches_sorted_oracle(case, rank_type):
+    docs, scores, doc_rank, top_k = case
+    expected = sorted(zip(docs, scores), key=lambda p: (-p[1], doc_rank[p[0]]))[:top_k]
+    got_docs, got_scores = top_ranked(np.array(docs, dtype=np.int64), np.array(scores),
+                                      np.array(doc_rank, dtype=rank_type), top_k)
+    assert got_docs.tolist() == [doc for doc, _ in expected]
+    # Each score is its document's own, so -0.0 and +0.0 keep their sign.
+    assert [math.copysign(1.0, s) for s in got_scores.tolist()] == [
+        math.copysign(1.0, s) for _, s in expected]
 
 
 def test_bm25_params_validation():
