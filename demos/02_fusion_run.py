@@ -44,14 +44,14 @@ for variant in IndexVariant:
     top = ", ".join(index.doc_ids[p] for p in positions[:3].tolist())
     print(f"{variant.value:<16} top 3: {top}")
 
-# Every index numbers the documents in collection order; doc_rank orders
-# them by doc_id, which breaks ties between equal fused scores.
-fused, scores = rrf_fuse(rankings, index.doc_rank, FusionConfig(rrf_k=60.0), top_k=10)
+# Every index numbers the documents in doc_id order, so the smaller position
+# wins a tie between equal fused scores.
+fused, scores = rrf_fuse(rankings, FusionConfig(rrf_k=60.0), top_k=10)
 print("\nfused ranking (RRF, k=60):")
 for rank, (position, score) in enumerate(zip(fused.tolist(), scores.tolist()), start=1):
     print(f"  {rank:2d}. {index.doc_ids[position]}  {score:.6f}")
 
 # With a single input list, fusion is a monotone transform of rank and the
 # order is unchanged; a document at rank 1 in one of three lists scores 1/61.
-single, _ = rrf_fuse([rankings[0]], index.doc_rank, FusionConfig(), top_k=10)
+single, _ = rrf_fuse([rankings[0]], FusionConfig(), top_k=10)
 assert single.tolist() == rankings[0].tolist()

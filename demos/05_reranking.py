@@ -40,9 +40,9 @@ print("journal priors:")
 for journal, score in sorted(priors.scores.items()):
     print(f"  {journal:<16} {score:+.2f}")
 
-# A fused ranking: document positions in the collection, and their scores.
-doc_ids = list(journal_of)
-doc_rank = np.argsort(np.argsort(doc_ids))  # tie-break: doc_id order
+# A fused ranking: document positions and their scores. Positions number
+# the documents in doc_id order, as an index does, so ties go by doc_id.
+doc_ids = sorted(journal_of)
 fused = (np.array([doc_ids.index(d) for d in ["d3", "d1", "d4", "d2"]]),
          np.array([0.95, 0.90, 0.60, 0.40]))
 
@@ -52,8 +52,8 @@ def show(ranking):
         print(f"  {score:.4f}  {doc_ids[position]}")
 
 
-reranked = rerank_by_journal(fused, priors.by_position(journal_of.values()), doc_rank,
-                             RerankConfig(alpha=0.7), 10)
+journals = [journal_of[doc_id] for doc_id in doc_ids]  # by position
+reranked = rerank_by_journal(fused, priors.by_position(journals), RerankConfig(alpha=0.7), 10)
 print("\njournal re-rank (alpha=0.7):")
 show(reranked)
 # d3 led on retrieval score alone but its journal history drags it down.
@@ -68,7 +68,7 @@ provider = InMemoryVectorProvider({
     # d4 has no vector: neutral proximity 0.5
 })
 vector_reranked = rerank_by_task_vector(
-    fused, provider.proximities(task.task_id, doc_ids), doc_rank, RerankConfig(alpha=0.5), 10
+    fused, provider.proximities(task.task_id, doc_ids), RerankConfig(alpha=0.5), 10
 )
 print("\ntask-vector re-rank (alpha=0.5):")
 show(vector_reranked)

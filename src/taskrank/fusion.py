@@ -3,10 +3,10 @@
 Fused scores are exact: every ``1/(rrf_k + rank)`` lies within a few binades
 of the largest, so scaled by ``2**(53 - e)``, ``e`` the smallest exponent, each
 is an exact int64. Each list adds its scaled terms into one zeroed int64
-array indexed by document position, so each document's sum is exact in any
-order and needs no sort. One conversion to float64 rounds that sum
-correctly, as ``math.fsum`` does. A sum that could need more than 63 bits (a
-tiny ``rrf_k`` with long lists) falls back to ``math.fsum``.
+array indexed by document position, up to the largest given, so each
+document's sum is exact in any order and needs no sort. One conversion to
+float64 rounds it correctly, as ``math.fsum`` does; a sum that could need
+more than 63 bits (a tiny ``rrf_k`` with long lists) falls back to it.
 """
 from __future__ import annotations
 
@@ -29,27 +29,27 @@ class FusionConfig:
             raise ValueError("rrf_k must be a finite number > 0")
 
 
-def rrf_fuse(rankings: list[np.ndarray], doc_rank: np.ndarray, config: FusionConfig,
+def rrf_fuse(rankings: list[np.ndarray], config: FusionConfig,
              top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Fuse ranked lists: fused(d) = sum over lists of 1/(rrf_k + rank(d)).
 
-    Each ranking is an array of document positions, best first; ranks start
-    at 1 and input scores play no part. Each sum is the correctly rounded
-    value of its exact sum, so the result is invariant to the order in which
-    the lists are given. Output is (positions, fused scores) sorted by score
-    descending, ties by ascending ``doc_rank[position]``, truncated to
-    ``top_k``. A position repeated within one list, or a ``top_k`` below 1,
-    raises ValueError.
+    Each ranking is an array of non-negative document positions, best first;
+    ranks start at 1 and input scores play no part. Each sum is the correctly
+    rounded value of its exact sum, so the result is invariant to the order
+    in which the lists are given. Output is (positions, fused scores) sorted
+    by score descending, ties by ascending position (doc_id order for an
+    index's positions), truncated to ``top_k``. A position repeated within
+    one list, or a ``top_k`` below 1, raises ValueError.
     """
     if not rankings:
         raise EmptyInput("rrf_fuse needs at least one ranking")
     rankings = [np.asarray(r, dtype=np.int64) for r in rankings]
     longest = max(map(len, rankings))
     if longest == 0:
-        return top_ranked(np.zeros(0, dtype=np.int64), np.zeros(0), doc_rank, top_k)
+        return top_ranked(np.zeros(0, dtype=np.int64), np.zeros(0), top_k)
     # How many lists hold each position. The buffered ``+=`` adds once per
     # distinct index, so a position repeated within one list falls short.
-    held = np.zeros(len(doc_rank), dtype=np.int64)
+    held = np.zeros(1 + max(int(r.max(initial=-1)) for r in rankings), dtype=np.int64)
     for r in rankings:
         held[r] += 1
     if held.sum() < sum(map(len, rankings)):
@@ -63,7 +63,7 @@ def rrf_fuse(rankings: list[np.ndarray], doc_rank: np.ndarray, config: FusionCon
     largest = int(math.ldexp(contrib[0], shift))
     if contrib[-1] >= sys.float_info.min and len(rankings) * largest < 2**63:
         scaled = np.ldexp(contrib, shift).astype(np.int64)
-        exact = np.zeros(len(doc_rank), dtype=np.int64)
+        exact = np.zeros(len(held), dtype=np.int64)
         for r in rankings:  # its positions are distinct, so none collide
             exact[r] += scaled[:len(r)]
         scores = np.ldexp(exact[docs].astype(np.float64), -shift)
@@ -74,4 +74,4 @@ def rrf_fuse(rankings: list[np.ndarray], doc_rank: np.ndarray, config: FusionCon
         parts = np.concatenate([contrib[:len(r)] for r in rankings])[order]
         starts = np.searchsorted(positions[order], docs)
         scores = np.array([math.fsum(run) for run in np.split(parts, starts[1:])])
-    return top_ranked(docs, scores, doc_rank, top_k)
+    return top_ranked(docs, scores, top_k)

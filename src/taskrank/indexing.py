@@ -7,20 +7,20 @@ body paragraph becomes its own index unit mapped back to the parent document.
 A ``TokenizedCollection`` reads the documents in one pass and splits each
 one's title+abstract ("head") once and each body paragraph once into runs,
 which one vocabulary lookup per run and a numpy mask turn into token ids
-over one vocabulary; of the documents it keeps only their ids. Every
-variant is assembled from those arrays: full text = head + all paragraphs,
-title+abstract = head, paragraph = head + paragraph_i (the head alone for a
-document without a body). An ``InvertedIndex`` stores its postings in CSR
-form: per term, a contiguous run of ascending ``int32`` unit ids and their
-term frequencies, located by ``offsets``. ``search`` is the one BM25 scorer:
-it scores the units a query touches and ranks documents by their best unit.
-An index never changes once built; per ``Bm25Params`` it memoizes derived data,
-the unit length norm and each term's BM25 contributions, at first use, so all
-topics, sweep cells and classifiers sharing an index score each term once.
-A ranking is a pair of arrays, document positions in collection order and
-their float64 scores; ``top_ranked`` orders one for search, fusion and
-re-ranking alike. A run keeps them (``evaluation.Ranking``), and doc_id
-strings are looked up only when a run file is written.
+over one vocabulary; of the documents it keeps only their ids, in doc_id
+order. Every variant is assembled from those arrays: full text = head + all
+paragraphs, title+abstract = head, paragraph = head + paragraph_i (the head
+alone for a document without a body). An ``InvertedIndex`` stores its
+postings in CSR form: per term, a contiguous run of ascending ``int32`` unit
+ids and their term frequencies, located by ``offsets``. ``search`` is the one
+BM25 scorer: it scores the units a query touches and ranks documents by their
+best unit. An index never changes once built; per ``Bm25Params`` it memoizes
+derived data, the unit length norm and each term's BM25 contributions, at
+first use, so all topics, sweep cells and classifiers sharing an index score
+each term once. A ranking is a pair of arrays, document positions and their
+float64 scores; ``top_ranked`` orders one for search, fusion and re-ranking
+alike, ties by ascending position, which is doc_id order. A run keeps them
+(``evaluation.Ranking``) and looks doc_ids up only to write a run file.
 """
 
 from __future__ import annotations
@@ -138,11 +138,13 @@ class TokenizedCollection:
     ``Tokenizer.tokenize`` of each text would give. The run ids are masked
     about 65k runs at a time, so no list holds more than one block of them.
 
-    Segments are laid out per document in collection order: the head
+    Segments are laid out per document in file order: the head
     (``f"{title} {abstract}"``) and then each body paragraph. Segment ``s``
-    is ``tokens[seg_offsets[s]:seg_offsets[s + 1]]``. Tokenizing the joined
-    texts a variant indexes gives the concatenation of these segments, because
-    the joining space never belongs to a token. With ``bodies=False`` only
+    is ``tokens[seg_offsets[s]:seg_offsets[s + 1]]``. Document positions
+    follow doc_id order: ``doc_ids[d]``'s head is segment ``head_segment[d]``,
+    followed by its ``paragraphs[d]`` paragraphs. Tokenizing the joined texts
+    a variant indexes gives the concatenation of these segments, because the
+    joining space never belongs to a token. With ``bodies=False`` only
     heads are tokenized, which suffices for the title+abstract variant.
     ``documents`` is read once; no documents or a repeated doc_id is an error.
     """
@@ -176,7 +178,6 @@ class TokenizedCollection:
         if not doc_ids:
             raise EmptyCollection("cannot index an empty collection")
         _add_block(token_blocks, end_blocks, raw, seg_ends)
-        self.doc_ids = tuple(doc_ids)
         self.tokens = np.concatenate(token_blocks)
         self.seg_offsets = np.concatenate(end_blocks)
         del token_blocks, end_blocks
@@ -184,15 +185,15 @@ class TokenizedCollection:
         # unknown query term adds nothing. It holds only str and int and the
         # collector skips it.
         self.vocab = dict(islice(vocab.items(), len(dropped), None))
-        self.paragraphs = np.array(paragraphs, dtype=np.int64)
-        # Segment index of each document's head; its paragraphs follow it.
-        self.head_segment = np.cumsum(self.paragraphs + 1) - (self.paragraphs + 1)
         order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         for a, b in pairwise(order):
             if doc_ids[a] == doc_ids[b]:
                 raise DuplicateDocId(doc_ids[a])
-        self.doc_rank = np.empty(len(order), dtype=np.int32)
-        self.doc_rank[order] = np.arange(len(order), dtype=np.int32)
+        self.doc_ids = tuple(map(doc_ids.__getitem__, order))
+        segments = np.array(paragraphs, dtype=np.int64) + 1  # per document, in file order
+        # Segment index of each document's head; its paragraphs follow it.
+        self.head_segment = (np.cumsum(segments) - segments)[order]
+        self.paragraphs = segments[order] - 1
 
 
 class InvertedIndex:
@@ -200,8 +201,8 @@ class InvertedIndex:
 
     Statistics are unit-level: for the paragraph variant a "unit" is one
     title+abstract+paragraph block, otherwise one document. Units are
-    numbered in collection order and ``parent[u]`` is the position of unit
-    ``u``'s document; ``first_unit[d]`` is document ``d``'s first unit.
+    numbered in document position (doc_id) order, a document's paragraphs in
+    their order, and ``parent[u]`` is the position of unit ``u``'s document.
     The postings of term id ``t`` are ``post_units[offsets[t]:offsets[t+1]]``
     (ascending) with frequencies ``post_tfs`` at the same positions.
 
@@ -217,7 +218,6 @@ class InvertedIndex:
         self.tokenizer = tokens.tokenizer
         self.vocab = tokens.vocab
         self.doc_ids = tokens.doc_ids
-        self.doc_rank = tokens.doc_rank
         offsets, head, paragraphs = tokens.seg_offsets, tokens.head_segment, tokens.paragraphs
         if variant is IndexVariant.TITLE_ABSTRACT_PARAGRAPH:
             units_per_doc = np.maximum(paragraphs, 1)
@@ -225,8 +225,6 @@ class InvertedIndex:
             units_per_doc = np.ones(len(head), dtype=np.int64)
         self.doc_count = len(head)
         self.unit_count = int(units_per_doc.sum())
-        first_unit = np.cumsum(units_per_doc) - units_per_doc
-        self.first_unit = first_unit.astype(np.int32)
         self.parent = np.repeat(np.arange(self.doc_count, dtype=np.int32), units_per_doc)
         if variant is IndexVariant.FULL_TEXT:
             parts = [(offsets[head], offsets[head + 1 + paragraphs])]
@@ -235,7 +233,8 @@ class InvertedIndex:
         else:
             # Unit u is its document's head plus paragraph local[u], if any.
             parent = self.parent
-            local = np.arange(self.unit_count) - first_unit[parent]
+            first = np.cumsum(units_per_doc) - units_per_doc  # each document's first unit
+            local = np.arange(self.unit_count) - first[parent]
             with_body = paragraphs[parent] > 0
             segment = (head[parent] + 1 + local)[with_body]
             para_starts = np.zeros(self.unit_count, dtype=np.int64)
@@ -282,8 +281,7 @@ class InvertedIndex:
     def nbytes(self) -> int:
         """Bytes held in this index's arrays (the shared vocabulary excluded)."""
         return sum(a.nbytes for a in (self.offsets, self.post_units, self.post_tfs,
-                                      self.parent, self.first_unit,
-                                      self.unit_lengths, self.doc_rank))
+                                      self.parent, self.unit_lengths))
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Ascending unit ids containing ``term`` and their term frequencies."""
@@ -337,11 +335,10 @@ def build_index(documents: Iterable[Document], variant: IndexVariant,
     return InvertedIndex(TokenizedCollection(documents, tokenizer, bodies), variant)
 
 
-def top_ranked(docs: np.ndarray, scores: np.ndarray, doc_rank: np.ndarray,
-               top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``top_k`` best of the positions ``docs`` with their ``scores``,
-    by score descending, ties by ascending ``doc_rank`` (doc_id order).
-    A ``top_k`` below 1 raises ValueError, whatever ``docs`` holds."""
+def top_ranked(docs: np.ndarray, scores: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top_k`` best of the distinct positions ``docs`` with their
+    ``scores``, by score descending, ties by ascending position (doc_id
+    order). A ``top_k`` below 1 raises ValueError, whatever ``docs`` holds."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if len(docs) > top_k:
@@ -352,13 +349,13 @@ def top_ranked(docs: np.ndarray, scores: np.ndarray, doc_rank: np.ndarray,
     ranked = scores[order]
     tied = ranked[1:] == ranked[:-1]
     if tied.any():
-        # Sort again by (run of equal scores, doc_rank), one int64 key per
+        # Sort again by (run of equal scores, position), one int64 key per
         # document: a run's number counts the score changes before it, so the
         # keys are distinct.
         key = np.zeros(len(order), dtype=np.int64)
         np.cumsum(~tied, out=key[1:])
-        key *= len(doc_rank)
-        key += doc_rank[docs[order]]
+        key *= int(docs.max()) + 1
+        key += docs[order]
         order = order[np.argsort(key)]
     order = order[:top_k]
     return docs[order], scores[order]
@@ -390,4 +387,4 @@ def search(index: InvertedIndex, params: Bm25Params,
         doc_scores = np.zeros(index.doc_count)
         np.maximum.at(doc_scores, index.parent, unit_scores)
     hits = np.flatnonzero(doc_scores > 0.0)
-    return top_ranked(hits, doc_scores[hits], index.doc_rank, top_k)
+    return top_ranked(hits, doc_scores[hits], top_k)

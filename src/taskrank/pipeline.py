@@ -144,10 +144,10 @@ class PipelineConfig:
 
 def load_corpus(path, variants: Collection[IndexVariant], tokenizer: Tokenizer | None = None
                 ) -> tuple[dict[str, str], dict[IndexVariant, InvertedIndex]]:
-    """``{doc_id: journal}`` in position order and an index per variant of the
-    corpus file at ``path``. Bodies are tokenized only for a variant other
-    than title+abstract (as in ``build_index``), and the documents are
-    dropped before the builds."""
+    """``{doc_id: journal}`` and an index per variant (documents in doc_id
+    order) of the corpus file at ``path``. Bodies are tokenized only for a
+    variant other than title+abstract (as in ``build_index``), and the
+    documents are dropped before the builds."""
     documents = load_collection(path)
     journal_of = {doc.doc_id: doc.journal for doc in documents}
     bodies = any(variant is not IndexVariant.TITLE_ABSTRACT for variant in variants)
@@ -171,8 +171,7 @@ class Pipeline:
             else default_lexicon()
         )
         journal_of, self.indices = load_corpus(config.corpus_path, IndexVariant, self.tokenizer)
-        index = self.indices[IndexVariant.FULL_TEXT]
-        self._doc_ids, self._doc_rank = index.doc_ids, index.doc_rank
+        self._doc_ids = doc_ids = self.indices[IndexVariant.FULL_TEXT].doc_ids
         manual = None
         if config.variant in _NEEDS_ASSIGNMENT and config.manual_map_path:
             manual = load_manual_map(config.manual_map_path, framework)
@@ -186,17 +185,18 @@ class Pipeline:
         by_task: dict[str, np.ndarray] = {}
         if config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
             qrels = parse_qrels(config.qrels_path)
+            journals = list(map(journal_of.__getitem__, doc_ids))  # by position
             if config.variant is RunVariant.JOURNAL_PRIOR:
-                prior = build_journal_priors(qrels, journal_of).by_position(journal_of.values())
+                prior = build_journal_priors(qrels, journal_of).by_position(journals)
                 self._rerank_scores = {topic.topic_id: prior for topic in self.topics}
             else:
                 tables = build_per_task_priors(qrels, journal_of, manual)
-                by_task = {task_id: table.by_position(journal_of.values())
+                by_task = {task_id: table.by_position(journals)
                            for task_id, table in tables.items()}
         if config.variant is RunVariant.VECTOR:
             vectors = InMemoryVectorProvider.from_file(config.vectors_path)
             used = sorted({a.task_id for a in self._assignments.values()})
-            by_task = {t: vectors.proximities(t, self._doc_ids) for t in used}
+            by_task = {t: vectors.proximities(t, doc_ids) for t in used}
         if by_task:
             self._rerank_scores = {topic_id: by_task[a.task_id]
                                    for topic_id, a in self._assignments.items()}
@@ -277,12 +277,12 @@ class Pipeline:
                     positions.flags.writeable = False
                     memo[key] = positions
                 rankings.append(positions)
-        ranked = rrf_fuse(rankings, self._doc_rank, config.fusion, config.top_k)
+        ranked = rrf_fuse(rankings, config.fusion, config.top_k)
         if config.variant in _RERANKED:
             rerank = (rerank_by_task_vector if config.variant is RunVariant.VECTOR
                       else rerank_by_journal)
-            ranked = rerank(ranked, self._rerank_scores[topic.topic_id], self._doc_rank,
-                            self._rerank_config, config.top_k)
+            scores = self._rerank_scores[topic.topic_id]
+            ranked = rerank(ranked, scores, self._rerank_config, config.top_k)
         return Ranking(self._doc_ids, *ranked)
 
     def run(self) -> Run:

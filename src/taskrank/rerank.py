@@ -3,9 +3,10 @@ proximity to a task description.
 
 Both re-rankers min-max normalize the retrieval scores within the ranking and
 combine them linearly with an auxiliary score in [-1, 1] (journal prior) or
-[0, 1] (mapped cosine proximity). Rankings are (document position, score)
-arrays, and the auxiliary score is an array indexed by document position,
-built once per prior table (``JournalPriorTable.by_position``) or per task
+[0, 1] (mapped cosine proximity), ties by position (doc_id order). Rankings
+are (document position, score) arrays, and the auxiliary score is an array
+indexed by document position, built once per prior table
+(``JournalPriorTable.by_position``) or per task
 (``InMemoryVectorProvider.proximities``) before any topic runs. Journal priors
 count the judgments of ``Qrels.grades`` for all topics, or per task for the
 topics the manual map assigns to it, with each judged document's journal
@@ -68,7 +69,7 @@ class JournalPriorTable:
 
     def by_position(self, journals: Iterable[str]) -> np.ndarray:
         """The prior of each of ``journals``, in their order: indexed by
-        document position when given the documents' journals in that order."""
+        document position when given the journals of ``InvertedIndex.doc_ids``."""
         return np.array([self.score(journal) for journal in journals], dtype=np.float64)
 
 
@@ -123,25 +124,24 @@ def build_per_task_priors(qrels, journal_of: Mapping[str, str],
     return tables
 
 
-def _rerank(ranking: tuple[np.ndarray, np.ndarray], aux: np.ndarray, doc_rank: np.ndarray,
-            alpha: float, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+def _rerank(ranking: tuple[np.ndarray, np.ndarray], aux: np.ndarray, alpha: float,
+            top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """``alpha * minmax(score) + (1 - alpha) * aux[doc]``, best ``top_k`` first,
-    ties by ``doc_rank``. Equal scores normalize to 1. Each combined score is
-    the elementwise IEEE result of that formula, as a scalar loop gives it."""
+    ties by position. Equal scores normalize to 1. Each combined score is the
+    elementwise IEEE result of that formula, as a scalar loop gives it."""
     docs, scores = ranking
     if len(docs):
         lo, hi = scores.min(), scores.max()
         normalized = np.ones(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
         scores = alpha * normalized + (1.0 - alpha) * aux[docs]
-    return top_ranked(docs, scores, doc_rank, top_k)
+    return top_ranked(docs, scores, top_k)
 
 
 def rerank_by_journal(ranking: tuple[np.ndarray, np.ndarray], prior: np.ndarray,
-                      doc_rank: np.ndarray, config: RerankConfig,
-                      top_k: int) -> tuple[np.ndarray, np.ndarray]:
+                      config: RerankConfig, top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Linear combination of min-max normalized retrieval score and journal
     prior; ``prior[p]`` is position p's, from ``JournalPriorTable.by_position``."""
-    return _rerank(ranking, prior, doc_rank, config.alpha, top_k)
+    return _rerank(ranking, prior, config.alpha, top_k)
 
 
 class InMemoryVectorProvider:
@@ -191,20 +191,22 @@ class InMemoryVectorProvider:
 
 
 def cosine_proximity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity mapped to [0, 1] via (cos+1)/2; zero vectors map to 0.5."""
+    """Cosine similarity mapped to [0, 1] via (cos+1)/2; zero vectors map to 0.5.
+    Each vector is scaled exactly, by a power of two, to a largest |component|
+    in [0.5, 1), so nothing overflows or underflows; cos is clamped to [-1, 1]."""
+    a, b = (np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (a, b))
     denom = float(np.linalg.norm(a) * np.linalg.norm(b))
     if denom == 0.0:
         return 0.5
-    cos = float(np.dot(a, b)) / denom
+    cos = min(max(float(np.dot(a, b)) / denom, -1.0), 1.0)
     return (cos + 1.0) / 2.0
 
 
 def rerank_by_task_vector(ranking: tuple[np.ndarray, np.ndarray], proximity: np.ndarray,
-                          doc_rank: np.ndarray, config: RerankConfig,
-                          top_k: int) -> tuple[np.ndarray, np.ndarray]:
+                          config: RerankConfig, top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Combine retrieval score with proximity to the task description vector;
     ``proximity[p]`` is position p's, from ``InMemoryVectorProvider.proximities``."""
-    return _rerank(ranking, proximity, doc_rank, config.alpha, top_k)
+    return _rerank(ranking, proximity, config.alpha, top_k)
 
 
 def export_priors(table: JournalPriorTable) -> str:

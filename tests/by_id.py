@@ -2,6 +2,8 @@
 doc_id strings, the form in which the tests' oracles state their results.
 
 Rankings go in as ``[(doc_id, score), ...]`` and come out the same way.
+Positions number the doc_ids in sorted order, as an index numbers its
+documents, so the library's tie-break by position is one by doc_id.
 """
 
 import numpy as np
@@ -9,14 +11,6 @@ import numpy as np
 from taskrank.fusion import rrf_fuse
 from taskrank.indexing import search
 from taskrank.rerank import rerank_by_journal, rerank_by_task_vector
-
-
-def doc_rank_of(doc_ids):
-    """Each position's rank in doc_id order, the library's tie-break."""
-    order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-    rank = np.empty(len(doc_ids), dtype=np.int32)
-    rank[order] = np.arange(len(doc_ids), dtype=np.int32)
-    return rank
 
 
 def as_ids(doc_ids, ranking):
@@ -34,28 +28,23 @@ def search_ids(index, params, query_tokens, top_k):
 
 
 def fuse_ids(rankings, config, top_k):
-    """``rrf_fuse`` over doc ids numbered in order of first appearance, so
-    positions and doc_id order differ."""
-    positions = {}
-    for ranking in rankings:
-        for doc_id, _ in ranking:
-            positions.setdefault(doc_id, len(positions))
-    doc_ids = list(positions)
+    doc_ids = sorted({doc_id for ranking in rankings for doc_id, _ in ranking})
+    positions = {d: i for i, d in enumerate(doc_ids)}
     lists = [as_positions(positions, ranking)[0] for ranking in rankings]
-    return as_ids(doc_ids, rrf_fuse(lists, doc_rank_of(doc_ids), config, top_k))
+    return as_ids(doc_ids, rrf_fuse(lists, config, top_k))
 
 
 def rerank_journal_ids(ranking, table, journal_of, config, top_k):
-    doc_ids = list(journal_of)
+    doc_ids = sorted(journal_of)
     fused = as_positions({d: i for i, d in enumerate(doc_ids)}, ranking)
-    out = rerank_by_journal(fused, table.by_position(journal_of.values()),
-                            doc_rank_of(doc_ids), config, top_k)
+    out = rerank_by_journal(fused, table.by_position(map(journal_of.__getitem__, doc_ids)),
+                            config, top_k)
     return as_ids(doc_ids, out)
 
 
 def rerank_vector_ids(ranking, provider, task, config, top_k):
-    doc_ids = [doc_id for doc_id, _ in ranking]
+    doc_ids = sorted(doc_id for doc_id, _ in ranking)
     fused = as_positions({d: i for i, d in enumerate(doc_ids)}, ranking)
     proximity = provider.proximities(task.task_id, doc_ids)
-    out = rerank_by_task_vector(fused, proximity, doc_rank_of(doc_ids), config, top_k)
+    out = rerank_by_task_vector(fused, proximity, config, top_k)
     return as_ids(doc_ids, out)

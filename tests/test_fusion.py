@@ -89,30 +89,30 @@ def test_truncates_to_top_k():
 
 def test_empty_input_rejected():
     with pytest.raises(EmptyInput):
-        rrf_fuse([], np.zeros(0, dtype=np.int32), CFG, 10)
+        rrf_fuse([], CFG, 10)
 
 
 def test_duplicate_doc_within_list_rejected():
     with pytest.raises(ValueError):
         fuse_ids([[("a", 2.0), ("a", 1.0)]], CFG, 10)
     with pytest.raises(ValueError, match="position 3 repeated"):
-        rrf_fuse([np.array([1, 3]), np.array([2, 3, 0, 3])], np.arange(4), CFG, 10)
+        rrf_fuse([np.array([1, 3]), np.array([2, 3, 0, 3])], CFG, 10)
 
 
 def test_empty_lists_fuse_to_nothing():
-    docs, scores = rrf_fuse([np.zeros(0, dtype=np.int64)] * 3, np.arange(2), CFG, 10)
+    docs, scores = rrf_fuse([np.zeros(0, dtype=np.int64)] * 3, CFG, 10)
     assert len(docs) == len(scores) == 0
 
 
-def fsum_oracle(lists, doc_rank, rrf_k, top_k):
+def fsum_oracle(lists, rrf_k, top_k):
     """The definition: per position, math.fsum of 1/(rrf_k + rank) over the
-    lists holding it; score descending, ties by doc_rank."""
+    lists holding it; score descending, ties by ascending position."""
     parts = {}
     for positions in lists:
         for rank, doc in enumerate(positions, start=1):
             parts.setdefault(doc, []).append(1.0 / (rrf_k + rank))
     fused = [(doc, math.fsum(p)) for doc, p in parts.items()]
-    fused.sort(key=lambda item: (-item[1], doc_rank[item[0]]))
+    fused.sort(key=lambda item: (-item[1], item[0]))
     return fused[:top_k]
 
 
@@ -126,9 +126,7 @@ def overlapping_lists(draw):
     for _ in range(n_lists):
         length = draw(st.integers(0, min(1500, pool)))
         lists.append(rng.sample(range(pool), length))
-    doc_rank = list(range(pool))
-    rng.shuffle(doc_rank)
-    return lists, doc_rank
+    return lists
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,11 +134,9 @@ def overlapping_lists(draw):
        rrf_k=st.one_of(st.sampled_from([1.0, 60.0]), st.floats(1e-6, 1e6)),
        top_k=st.integers(1, 3000))
 def test_rrf_is_the_exact_fsum_of_reciprocal_ranks(data, rrf_k, top_k):
-    lists, doc_rank = data
-    docs, scores = rrf_fuse([np.array(p, dtype=np.int64) for p in lists],
-                            np.array(doc_rank), FusionConfig(rrf_k=rrf_k), top_k)
-    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(
-        lists, doc_rank, rrf_k, top_k)
+    docs, scores = rrf_fuse([np.array(p, dtype=np.int64) for p in data],
+                            FusionConfig(rrf_k=rrf_k), top_k)
+    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(data, rrf_k, top_k)
 
 
 @pytest.mark.parametrize("rrf_k, fixed_point", [(60.0, True), (1.0, False)])
@@ -152,12 +148,10 @@ def test_both_sides_of_the_63_bit_check_match_fsum(monkeypatch, rrf_k, fixed_poi
     calls = []
     fsum = math.fsum
     monkeypatch.setattr(math, "fsum", lambda parts: calls.append(1) or fsum(parts))
-    docs, scores = rrf_fuse([np.array(p) for p in lists], np.arange(1500),
-                            FusionConfig(rrf_k=rrf_k), 1500)
+    docs, scores = rrf_fuse([np.array(p) for p in lists], FusionConfig(rrf_k=rrf_k), 1500)
     monkeypatch.undo()
     assert (not calls) is fixed_point
-    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(
-        lists, range(1500), rrf_k, 1500)
+    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(lists, rrf_k, 1500)
 
 
 
@@ -169,26 +163,25 @@ def test_config_validation():
 def test_repeats_in_several_lists_name_the_smallest_position():
     lists = [np.array([5, 2, 5]), np.array([7, 4, 7, 1]), np.array([3, 9, 3, 0])]
     with pytest.raises(ValueError, match="doc position 3 repeated within one ranking"):
-        rrf_fuse(lists, np.arange(10), CFG, 10)
+        rrf_fuse(lists, CFG, 10)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_read_only_inputs_are_accepted_and_left_unchanged(dtype):
     rng = random.Random(3)
     lists = [np.array(rng.sample(range(40), 25), dtype=dtype) for _ in range(3)]
-    doc_rank = np.array(rng.sample(range(40), 40), dtype=np.int32)
-    copies = [r.copy() for r in (*lists, doc_rank)]
-    for r in (*lists, doc_rank):
+    copies = [r.copy() for r in lists]
+    for r in lists:
         r.flags.writeable = False
-    docs, scores = rrf_fuse(lists, doc_rank, CFG, 40)
-    assert all(np.array_equal(r, c) for r, c in zip((*lists, doc_rank), copies))
+    docs, scores = rrf_fuse(lists, CFG, 40)
+    assert all(np.array_equal(r, c) for r, c in zip(lists, copies))
     assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(
-        [r.tolist() for r in lists], doc_rank.tolist(), CFG.rrf_k, 40)
+        [r.tolist() for r in lists], CFG.rrf_k, 40)
 
 
-def test_doc_rank_longer_than_the_positions_used():
-    lists = [[2, 0, 1], [1, 2]]
-    doc_rank = [9, 3, 5, 0, 1, 2, 4, 6, 7, 8]
-    docs, scores = rrf_fuse([np.array(r) for r in lists], np.array(doc_rank), CFG, 10)
-    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(lists, doc_rank,
-                                                                     CFG.rrf_k, 10)
+def test_sparse_positions_tie_by_position():
+    # Positions far apart and far above the lists' lengths; 9 and 3 tie.
+    lists = [[9, 3, 5000], [3, 9]]
+    docs, scores = rrf_fuse([np.array(r) for r in lists], CFG, 10)
+    assert list(zip(docs.tolist(), scores.tolist())) == fsum_oracle(lists, CFG.rrf_k, 10)
+    assert docs.tolist() == [3, 9, 5000]

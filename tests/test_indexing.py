@@ -128,7 +128,6 @@ def test_paragraph_variant_units():
     index = build_index(coll, IndexVariant.TITLE_ABSTRACT_PARAGRAPH)
     assert index.unit_count == 2
     assert index.parent.tolist() == [0, 0]
-    assert index.first_unit.tolist() == [0]
     assert index.doc_ids == ("d1",)
 
 
@@ -170,7 +169,7 @@ def test_repeated_doc_id_rejected(build):
 
 
 def assert_same_tokenization(got, want):
-    for name in ("tokens", "seg_offsets", "doc_rank"):
+    for name in ("tokens", "seg_offsets", "head_segment", "paragraphs"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert list(got.vocab.items()) == list(want.vocab.items())
     assert got.doc_ids == want.doc_ids
@@ -204,9 +203,10 @@ def synthetic_corpus(n_docs, seed, with_paragraphs=True):
 
 
 def oracle_unit_tokens(collection, variant, tokenizer):
-    """Recompose each unit's token list straight from the documents."""
+    """Recompose each unit's token list straight from the documents, walking
+    them in doc_id order, the order in which an index numbers them."""
     units = {}
-    for doc in collection:
+    for doc in sorted(collection, key=lambda doc: doc.doc_id):
         head = f"{doc.title} {doc.abstract}"
         if variant is IndexVariant.FULL_TEXT:
             texts = [" ".join([head, *doc.body])]
@@ -222,15 +222,13 @@ def oracle_unit_tokens(collection, variant, tokenizer):
 
 
 def assert_units_match_oracle(index, units, collection):
-    """The index's unit arrays against an oracle's units, in collection order:
-    ``parent`` maps each unit to its document, ``first_unit`` gives each
-    document's first unit and ``unit_lengths`` counts each unit's tokens."""
-    position = {doc.doc_id: d for d, doc in enumerate(collection)}
-    parents = [position[doc_id] for doc_id, _k in units]
+    """The index's unit arrays against an oracle's units, in doc_id order:
+    ``parent`` maps each unit to its document and ``unit_lengths`` counts
+    each unit's tokens."""
+    position = {doc_id: d for d, doc_id in enumerate(sorted(doc.doc_id for doc in collection))}
     assert index.doc_ids == tuple(position)
     assert index.unit_count == len(units)
-    assert index.parent.tolist() == parents
-    assert index.first_unit.tolist() == [parents.index(d) for d in range(len(position))]
+    assert index.parent.tolist() == [position[doc_id] for doc_id, _k in units]
     assert index.unit_lengths.tolist() == [len(tokens) for tokens in units.values()]
 
 
@@ -411,11 +409,9 @@ def test_every_ranker_rejects_top_k_below_one(caller, empty, top_k):
     aux, rerank = np.array([0.5, -0.5]), RerankConfig()
     calls = {
         "search": lambda: search(index, PARAMS, [] if empty else ["alpha"], top_k),
-        "rrf_fuse": lambda: rrf_fuse([docs, docs[::-1]], index.doc_rank, FusionConfig(), top_k),
-        "rerank_by_journal": lambda: rerank_by_journal(ranking, aux, index.doc_rank,
-                                                       rerank, top_k),
-        "rerank_by_task_vector": lambda: rerank_by_task_vector(ranking, aux, index.doc_rank,
-                                                               rerank, top_k),
+        "rrf_fuse": lambda: rrf_fuse([docs, docs[::-1]], FusionConfig(), top_k),
+        "rerank_by_journal": lambda: rerank_by_journal(ranking, aux, rerank, top_k),
+        "rerank_by_task_vector": lambda: rerank_by_task_vector(ranking, aux, rerank, top_k),
     }
     with pytest.raises(ValueError, match="top_k must be >= 1"):
         calls[caller]()
@@ -423,30 +419,29 @@ def test_every_ranker_rejects_top_k_below_one(caller, empty, top_k):
 
 @st.composite
 def tied_rankings(draw):
-    """Distinct positions in any order with scores from a small palette (negative,
-    -0.0 and +0.0 included, so ties are dense), a shuffled ``doc_rank`` that may
-    cover more positions than are ranked, and a ``top_k`` that is often drawn
-    from the cuts that fall inside a run of tied scores."""
+    """Distinct positions in any order, some of a pool left out, with scores
+    from a small palette (negative, -0.0 and +0.0 included, so ties are
+    dense), and a ``top_k`` that is often drawn from the cuts that fall
+    inside a run of tied scores."""
     pool = draw(st.integers(1, 60))
     docs = draw(st.permutations(range(pool)))[:draw(st.integers(0, pool))]
     palette = draw(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
                             | st.floats(-1e3, 1e3), min_size=1, max_size=4))
     scores = [draw(st.sampled_from(palette)) for _ in docs]
-    doc_rank = draw(st.permutations(range(pool)))
     ranked = sorted(scores, reverse=True)
     inside = [k for k in range(1, len(ranked)) if ranked[k - 1] == ranked[k]]
     top_k = draw(st.sampled_from(inside) if inside and draw(st.booleans())
                  else st.integers(1, len(docs) + 2))
-    return docs, scores, doc_rank, top_k
+    return docs, scores, top_k
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=tied_rankings(), rank_type=st.sampled_from([np.int32, np.int64]))
-def test_top_ranked_matches_sorted_oracle(case, rank_type):
-    docs, scores, doc_rank, top_k = case
-    expected = sorted(zip(docs, scores), key=lambda p: (-p[1], doc_rank[p[0]]))[:top_k]
-    got_docs, got_scores = top_ranked(np.array(docs, dtype=np.int64), np.array(scores),
-                                      np.array(doc_rank, dtype=rank_type), top_k)
+@given(case=tied_rankings(), position_type=st.sampled_from([np.int32, np.int64]))
+def test_top_ranked_matches_sorted_oracle(case, position_type):
+    docs, scores, top_k = case
+    expected = sorted(zip(docs, scores), key=lambda p: (-p[1], p[0]))[:top_k]
+    got_docs, got_scores = top_ranked(np.array(docs, dtype=position_type), np.array(scores),
+                                      top_k)
     assert got_docs.tolist() == [doc for doc, _ in expected]
     # Each score is its document's own, so -0.0 and +0.0 keep their sign.
     assert [math.copysign(1.0, s) for s in got_scores.tolist()] == [
@@ -499,10 +494,12 @@ def test_tokenized_collection_matches_per_text_oracle(docs, stopwords, bodies, b
         for doc_id, title, abstract, body in docs
     )
     tok = Tokenizer(stopwords)
-    vocab, tokens, seg_offsets = {}, [], [0]
+    vocab, tokens, seg_offsets, segments_of = {}, [], [0], {}
     for doc in coll:
         head = f"{doc.title} {doc.abstract}"
-        for text in [head, *doc.body] if bodies else [head]:
+        texts = [head, *doc.body] if bodies else [head]
+        segments_of[doc.doc_id] = (len(seg_offsets) - 1, len(texts) - 1)
+        for text in texts:
             tokens += [vocab.setdefault(t, len(vocab)) for t in tok.tokenize(text)]
             seg_offsets.append(len(tokens))
     # Run ids masked in blocks of any size give the same arrays.
@@ -511,6 +508,10 @@ def test_tokenized_collection_matches_per_text_oracle(docs, stopwords, bodies, b
     assert_same_tokenization(TokenizedCollection((doc for doc in coll), tok, bodies), tc)
     assert tc.tokens.dtype == np.int32 and tc.tokens.tolist() == tokens
     assert tc.seg_offsets.tolist() == seg_offsets
+    # Positions follow doc_id order; each names its head segment and paragraph count.
+    assert tc.doc_ids == tuple(sorted(segments_of))
+    assert list(zip(tc.head_segment.tolist(), tc.paragraphs.tolist())) == [
+        segments_of[doc_id] for doc_id in tc.doc_ids]
     assert list(tc.vocab.items()) == list(vocab.items())
     # Only str keys and int values: no garbage collection pass need scan it.
     assert type(tc.vocab) is dict and not gc.is_tracked(tc.vocab)

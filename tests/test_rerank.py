@@ -1,7 +1,10 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskrank.errors import EmptyQrels, MissingTaskVector
 from taskrank.evaluation import Qrels
@@ -253,6 +256,42 @@ def test_vector_provider_rejects_mixed_dimensions():
 
 def test_cosine_of_zero_vector_is_neutral():
     assert cosine_proximity(np.zeros(3), np.ones(3)) == 0.5
+
+
+# Zero or a magnitude in [1e-3, 1e2]: scaled by 2**±900 every component stays normal.
+components = st.one_of(st.just(0.0), st.floats(1e-3, 1e2), st.floats(-1e2, -1e-3))
+vector_pairs = st.integers(1, 39).flatmap(
+    lambda n: st.tuples(*[st.lists(components, min_size=n, max_size=n)] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=vector_pairs, i=st.integers(-900, 900), j=st.integers(-900, 900),
+       parallel=st.booleans())
+def test_cosine_proximity_ignores_binary_scale(pair, i, j, parallel):
+    a, b = (np.array(v) for v in pair)
+    if parallel:
+        b = 3.0 * a
+    want = cosine_proximity(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cosine_proximity(np.ldexp(a, i), np.ldexp(b, j))
+    assert got == want and 0.0 <= got <= 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_vectors_file_at_extreme_magnitudes(tmp_path, scale):
+    path = tmp_path / "vectors.txt"
+    rows = {"t": [1, 0], "a": [3, 4], "b": [-2, 0], "c": [1, 1], "d": [0, 0]}
+    path.write_text("".join(f"{key} {x * scale!r} {y * scale!r}\n"
+                            for key, (x, y) in rows.items()), encoding="utf-8")
+    provider = InMemoryVectorProvider.from_file(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proximity = provider.proximities("t", ["a", "b", "c", "d"]).tolist()
+        out = rerank_vector_ids([("a", 2.0), ("b", 1.0)], provider, TASK,
+                                RerankConfig(alpha=0.5), 5)
+    assert proximity == pytest.approx([0.8, 0.0, (0.5**0.5 + 1) / 2, 0.5], abs=1e-12)
+    assert out == [("a", pytest.approx(0.9)), ("b", 0.0)]
 
 
 def test_export_priors_format():
