@@ -5,8 +5,9 @@ fields ``doc_id``, ``title``, ``abstract``, ``body``, ``journal`` and ``date``.
 Absent and ``null`` fields are treated as empty. ``body`` may be a single
 string (split into paragraphs on blank lines) or a pre-split list of
 paragraph strings. The file is read through ``errors.read_rows``: a line that
-is not a record with a non-empty string ``doc_id`` free of whitespace, that
-repeats an earlier ``doc_id``, or whose other fields are not strings, raises
+is not a record with a non-empty string ``doc_id`` free of whitespace and
+encodable as UTF-8 (a JSON escape of a lone surrogate is not), that repeats
+an earlier ``doc_id``, or whose other fields are not strings, raises
 MalformedRow naming the file and the line. ``load_collection`` returns the
 documents as a tuple in file order; callers take what they need from them.
 """
@@ -60,6 +61,11 @@ def _record_to_document(record: dict) -> Document:
         raise ValueError("missing or empty doc_id")
     if doc_id.split() != [doc_id]:
         raise ValueError(f"doc_id {doc_id!r} contains whitespace")
+    if not doc_id.isascii():
+        try:
+            doc_id.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"doc_id {doc_id!r} cannot be encoded as UTF-8") from None
     body = record.get("body")
     if isinstance(body, list):
         if not all(isinstance(p, str) for p in body):

@@ -13,6 +13,11 @@ topics of one pipeline run (or one parsed run file) share, and their float64
 scores. Writing, residual filtering and the metrics work on those arrays and
 look doc ids up once per judged document, not once per ranked row; a list of
 (doc_id, score) pairs is converted when it enters a ``Run``.
+
+``write_run`` assembles the file's bytes from arrays, a block of rows at a
+time, and prints each score from its integer count of micro-units; only a
+score whose product ``|s| * 1e6`` lies within an ulp of a half-integer,
+reaches 2**52 or is not finite is printed by ``'%.6f'`` itself.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ class Ranking(Sequence):
     """One topic's ranking: row i is ``(doc_ids[positions[i]], scores[i])``.
 
     ``doc_ids`` is a table shared by reference, typically by every topic of a
-    run; ``positions`` and ``scores`` are read-only arrays. As a sequence a
+    run; ``positions`` and ``scores`` are read-only arrays. A position
+    outside ``[0, len(doc_ids))`` raises ValueError. As a sequence a
     ranking yields (doc_id, float) pairs, and a slice is a ranking again.
     """
 
@@ -85,6 +91,9 @@ class Ranking(Sequence):
         scores = np.asarray(scores, np.float64).view()
         if positions.shape != scores.shape or positions.ndim != 1:
             raise ValueError("positions and scores must be 1-d arrays of one length")
+        # Seen as unsigned, a negative position is 2**63 or more.
+        if len(positions) and positions.view(np.uint64).max() >= len(doc_ids):
+            raise ValueError(f"positions must lie in [0, {len(doc_ids)})")
         positions.flags.writeable = scores.flags.writeable = False
         self.doc_ids, self.positions, self.scores = doc_ids, positions, scores
 
@@ -143,22 +152,125 @@ class Run:
         return sorted(self.rankings)
 
 
+_PAD = 0xFF  # a byte that UTF-8 never uses
+_BLOCK_ROWS = 8192
+
+
+def _right_aligned(texts: list[bytes]) -> np.ndarray:
+    """The byte strings as the rows of one uint8 matrix, right-aligned and
+    padded on the left with ``_PAD``."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    ends = np.cumsum(lengths)
+    matrix = np.full((len(texts), int(lengths.max(initial=0))), _PAD, np.uint8)
+    # Byte k of row r goes to column width - (ends[r] - k) of that row.
+    shift = np.repeat(np.arange(1, len(texts) + 1) * matrix.shape[1] - ends, lengths)
+    matrix.ravel()[np.arange(len(shift)) + shift] = np.frombuffer(b"".join(texts), np.uint8)
+    return matrix
+
+
+def _score_text(scores: np.ndarray) -> np.ndarray:
+    """Each score as ``'%.6f'`` prints it, as a right-aligned ``_PAD``-padded
+    uint8 matrix.
+
+    ``rint`` of the float product ``|s| * 1e6`` rounds half to even, as
+    ``'%.6f'`` rounds the exact product, unless the float product lies within
+    one ulp of a half-integer, reaches 2**52 or is not finite. The test
+    takes ``|s| * 1e6 * 2**-52`` as the distance, which is at least one ulp
+    and at least 1 from 2**52 up, and a product that is not finite compares
+    as NaN, so it flags all three; those rows are printed by ``'%.6f'``. The
+    sign comes from ``signbit``, so ``-0.0`` and a tiny negative print
+    ``-0.000000``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        micro = np.abs(scores) * 1e6
+        exact = np.abs(micro - np.floor(micro) - 0.5) > micro * 2.0**-52
+    micro = np.rint(np.where(exact, micro, 0.0)).astype(np.int64)
+    digits = max(7, len(str(int(micro.max(initial=0)))))
+    # Built transposed, one row per column: the sign, the integer digits,
+    # the point and six decimals.
+    text = np.empty((digits + 2, len(scores)), np.uint8)
+    text[0] = np.where(np.signbit(scores), ord("-"), _PAD)
+    text[-7] = ord(".")
+    shifted = micro  # micro // 10**j
+    for j in range(digits):  # the digit worth 10**j micro-units
+        row = digits - j + (j < 6)  # the point sits between 10**6 and 10**5
+        higher = shifted // 10
+        text[row] = shifted - 10 * higher + ord("0")
+        if j > 6:
+            text[row][shifted == 0] = _PAD  # a leading zero
+        shifted = higher
+    if not exact.all():
+        fallback = np.flatnonzero(~exact)
+        text[:, fallback] = _PAD
+        printed = _right_aligned([b"%.6f" % s for s in scores[fallback].tolist()])
+        wide = np.full((printed.shape[1], len(scores)), _PAD, np.uint8)
+        wide[:, fallback] = printed.T
+        text = np.concatenate([wide, text])
+    return text.T
+
+
 def write_run(run: Run, path) -> None:
     """Write TREC submission format: ``topic Q0 doc rank score tag``.
 
-    Single spaces, ranks from 1, scores with six decimal places. Topics are
-    emitted in ascending id order.
+    Single spaces, ranks from 1, scores exactly as ``'%.6f'`` prints them
+    (``nan``, ``inf`` and ``-0.000000`` included). Topics are emitted in
+    ascending id order.
+
+    Each field is a uint8 matrix, right-aligned and padded with ``_PAD``:
+    ``"{topic} Q0 "`` by topic, ``"{doc_id} "`` by doc id ranked (each
+    distinct doc-id table of the run gives its ranked ids once, stacked),
+    ``"{rank} "`` by rank, the score text by row and ``" {tag}\n"``. A
+    block of up to ``_BLOCK_ROWS`` rows gathers each field by row,
+    concatenates them along columns, drops the padding with one boolean
+    compress and is written with one call. A score is
+    printed from its integer micro-units unless ``|s| * 1e6`` lies within an
+    ulp of a half-integer, reaches 2**52 or is not finite; those rows take
+    ``'%.6f' % s``. The ranked ids and the tag are encoded before the file
+    is opened, so an id or tag that UTF-8 cannot encode raises
+    UnicodeEncodeError and leaves the file as it was.
     """
-    tag = run.run_tag.replace("%", "%%")
-    with open(path, "w", encoding="utf-8") as fh:
-        for topic_id in run.topic_ids():
-            ranking = run.rankings[topic_id]
-            n = len(ranking)
-            fields: list = [None] * (3 * n)
-            fields[0::3] = ranking.docs()
-            fields[1::3] = range(1, n + 1)
-            fields[2::3] = ranking.scores.tolist()
-            fh.write(f"{topic_id} Q0 %s %d %.6f {tag}\n" * n % tuple(fields))
+    topic_ids = run.topic_ids()
+    rankings = [run.rankings[topic_id] for topic_id in topic_ids]
+    used: dict[int, tuple[Sequence[str], np.ndarray]] = {}  # by id() of a live table
+    for ranking in rankings:
+        if id(ranking.doc_ids) not in used:
+            used[id(ranking.doc_ids)] = ranking.doc_ids, np.zeros(len(ranking.doc_ids), bool)
+        used[id(ranking.doc_ids)][1][ranking.positions] = True
+    row_of: dict[int, np.ndarray] = {}  # by id() of a table: each used position's row in doc_texts
+    doc_texts: list[bytes] = []
+    for key, (doc_ids, ranked) in used.items():
+        at = np.flatnonzero(ranked)
+        row_of[key] = np.zeros(len(doc_ids), np.int64)
+        row_of[key][at] = np.arange(len(doc_texts), len(doc_texts) + len(at))
+        doc_texts += [f"{doc_ids[p]} ".encode() for p in at.tolist()]
+    lengths = [len(ranking) for ranking in rankings]
+    starts = np.cumsum([0] + lengths[:-1])
+    topic_of = np.repeat(np.arange(len(rankings)), lengths)
+    docs = np.concatenate([np.zeros(0, np.int64)]
+                          + [row_of[id(r.doc_ids)][r.positions] for r in rankings])
+    scores = np.concatenate([np.zeros(0)] + [r.scores for r in rankings])
+    # Gathered as one void item per row, then seen as bytes again.
+    fields = [_right_aligned(texts) for texts in (
+        [b"%d Q0 " % topic_id for topic_id in topic_ids],
+        doc_texts,
+        [b"%d " % rank for rank in range(1, max(lengths, default=0) + 1)],
+    )]
+    topic, doc, rank = (f.view(f"V{f.shape[1]}") for f in fields)
+    tag = np.frombuffer(f" {run.run_tag}\n".encode(), np.uint8)
+    with open(path, "wb") as fh:
+        for first in range(0, len(scores), _BLOCK_ROWS):
+            block = slice(first, first + _BLOCK_ROWS)
+            topics = topic_of[block]
+            n = len(topics)
+            ranks = np.arange(first, first + n) - starts[topics]
+            text = np.concatenate([
+                topic[topics].view(np.uint8),
+                doc[docs[block]].view(np.uint8),
+                rank[ranks].view(np.uint8),
+                _score_text(scores[block]),
+                np.broadcast_to(tag, (n, len(tag))),
+            ], axis=1).ravel()
+            fh.write(text[text != _PAD])
 
 
 def parse_run(path) -> Run:

@@ -38,8 +38,9 @@ def rrf_fuse(rankings: list[np.ndarray], config: FusionConfig,
     rounded value of its exact sum, so the result is invariant to the order
     in which the lists are given. Output is (positions, fused scores) sorted
     by score descending, ties by ascending position (doc_id order for an
-    index's positions), truncated to ``top_k``. A position repeated within
-    one list, or a ``top_k`` below 1, raises ValueError.
+    index's positions), truncated to ``top_k``. A negative position (the
+    smallest is named), a position repeated within one list, or a ``top_k``
+    below 1, raises ValueError.
     """
     if not rankings:
         raise EmptyInput("rrf_fuse needs at least one ranking")
@@ -47,9 +48,14 @@ def rrf_fuse(rankings: list[np.ndarray], config: FusionConfig,
     longest = max(map(len, rankings))
     if longest == 0:
         return top_ranked(np.zeros(0, dtype=np.int64), np.zeros(0), top_k)
+    # Seen as unsigned, a negative position is 2**63 or more.
+    largest = max(int(r.view(np.uint64).max(initial=0)) for r in rankings)
+    if largest >= 2**63:
+        smallest = min(int(r.min(initial=0)) for r in rankings)
+        raise ValueError(f"doc position {smallest} is negative")
     # How many lists hold each position. The buffered ``+=`` adds once per
     # distinct index, so a position repeated within one list falls short.
-    held = np.zeros(1 + max(int(r.max(initial=-1)) for r in rankings), dtype=np.int64)
+    held = np.zeros(1 + largest, dtype=np.int64)
     for r in rankings:
         held[r] += 1
     if held.sum() < sum(map(len, rankings)):

@@ -56,6 +56,17 @@ def test_too_deeply_nested_line_is_malformed(tmp_path):
     assert len(str(excinfo.value)) < len(str(path)) + 200
 
 
+def test_doc_id_not_encodable_as_utf8_is_malformed(tmp_path):
+    # A JSON escape of a lone surrogate decodes to a str that UTF-8 cannot encode.
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "a"}\n{"doc_id": "doc01\\udc80"}\n', encoding="utf-8")
+    with pytest.raises(MalformedRow) as excinfo:
+        load_collection(path)
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value).startswith(f"{path} line 2: ")
+    assert "cannot be encoded as UTF-8" in str(excinfo.value)
+
+
 def test_missing_doc_id_is_malformed(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [{"title": "no id"}])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,12 +389,30 @@ def per_line_write_run(run_tag, rankings, path):
                 fh.write(f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n")
 
 
+def ulps_away(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
 no_space = st.text(st.sampled_from("ab%d1-_\u00e9"), min_size=1, max_size=6)
+signs = st.sampled_from([1.0, -1.0])
 scores = st.one_of(
     st.floats(width=64),
     st.floats(-1e3, 1e3),
     # Odd multiples of 2**-7 are exact half-way cases at six decimals (0.0078125).
     st.integers(-2**12, 2**12).map(lambda m: (2 * m + 1) * 2.0**-7),
+    # (k + 0.5) micro-units and the floats one ulp either side.
+    st.builds(lambda k, steps, sign: sign * ulps_away((k + 0.5) * 1e-6, steps),
+              st.integers(0, 10**16), st.integers(-1, 1), signs),
+    # Around 2**52 micro-units, where a float stops holding half-integers.
+    st.builds(lambda steps, sign: sign * ulps_away(2**52 / 1e6, steps), st.integers(-4, 4), signs),
+    st.floats(-4.6e9, -4.4e9),
+    st.floats(4.4e9, 4.6e9),
+    # Signed zeros, tiny negatives and subnormals.
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-300, -4e-7, -5e-7, -6e-7]),
+    st.floats(-1e-6, 1e-6),
+    st.floats(-2.3e-308, 2.3e-308),
 )
 pair_rankings = st.dictionaries(
     st.integers(1, 500),
@@ -412,6 +431,43 @@ def test_write_run_bytes_equal_the_per_line_writer(tmp_path_factory, run_tag, ra
     assert (directory / "got.run").read_bytes() == (directory / "want.run").read_bytes()
 
 
+def test_write_run_over_several_blocks_and_tables_equals_the_per_line_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    first = [f"doc{i:05d}" for i in range(6000)]
+    second = ["x", "\u00e9t\u00e9", "a-1", "b%d", "longer_doc_id_0001"]
+
+    def random_scores(n):
+        return (rng.normal(size=n) * 10.0 ** rng.integers(-8, 11, n)).tolist()
+
+    ranked = {
+        7: Ranking(first, rng.permutation(6000)[:3000], random_scores(3000)),
+        10: [(f"p{i}", s) for i, s in enumerate(random_scores(5000))],  # its own table
+        123: Ranking(first, rng.permutation(6000)[:2500], random_scores(2500)),  # past row 8192
+        4567: Ranking(second, [4], [0.5]),
+        99999: Ranking(second, rng.integers(0, 5, 1200), random_scores(1200)),
+        -3: Ranking(first, [5999, 0], [-0.0, float("nan")]),
+    }
+    run = Run(run_tag="long-run", rankings=ranked)
+    assert sum(map(len, run.rankings.values())) > 8192 * 1.2
+    pairs = {topic_id: list(ranking) for topic_id, ranking in run.rankings.items()}
+    per_line_write_run("long-run", pairs, tmp_path / "want.run")
+    write_run(run, tmp_path / "got.run")
+    assert (tmp_path / "got.run").read_bytes() == (tmp_path / "want.run").read_bytes()
+
+
+@pytest.mark.parametrize("doc_id, run_tag", [("doc01\udc80", "t"), ("doc01", "t\udc80")])
+def test_write_run_encodes_before_it_opens_the_file(tmp_path, doc_id, run_tag):
+    path = tmp_path / "kept.run"
+    path.write_bytes(b"1 Q0 a 1 1.000000 t\n")
+    run = make_run({1: [("a", 1.0)], 2: [(doc_id, 0.5)]}, run_tag)
+    with pytest.raises(UnicodeEncodeError):
+        write_run(run, path)
+    assert path.read_bytes() == b"1 Q0 a 1 1.000000 t\n"
+    # Only the ids a run ranks are encoded, not the rest of their table.
+    write_run(make_run({1: Ranking(("a", doc_id), [0], [1.0])}), path)
+    assert path.read_bytes() == b"1 Q0 a 1 1.000000 test\n"
+
+
 def test_ranking_is_a_read_only_sequence_of_pairs():
     ranking = Ranking(("x", "a", "b", "c"), [3, 1, 2], [0.5, 0.25, -1.0])
     assert len(ranking) == 3
@@ -425,6 +481,16 @@ def test_ranking_is_a_read_only_sequence_of_pairs():
             values[0] = 0
     with pytest.raises(ValueError):
         Ranking(("a",), [0, 0], [1.0])
+
+
+@pytest.mark.parametrize("position", [-1, 2, 5])
+def test_ranking_rejects_a_position_outside_its_table(position):
+    # Read as an index, -1 would name "b"; a table stacked after another
+    # would name the other table's last id.
+    with pytest.raises(ValueError, match=r"positions must lie in \[0, 2\)"):
+        Ranking(("a", "b"), [0, position], [1.0, 0.5])
+    assert list(Ranking(("a", "b"), [1, 0], [1.0, 0.5])) == [("b", 1.0), ("a", 0.5)]
+    assert len(Ranking((), [], [])) == len(Ranking(("a",), [], [])) == 0
 
 
 def test_pairs_entering_a_run_become_rankings_with_one_row_per_pair():

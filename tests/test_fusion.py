@@ -166,6 +166,16 @@ def test_repeats_in_several_lists_name_the_smallest_position():
         rrf_fuse(lists, CFG, 10)
 
 
+@pytest.mark.parametrize("lists, smallest", [
+    ([np.array([2, 0]), np.array([-2])], -2),  # fused position 1, which no list holds
+    ([np.array([-3, 1])], -3),  # numpy's IndexError
+    ([np.array([-1, 5]), np.array([4, -4])], -4),
+])
+def test_negative_positions_name_the_smallest(lists, smallest):
+    with pytest.raises(ValueError, match=f"doc position {smallest} is negative"):
+        rrf_fuse(lists, CFG, 10)
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_read_only_inputs_are_accepted_and_left_unchanged(dtype):
     rng = random.Random(3)

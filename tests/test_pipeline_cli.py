@@ -112,6 +112,22 @@ def test_run_missing_topics_file_fails_without_output(mini, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_a_doc_id_utf8_cannot_encode_at_its_corpus_line(mini, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    lines = Path(mini["corpus"]).read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    record["doc_id"] = "doc01\udc80"
+    lines[3] = json.dumps(record)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "never.run"
+    code = main(["run", *mini_args({**mini, "corpus": str(corpus)}), "--variant", "query",
+                 "--output", str(out)])
+    assert code != 0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{corpus} line 4: " in err and "cannot be encoded as UTF-8" in err
+
+
 @pytest.mark.parametrize("variant", list(RunVariant), ids=lambda v: v.value)
 def test_corpus_line_order_never_changes_a_run(mini, tmp_path, variant):
     # Documents are numbered in doc_id order, whatever the corpus file's line
