@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import typing
 from dataclasses import replace
@@ -134,7 +133,7 @@ def build_config(cls: type, *layers: tuple[str, dict]):
 
 def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> PipelineConfig:
     """Settings from flags over the --config file, then build_config; the
-    config is validated before any input is read."""
+    PipelineConfig checks itself as it is built, before any input is read."""
     layers = [("command line", {"variant": variant.value})]
     if args.config:
         try:
@@ -150,9 +149,7 @@ def _pipeline_config(args, variant: RunVariant = PipelineConfig.variant) -> Pipe
     given = {key: value for _source, settings in layers for key, value in settings.items()}
     if not given.get("corpus") or not given.get("topics"):
         raise TaskRankError(f"{args.command} requires --corpus and --topics")
-    config = build_config(PipelineConfig, *layers)
-    config.validate()
-    return config
+    return build_config(PipelineConfig, *layers)
 
 
 def _count_flag(args, name: str, least: int) -> int:
@@ -179,12 +176,7 @@ def cmd_index_stats(args) -> int:
 
 def cmd_run(args) -> int:
     run = Pipeline(_pipeline_config(args)).run()
-    try:
-        write_run(run, args.output)
-    except BaseException:
-        if os.path.exists(args.output):
-            os.unlink(args.output)
-        raise
+    write_run(run, args.output)
     retrieved = sum(len(r) for r in run.rankings.values())
     print(f"wrote {args.output}: {len(run.rankings)} topics, {retrieved} results")
     return 0
@@ -298,7 +290,7 @@ def cmd_sweep(args) -> int:
         source = f"{args.grid} line {line_no}"
         cell = build_config(ExpansionConfig, (source, {**expansion, **record}))
         try:
-            replace(base, expansion=cell).validate()
+            replace(base, expansion=cell)
         except TaskRankError as exc:
             raise TaskRankError(f"{source}: {exc}") from exc
         grid.append(cell)

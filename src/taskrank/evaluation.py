@@ -23,6 +23,7 @@ reaches 2**52 or is not finite is printed by ``'%.6f'`` itself.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable, Iterator, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -227,7 +228,8 @@ def write_run(run: Run, path) -> None:
     ulp of a half-integer, reaches 2**52 or is not finite; those rows take
     ``'%.6f' % s``. The ranked ids and the tag are encoded before the file
     is opened, so an id or tag that UTF-8 cannot encode raises
-    UnicodeEncodeError and leaves the file as it was.
+    UnicodeEncodeError and leaves the file as it was. A failure after the
+    file is opened removes it, so a failed write leaves no partial file.
     """
     topic_ids = run.topic_ids()
     rankings = [run.rankings[topic_id] for topic_id in topic_ids]
@@ -257,20 +259,25 @@ def write_run(run: Run, path) -> None:
     )]
     topic, doc, rank = (f.view(f"V{f.shape[1]}") for f in fields)
     tag = np.frombuffer(f" {run.run_tag}\n".encode(), np.uint8)
-    with open(path, "wb") as fh:
-        for first in range(0, len(scores), _BLOCK_ROWS):
-            block = slice(first, first + _BLOCK_ROWS)
-            topics = topic_of[block]
-            n = len(topics)
-            ranks = np.arange(first, first + n) - starts[topics]
-            text = np.concatenate([
-                topic[topics].view(np.uint8),
-                doc[docs[block]].view(np.uint8),
-                rank[ranks].view(np.uint8),
-                _score_text(scores[block]),
-                np.broadcast_to(tag, (n, len(tag))),
-            ], axis=1).ravel()
-            fh.write(text[text != _PAD])
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for first in range(0, len(scores), _BLOCK_ROWS):
+                block = slice(first, first + _BLOCK_ROWS)
+                topics = topic_of[block]
+                n = len(topics)
+                ranks = np.arange(first, first + n) - starts[topics]
+                text = np.concatenate([
+                    topic[topics].view(np.uint8),
+                    doc[docs[block]].view(np.uint8),
+                    rank[ranks].view(np.uint8),
+                    _score_text(scores[block]),
+                    np.broadcast_to(tag, (n, len(tag))),
+                ], axis=1).ravel()
+                fh.write(text[text != _PAD])
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def parse_run(path) -> Run:

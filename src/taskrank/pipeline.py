@@ -85,9 +85,10 @@ _NEEDS_ASSIGNMENT = TASK_EXPANDED | {RunVariant.JOURNAL_TASK, RunVariant.VECTOR}
 _RERANKED = {RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK, RunVariant.VECTOR}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs; paths default to the shipped data files."""
+    """Everything a run needs; paths default to the shipped data files.
+    Building it, ``replace`` included, raises TaskRankError for a bad setting."""
 
     corpus_path: str
     topics_path: str
@@ -107,11 +108,15 @@ class PipelineConfig:
     def resolved_tag(self) -> str:
         return self.run_tag or self.variant.value
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.top_k < 1:
             raise TaskRankError("top_k must be >= 1")
         if self.run_tag and self.run_tag.split() != [self.run_tag]:
             raise TaskRankError(f"run_tag {self.run_tag!r} contains whitespace")
+        try:
+            (self.run_tag or "").encode()
+        except UnicodeEncodeError:
+            raise TaskRankError(f"run_tag {self.run_tag!r} cannot be encoded as UTF-8") from None
         missing = []
         if self.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
             if not self.qrels_path:
@@ -160,7 +165,6 @@ class Pipeline:
     """Loads inputs, builds the three indices and executes runs."""
 
     def __init__(self, config: PipelineConfig, tokenizer: Tokenizer | None = None):
-        config.validate()
         self.config = config
         self.tokenizer = tokenizer or Tokenizer()
         self.topics = load_topics(config.topics_path)
@@ -207,14 +211,14 @@ class Pipeline:
     def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
         """A copy that shares this pipeline's set-up (topics, indices and their
         memos, task assignments and terms, priors) and runs other expansion.
-        An expansion the variant does not read is rejected as in ``validate``.
+        ``replace`` checks the new config as building it does, so an expansion
+        the variant does not read is rejected.
 
         This pipeline and all its copies share one memo of search results, so
         a query that repeats across cells (a routed title-abstract or
         paragraph query, a repeated cell) is searched once; its ranked
         positions are kept read-only for the life of the pipeline."""
         config = replace(self.config, expansion=expansion)
-        config.validate()
         if self._searched is None:
             self._searched = {}
         other = copy.copy(self)

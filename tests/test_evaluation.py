@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskrank import evaluation
 from taskrank.cli import main
 from taskrank.errors import MalformedRow
 from taskrank.evaluation import (
@@ -466,6 +467,18 @@ def test_write_run_encodes_before_it_opens_the_file(tmp_path, doc_id, run_tag):
     # Only the ids a run ranks are encoded, not the rest of their table.
     write_run(make_run({1: Ranking(("a", doc_id), [0], [1.0])}), path)
     assert path.read_bytes() == b"1 Q0 a 1 1.000000 test\n"
+
+
+def test_write_run_that_fails_after_open_leaves_no_partial_file(tmp_path, monkeypatch):
+    def full_disk(scores):
+        raise OSError(28, "No space left on device")
+
+    path = tmp_path / "partial.run"
+    path.write_bytes(b"1 Q0 a 1 1.000000 t\n")
+    monkeypatch.setattr(evaluation, "_score_text", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_run(make_run({1: [("a", 1.0)]}), path)
+    assert not path.exists()
 
 
 def test_ranking_is_a_read_only_sequence_of_pairs():

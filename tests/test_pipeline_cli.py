@@ -4,14 +4,14 @@ import math
 import random
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from taskrank import cli, pipeline as pipeline_module
+from taskrank import cli, evaluation, pipeline as pipeline_module
 from taskrank.cli import main
 from taskrank.corpus import Document, load_collection
 from taskrank.errors import TaskRankError
@@ -607,19 +607,49 @@ def test_settings_the_variant_never_reads_are_one_error_before_the_corpus_is_rea
 
 
 def test_settings_the_variant_reads_or_leaves_at_defaults_validate():
-    for config in (
-        PipelineConfig("c", "t", RunVariant.QUERY, expansion=ExpansionConfig()),
-        PipelineConfig("c", "t", RunVariant.QUERY_TASK, expansion=ExpansionConfig(dup_query=1)),
-        PipelineConfig("c", "t", RunVariant.JOURNAL_PRIOR, qrels_path="q"),
-        PipelineConfig("c", "t", RunVariant.JOURNAL_PRIOR, qrels_path="q",
-                       rerank=RerankConfig(alpha=0.1)),
-        PipelineConfig("c", "t", RunVariant.VECTOR, vectors_path="v",
-                       rerank=RerankConfig(alpha=0.1)),
-    ):
-        config.validate()
+    # Each of these builds without an error.
+    PipelineConfig("c", "t", RunVariant.QUERY, expansion=ExpansionConfig())
+    PipelineConfig("c", "t", RunVariant.QUERY_TASK, expansion=ExpansionConfig(dup_query=1))
+    PipelineConfig("c", "t", RunVariant.JOURNAL_PRIOR, qrels_path="q")
+    PipelineConfig("c", "t", RunVariant.JOURNAL_PRIOR, qrels_path="q",
+                   rerank=RerankConfig(alpha=0.1))
+    PipelineConfig("c", "t", RunVariant.VECTOR, vectors_path="v",
+                   rerank=RerankConfig(alpha=0.1))
     with pytest.raises(TaskRankError, match="^variant vector does not read: dup_task$"):
         PipelineConfig("c", "t", RunVariant.VECTOR, vectors_path="v",
-                       expansion=ExpansionConfig(dup_task=2)).validate()
+                       expansion=ExpansionConfig(dup_task=2))
+
+
+_VALID = PipelineConfig("c", "t", RunVariant.QUERY_TASK)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"top_k": 0}, "top_k must be >= 1"),
+    ({"run_tag": "my tag"}, "run_tag 'my tag' contains whitespace"),
+    ({"run_tag": "t\udcff"}, "run_tag 't\\udcff' cannot be encoded as UTF-8"),
+    ({"variant": RunVariant.JOURNAL_PRIOR}, "variant journal.prior requires: qrels_path"),
+    ({"variant": RunVariant.JOURNAL_TASK},
+     "variant journal.task requires: qrels_path, manual_map_path"),
+    ({"variant": RunVariant.VECTOR}, "variant vector requires: vectors_path"),
+    ({"expansion": ExpansionConfig(confidence_mode=ConfidenceMode.GATE)},
+     "confidence_mode gate reads the annotator confidences of a manual map: "
+     "requires manual_map_path"),
+    ({"variant": RunVariant.QUERY, "expansion": ExpansionConfig(dup_task=2)},
+     "variant query does not read: dup_task"),
+    ({"rerank": RerankConfig(alpha=0.7)}, "variant query+task does not read: alpha"),
+], ids=["top_k", "whitespace-tag", "non-utf8-tag", "qrels", "manual_map", "vectors",
+        "confidence", "unread-expansion", "unread-alpha"])
+def test_a_pipeline_config_is_checked_when_built_and_when_replaced(changes, message):
+    fields = {"corpus_path": "c", "topics_path": "t", "variant": RunVariant.QUERY_TASK,
+              **changes}
+    with pytest.raises(TaskRankError) as built:
+        PipelineConfig(**fields)
+    with pytest.raises(TaskRankError) as replaced:
+        replace(_VALID, **changes)
+    assert str(built.value) == str(replaced.value) == message
+    for name, value in changes.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(_VALID, name, value)
 
 
 @pytest.mark.parametrize("variant", ["query", "query+udel", "journal.prior"])
@@ -938,9 +968,8 @@ def test_with_expansion_rejects_a_confidence_mode_without_a_manual_map(mini):
     for mode in (ConfidenceMode.GATE, ConfidenceMode.PROPORTIONAL):
         with pytest.raises(TaskRankError, match=f"^{confidence_complaint(mode.value)}$"):
             pipeline.with_expansion(ExpansionConfig(confidence_mode=mode))
-    with_map = replace(pipeline.config, manual_map_path=mini["manual_map"],
-                       expansion=ExpansionConfig(confidence_mode=ConfidenceMode.GATE))
-    with_map.validate()
+    replace(pipeline.config, manual_map_path=mini["manual_map"],
+            expansion=ExpansionConfig(confidence_mode=ConfidenceMode.GATE))  # builds
 
 
 def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):
@@ -1231,6 +1260,41 @@ def test_run_tag_with_whitespace_is_one_error_before_the_corpus_is_read(
     assert capsys.readouterr().err.splitlines() == [
         "error: run_tag 'my tag' contains whitespace"
     ]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_tag_utf8_cannot_encode_is_one_error_that_keeps_the_output_file(
+        mini, tmp_path, capsys, source):
+    # Python decodes an argv byte 0xff as the lone surrogate "\udcff".
+    corpus = str(tmp_path / "absent.jsonl")
+    out = tmp_path / "keep.run"
+    out.write_bytes(b"1 Q0 a 1 1.000000 t\n")
+    argv = ["run", *mini_args({**mini, "corpus": corpus}), "--output", str(out)]
+    if source == "flag":
+        argv += ["--run-tag", "t\udcff"]
+    else:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"run_tag": "t\udcff"}), encoding="utf-8")
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 1
+    assert out.read_bytes() == b"1 Q0 a 1 1.000000 t\n"
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run_tag 't\\udcff' cannot be encoded as UTF-8"
+    ]
+
+
+def test_run_whose_write_fails_after_open_leaves_no_partial_file(
+        mini, tmp_path, capsys, monkeypatch):
+    def full_disk(scores):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(evaluation, "_score_text", full_disk)
+    out = tmp_path / "partial.run"
+    assert main(["run", *mini_args(mini), "--output", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: [Errno 28] No space left on device"]
 
 
 @pytest.mark.parametrize("line, complaint", [
