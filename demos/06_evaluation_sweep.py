@@ -3,15 +3,14 @@
 Builds a synthetic experiment where documents are drawn from task-specific
 vocabularies and queries are deliberately under-specified, then compares the
 plain query pipeline against task-term expansion across a small weighting
-grid - the duplication-count grid with 3 or 5 task terms. The sweep builds
-one pipeline and runs each grid cell through ``Pipeline.with_expansion``, so
-the corpus is loaded and indexed once for the whole grid.
+grid - the duplication-count grid with 3 or 5 task terms. One pipeline
+serves the baseline and every grid cell: each is a copy made by
+``Pipeline.with_config``, so the corpus is loaded and indexed once for all.
 """
 
 import json
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from taskrank import (
@@ -77,8 +76,9 @@ base = PipelineConfig(
 )
 qrels = parse_qrels(workdir / "qrels.txt")
 
-plain_config = replace(base, variant=RunVariant.QUERY, manual_map_path=None)
-plain = evaluate_run(Pipeline(plain_config).run(), qrels, k=20)
+pipeline = Pipeline(base)
+plain_run = pipeline.with_config(variant=RunVariant.QUERY, manual_map_path=None).run()
+plain = evaluate_run(plain_run, qrels, k=20)
 print(f"plain query baseline: NDCG@20={plain.mean_ndcg:.4f} MAP={plain.mean_ap:.4f}\n")
 
 grid = [
@@ -86,8 +86,7 @@ grid = [
     for dup in (1, 2, 3)
     for n in (3, 5)
 ]
-pipeline = Pipeline(base)
-rows = sweep(grid, lambda cfg: pipeline.with_expansion(cfg).run(), qrels, k=20)
+rows = sweep(grid, lambda cfg: pipeline.with_config(expansion=cfg).run(), qrels, k=20)
 print(f"{'ndcg@20':<9} {'map':<9} weighting")
 for row in rows:
     label = (f"{row.config.dup_query} query : {row.config.dup_question} question "

@@ -13,9 +13,11 @@ so published-scale numbers require the real inputs:
   4. for the journal.task variant, a manual topic-task map via --manual-map;
      for the vector variant, a vectors file via --vectors
 
-It converts the inputs into the corpus/topic formats this package reads,
-shifts the qrels' topic ids by the same --topic-id-offset as the topics,
-then produces and scores fusion runs for the requested variants.
+It checks the settings of every requested variant first, converts the
+inputs into the corpus/topic formats this package reads, and shifts the
+qrels' topic ids by the same --topic-id-offset as the topics. It then loads
+and indexes the corpus once, and produces and scores a fusion run per
+variant, each a copy of one pipeline (``Pipeline.with_config``).
 
 Example:
     python scripts/trec_covid_integration.py \
@@ -29,10 +31,11 @@ Example:
 import argparse
 import csv
 import json
-import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+from taskrank import Pipeline, PipelineConfig, RunVariant, TaskRankError, cli, write_run
 
 
 def convert_metadata(metadata_csv: Path, corpus_out: Path) -> int:
@@ -110,51 +113,57 @@ def main() -> int:
     parser.add_argument("--topics-xml", required=True, type=Path)
     parser.add_argument("--qrels", required=True, type=Path)
     parser.add_argument("--workdir", required=True, type=Path)
-    parser.add_argument("--variants", nargs="+", default=["query", "query+task"])
-    parser.add_argument("--lexicon", type=Path, help="richer term lexicon (optional)")
-    parser.add_argument("--manual-map", type=Path,
-                        help="manual topic-task map (required by journal.task)")
-    parser.add_argument("--vectors", type=Path, help="vectors file (required by vector)")
+    parser.add_argument("--variants", nargs="+", default=["query", "query+task"],
+                        choices=[variant.value for variant in RunVariant], metavar="VARIANT")
+    parser.add_argument("--lexicon", help="richer term lexicon (optional)")
+    parser.add_argument("--manual-map", help="manual topic-task map (required by journal.task)")
+    parser.add_argument("--vectors", help="vectors file (required by vector)")
     parser.add_argument("--topic-id-offset", type=int, default=-1)
     parser.add_argument("--k", type=int, default=20)
     args = parser.parse_args()
 
-    args.workdir.mkdir(parents=True, exist_ok=True)
     corpus = args.workdir / "corpus.jsonl"
     topics = args.workdir / "topics.jsonl"
+    # The runs carry the shifted topic ids, so they are scored against a
+    # qrels copy with the same shift.
+    qrels = args.workdir / "qrels.shifted.txt"
+    configs = []
+    for variant in map(RunVariant, args.variants):
+        try:
+            configs.append(PipelineConfig(
+                corpus_path=str(corpus), topics_path=str(topics), variant=variant,
+                lexicon_path=args.lexicon, manual_map_path=args.manual_map,
+                vectors_path=args.vectors, qrels_path=str(qrels),
+            ))
+        except TaskRankError as exc:
+            parser.error(str(exc))
+
+    args.workdir.mkdir(parents=True, exist_ok=True)
     print(f"converting {args.metadata} ...")
     print(f"  {convert_metadata(args.metadata, corpus)} documents")
     print(f"converting {args.topics_xml} ...")
     print(f"  {convert_topics(args.topics_xml, topics, args.topic_id_offset)} topics")
-    # The runs carry the shifted topic ids, so they are scored against a
-    # qrels copy with the same shift.
-    qrels = args.workdir / "qrels.shifted.txt"
     print(f"shifting the topic ids of {args.qrels} ...")
     print(f"  {shift_qrels(args.qrels, qrels, args.topic_id_offset)} judgments")
 
-    for variant in args.variants:
-        run_path = args.workdir / f"{variant.replace('+', '_').replace('.', '_')}.run"
-        cmd = [
-            sys.executable, "-m", "taskrank.cli", "run",
-            "--corpus", str(corpus),
-            "--topics", str(topics),
-            "--variant", variant,
-            "--output", str(run_path),
-        ]
-        if args.lexicon:
-            cmd += ["--lexicon", str(args.lexicon)]
-        if args.manual_map:
-            cmd += ["--manual-map", str(args.manual_map)]
-        if args.vectors:
-            cmd += ["--vectors", str(args.vectors)]
-        if variant in ("journal.prior", "journal.task"):
-            cmd += ["--qrels", str(qrels)]
-        print("+", " ".join(cmd))
-        subprocess.run(cmd, check=True)
-        subprocess.run([
-            sys.executable, "-m", "taskrank.cli", "eval",
-            "--run", str(run_path), "--qrels", str(qrels), "--k", str(args.k),
-        ], check=True)
+    print("loading and indexing the corpus ...")
+    try:
+        pipeline = Pipeline(configs[0])
+        for config in configs:
+            variant = config.variant.value
+            run_path = args.workdir / f"{variant.replace('+', '_').replace('.', '_')}.run"
+            print(f"+ {variant}")
+            run = pipeline.with_config(variant=config.variant).run()
+            write_run(run, str(run_path))
+            retrieved = sum(len(r) for r in run.rankings.values())
+            print(f"wrote {run_path}: {len(run.rankings)} topics, {retrieved} results")
+            code = cli.main(["eval", "--run", str(run_path), "--qrels", str(qrels),
+                             "--k", str(args.k)])
+            if code:
+                return code
+    except (TaskRankError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -298,7 +298,7 @@ def cmd_sweep(args) -> int:
         raise TaskRankError(f"{args.grid}: sweep grid is empty")
     qrels = parse_qrels(base.qrels_path)
     pipeline = Pipeline(base)
-    rows = sweep(grid, lambda e: pipeline.with_expansion(e).run(), qrels, k=k)
+    rows = sweep(grid, lambda e: pipeline.with_config(expansion=e).run(), qrels, k=k)
     print(f"{'ndcg@' + str(k):<10} {'map':<10} config")
     for row in rows:
         print(f"{row.mean_ndcg:<10.4f} {row.mean_ap:<10.4f} {_expansion_label(row.config)}")

@@ -4,9 +4,11 @@ reciprocal rank fusion and optional re-ranking, per topic.
 A Pipeline is built once per invocation. Its corpus set-up, ``load_corpus``,
 is the CLI's too: every title+abstract and body paragraph is tokenized once,
 only each document's journal outlives that, and the index variants are
-assembled from those token ids. Set-up does not read the expansion settings
-(each task's terms are ranked once; a run takes the first ``n_task_terms``),
-so a sweep builds one pipeline and runs each cell through ``with_expansion``.
+assembled from those token ids. ``with_config`` makes a copy that runs
+another config over the same set-up. Building and copying share one
+resolver, which loads, classifies and scores each input once per pipeline,
+so a sweep cell or another run variant pays only for what it adds. Each
+task's terms are ranked once; a run takes the first ``n_task_terms``.
 The copies share a memo of each search's ranked positions, keyed by index
 variant and query tokens: routing sends task terms to the full-text index
 only, so a topic's title-abstract and paragraph queries repeat in every cell
@@ -18,10 +20,7 @@ rankings are emitted in topic-id order, so output is deterministic.
 Within a topic, rankings stay (document position, score) arrays through
 search, fusion and re-ranking; ``run_topic`` returns them as an
 ``evaluation.Ranking`` over the collection's doc-id table, which every topic
-of a run shares. For a re-ranking variant, set-up resolves the re-rank config
-and one score array by position per topic: the one prior table's for
-journal.prior, the topic's task's priors (journal.task) or proximities
-(vector) otherwise. A config that sets an expansion or re-ranking setting its
+of a run shares. A config that sets an expansion or re-ranking setting its
 variant never reads is rejected, and so is a gate or proportional confidence
 mode without the manual map whose annotator confidences it reads.
 """
@@ -61,7 +60,6 @@ from .rerank import (
 )
 from .tasks import (
     TaskAssignment,
-    TaskFramework,
     Topic,
     classify_topics,
     default_framework,
@@ -167,86 +165,87 @@ class Pipeline:
     def __init__(self, config: PipelineConfig, tokenizer: Tokenizer | None = None):
         self.config = config
         self.tokenizer = tokenizer or Tokenizer()
-        self.topics = load_topics(config.topics_path)
-        framework = load_tasks(config.tasks_path) if config.tasks_path else default_framework()
-        self.extractor = (
-            LexiconExtractor.from_file(config.lexicon_path)
-            if config.lexicon_path
-            else default_lexicon()
-        )
-        journal_of, self.indices = load_corpus(config.corpus_path, IndexVariant, self.tokenizer)
+        self._inputs: dict = {}  # shared with every copy; see _resolve
+        # (variant, Bm25Params, top_k, *tokens) -> read-only ranked positions;
+        # made by with_config and shared with its copies.
+        self._searched: dict[tuple, np.ndarray] | None = None
+        self._resolve()
+
+    def with_config(self, **changes) -> "Pipeline":
+        """A copy that runs ``replace(self.config, **changes)``, checked as
+        building a config is, over this pipeline's set-up: its topics, indices,
+        search memo and every input read so far. What the new config adds is
+        read now, so a bad file fails here. The corpus and topics cannot change.
+        A query that repeats across copies is searched once; its ranked
+        positions are kept read-only for the life of the pipeline."""
+        if changes.keys() & {"corpus_path", "topics_path"}:
+            raise TaskRankError("a copy shares its pipeline's corpus and topics: "
+                                "corpus_path and topics_path cannot change")
+        other = copy.copy(self)
+        other.config = replace(self.config, **changes)
+        other._resolve()
+        if self._searched is None:
+            self._searched = other._searched = {}
+        return other
+
+    def _input(self, key, make):
+        if key not in self._inputs:
+            self._inputs[key] = make()
+        return self._inputs[key]
+
+    def _resolve(self) -> None:
+        """Set up what the config reads. Each input is read or computed once for
+        a pipeline and its copies, keyed by the settings it depends on."""
+        config, variant, get = self.config, self.config.variant, self._input
+        tasks, lexicon, manual_path = config.tasks_path, config.lexicon_path, config.manual_map_path
+        self.topics = get("topics", lambda: load_topics(config.topics_path))
+        framework = get(("framework", tasks),
+                        lambda: load_tasks(tasks) if tasks else default_framework())
+        self.extractor = get(("extractor", lexicon), lambda: (
+            LexiconExtractor.from_file(lexicon) if lexicon else default_lexicon()))
+        self.indices, journals = get("corpus", self._load_corpus)
         self._doc_ids = doc_ids = self.indices[IndexVariant.FULL_TEXT].doc_ids
-        manual = None
-        if config.variant in _NEEDS_ASSIGNMENT and config.manual_map_path:
-            manual = load_manual_map(config.manual_map_path, framework)
-        self._assignments = self._resolve_assignments(framework, manual)
-        self._task_terms = self._select_all_task_terms(framework)
+        self._assignments: dict[int, TaskAssignment] = {}
+        if variant in _NEEDS_ASSIGNMENT and manual_path:
+            self._assignments = get(("manual map", tasks, manual_path),
+                                    lambda: load_manual_map(manual_path, framework))
+            unmapped = [t.topic_id for t in self.topics if t.topic_id not in self._assignments]
+            if unmapped:
+                raise TaskRankError(f"topics missing from the manual map: {unmapped}")
+        elif variant in _NEEDS_ASSIGNMENT:
+            self._assignments = get(("classified", tasks, config.bm25), lambda: classify_topics(
+                framework, self.topics, config.bm25, self.tokenizer))
+        abstracts = self.indices[IndexVariant.TITLE_ABSTRACT]
+        self._task_terms = {} if variant not in TASK_EXPANDED else get(  # every term, best first
+            ("task terms", tasks, lexicon), lambda: {task.task_id: select_task_terms(
+                task, abstracts, self.extractor, None) for task in framework})
         # Re-ranking's score by position, per topic: the one prior table's
         # (journal.prior), or the topic's task's priors or proximities.
         self._rerank_config = config.rerank or RerankConfig(
-            alpha=0.5 if config.variant is RunVariant.VECTOR else RerankConfig.alpha)
+            alpha=0.5 if variant is RunVariant.VECTOR else RerankConfig.alpha)
         self._rerank_scores: dict[int, np.ndarray] = {}
+        qrels = lambda: get(("qrels", config.qrels_path), lambda: parse_qrels(config.qrels_path))
         by_task: dict[str, np.ndarray] = {}
-        if config.variant in (RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK):
-            qrels = parse_qrels(config.qrels_path)
-            journals = list(map(journal_of.__getitem__, doc_ids))  # by position
-            if config.variant is RunVariant.JOURNAL_PRIOR:
-                prior = build_journal_priors(qrels, journal_of).by_position(journals)
-                self._rerank_scores = {topic.topic_id: prior for topic in self.topics}
-            else:
-                tables = build_per_task_priors(qrels, journal_of, manual)
-                by_task = {task_id: table.by_position(journals)
-                           for task_id, table in tables.items()}
-        if config.variant is RunVariant.VECTOR:
-            vectors = InMemoryVectorProvider.from_file(config.vectors_path)
-            used = sorted({a.task_id for a in self._assignments.values()})
-            by_task = {t: vectors.proximities(t, doc_ids) for t in used}
+        if variant is RunVariant.JOURNAL_PRIOR:
+            prior = get(("journal prior", config.qrels_path), lambda: build_journal_priors(
+                qrels(), dict(zip(doc_ids, journals))).by_position(journals))
+            self._rerank_scores = {topic.topic_id: prior for topic in self.topics}
+        elif variant is RunVariant.JOURNAL_TASK:
+            by_task = get(("per-task priors", config.qrels_path, tasks, manual_path), lambda: {
+                task_id: table.by_position(journals) for task_id, table in build_per_task_priors(
+                    qrels(), dict(zip(doc_ids, journals)), self._assignments).items()})
+        elif variant is RunVariant.VECTOR:
+            path = config.vectors_path
+            vectors = get(("vectors", path), lambda: InMemoryVectorProvider.from_file(path))
+            by_task = {t: get(("proximities", path, t), lambda: vectors.proximities(t, doc_ids))
+                       for t in sorted({a.task_id for a in self._assignments.values()})}
         if by_task:
-            self._rerank_scores = {topic_id: by_task[a.task_id]
-                                   for topic_id, a in self._assignments.items()}
-        # (variant, Bm25Params, top_k, *tokens) -> read-only ranked positions;
-        # made by with_expansion and shared with its copies.
-        self._searched: dict[tuple, np.ndarray] | None = None
+            self._rerank_scores = {t: by_task[a.task_id] for t, a in self._assignments.items()}
 
-    def with_expansion(self, expansion: ExpansionConfig) -> "Pipeline":
-        """A copy that shares this pipeline's set-up (topics, indices and their
-        memos, task assignments and terms, priors) and runs other expansion.
-        ``replace`` checks the new config as building it does, so an expansion
-        the variant does not read is rejected.
-
-        This pipeline and all its copies share one memo of search results, so
-        a query that repeats across cells (a routed title-abstract or
-        paragraph query, a repeated cell) is searched once; its ranked
-        positions are kept read-only for the life of the pipeline."""
-        config = replace(self.config, expansion=expansion)
-        if self._searched is None:
-            self._searched = {}
-        other = copy.copy(self)
-        other.config = config
-        return other
-
-    def _resolve_assignments(
-        self, framework: TaskFramework, manual: dict[int, TaskAssignment] | None
-    ) -> dict[int, TaskAssignment]:
-        if self.config.variant not in _NEEDS_ASSIGNMENT:
-            return {}
-        if manual is None:
-            return classify_topics(framework, self.topics, self.config.bm25,
-                                   self.tokenizer)
-        unmapped = [t.topic_id for t in self.topics if t.topic_id not in manual]
-        if unmapped:
-            raise TaskRankError(f"topics missing from the manual map: {unmapped}")
-        return manual
-
-    def _select_all_task_terms(self, framework: TaskFramework) -> dict[str, list[str]]:
-        """Every candidate term of each task, best first."""
-        if self.config.variant not in TASK_EXPANDED:
-            return {}
-        abstracts_index = self.indices[IndexVariant.TITLE_ABSTRACT]
-        return {
-            task.task_id: select_task_terms(task, abstracts_index, self.extractor, None)
-            for task in framework
-        }
+    def _load_corpus(self) -> tuple[dict[IndexVariant, InvertedIndex], list[str]]:
+        """The three indices and each document's journal, by position."""
+        journal_of, indices = load_corpus(self.config.corpus_path, IndexVariant, self.tokenizer)
+        return indices, list(map(journal_of.__getitem__, indices[IndexVariant.FULL_TEXT].doc_ids))
 
     def _generate(self, topic: Topic) -> GeneratedQuery:
         variant = self.config.variant

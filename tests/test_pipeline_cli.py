@@ -742,7 +742,7 @@ def test_journal_task_loads_the_manual_map_once(mini, monkeypatch):
 
 
 @pytest.mark.parametrize("variant", [RunVariant.QUERY_TASK, RunVariant.QUERY_UDEL_TASK])
-def test_with_expansion_runs_equal_fresh_pipelines(mini, monkeypatch, variant):
+def test_with_config_expansion_runs_equal_fresh_pipelines(mini, monkeypatch, variant):
     base = PipelineConfig(
         corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
         lexicon_path=mini["lexicon"], manual_map_path=mini["manual_map"], variant=variant,
@@ -760,7 +760,7 @@ def test_with_expansion_runs_equal_fresh_pipelines(mini, monkeypatch, variant):
                 expansion = ExpansionConfig(n_task_terms=n, confidence_mode=mode,
                                             route_task_terms_fulltext_only=route)
                 generated.clear()
-                rankings = pipeline.with_expansion(expansion).run().rankings
+                rankings = pipeline.with_config(expansion=expansion).run().rankings
                 # Each topic gets its task's top n terms, as a direct selection picks them.
                 assert len(generated) == len(pipeline.topics)
                 for topic, task_terms, _expansion in generated:
@@ -794,7 +794,7 @@ def test_runs_and_sweep_cells_reuse_scored_terms(mini, monkeypatch):
              ExpansionConfig(n_task_terms=2, dup_question=0), ExpansionConfig(dup_task=2)]
     for i, expansion in enumerate(cells):
         scored.clear()
-        sweep.with_expansion(expansion).run()
+        sweep.with_config(expansion=expansion).run()
         assert bool(scored) == (i == 0)
     classifier = TaskClassifier(load_tasks(mini["tasks"]))
     classifier.classify("coronavirus vaccine antibody")
@@ -803,7 +803,7 @@ def test_runs_and_sweep_cells_reuse_scored_terms(mini, monkeypatch):
     assert scored == []
 
 
-def test_with_expansion_leaves_the_original_untouched(mini):
+def test_with_config_expansion_leaves_the_original_untouched(mini):
     config = PipelineConfig(
         corpus_path=mini["corpus"], topics_path=mini["topics"], tasks_path=mini["tasks"],
         manual_map_path=mini["manual_map"], variant=RunVariant.QUERY_TASK,
@@ -811,19 +811,19 @@ def test_with_expansion_leaves_the_original_untouched(mini):
     before = replace(config)
     pipeline = Pipeline(config)
     expansion = ExpansionConfig(n_task_terms=1, dup_query=1)
-    other = pipeline.with_expansion(expansion)
+    other = pipeline.with_config(expansion=expansion)
     assert pipeline.config is config and config == before
     assert other.config == replace(before, expansion=expansion)
     assert other.indices is pipeline.indices
 
 
-def test_with_expansion_rejects_an_expansion_the_variant_does_not_read(mini):
+def test_with_config_rejects_an_expansion_the_variant_does_not_read(mini):
     pipeline = Pipeline(PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"],
                                        variant=RunVariant.QUERY))
     with pytest.raises(TaskRankError,
                        match="^variant query does not read: n_task_terms, dup_query$"):
-        pipeline.with_expansion(ExpansionConfig(dup_query=1, n_task_terms=7))
-    assert pipeline.with_expansion(ExpansionConfig()).run().rankings == pipeline.run().rankings
+        pipeline.with_config(expansion=ExpansionConfig(dup_query=1, n_task_terms=7))
+    assert pipeline.with_config(expansion=ExpansionConfig()).run().rankings == pipeline.run().rankings
 
 
 def search_calls(monkeypatch):
@@ -924,7 +924,7 @@ def test_sweep_cells_through_the_memo_equal_fresh_pipelines(variant, grid):
     )
     pipeline = Pipeline(base)
     for expansion in grid:
-        run = pipeline.with_expansion(expansion).run()
+        run = pipeline.with_config(expansion=expansion).run()
         fresh = Pipeline(replace(base, expansion=expansion)).run()
         assert run.rankings == fresh.rankings
         assert run_bytes(run) == run_bytes(fresh)
@@ -962,12 +962,12 @@ def test_a_confidence_mode_without_a_manual_map_is_one_error_before_the_corpus_i
     assert captured.err.splitlines() == [f"error: {named}{confidence_complaint(mode)}"]
 
 
-def test_with_expansion_rejects_a_confidence_mode_without_a_manual_map(mini):
+def test_with_config_rejects_a_confidence_mode_without_a_manual_map(mini):
     pipeline = Pipeline(PipelineConfig(corpus_path=mini["corpus"], topics_path=mini["topics"],
                                        tasks_path=mini["tasks"], variant=RunVariant.QUERY_TASK))
     for mode in (ConfidenceMode.GATE, ConfidenceMode.PROPORTIONAL):
         with pytest.raises(TaskRankError, match=f"^{confidence_complaint(mode.value)}$"):
-            pipeline.with_expansion(ExpansionConfig(confidence_mode=mode))
+            pipeline.with_config(expansion=ExpansionConfig(confidence_mode=mode))
     replace(pipeline.config, manual_map_path=mini["manual_map"],
             expansion=ExpansionConfig(confidence_mode=ConfidenceMode.GATE))  # builds
 
@@ -1033,7 +1033,7 @@ def test_empty_sweep_grid_is_one_error_naming_the_file(mini, tmp_path, capsys):
 
 class RecordingPipeline:
     """Stands in for Pipeline: records the config it is built with and each
-    with_expansion config, and returns an empty run."""
+    with_config config, and returns an empty run."""
 
     def __init__(self, configs):
         self.configs = configs
@@ -1043,8 +1043,8 @@ class RecordingPipeline:
         self.config = config
         return self
 
-    def with_expansion(self, expansion):
-        self.configs.append(replace(self.config, expansion=expansion))
+    def with_config(self, **changes):
+        self.configs.append(replace(self.config, **changes))
         return self
 
     def run(self):
