@@ -26,7 +26,8 @@ from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant
 from .pipeline import TASK_EXPANDED, Pipeline, PipelineConfig, RunVariant, load_corpus
 from .querygen import ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
-from .rerank import RerankConfig, build_journal_priors, build_per_task_priors, export_priors
+from .rerank import (VECTOR_ALPHA, RerankConfig, build_journal_priors, build_per_task_priors,
+                     export_priors)
 from .tasks import (
     TaskAssignment,
     TaskClassifier,
@@ -55,7 +56,8 @@ SETTINGS: dict[str, tuple[type, str, str]] = {
     "k1": (Bm25Params, "k1", "BM25 k1"),
     "b": (Bm25Params, "b", "BM25 b"),
     "rrf_k": (FusionConfig, "rrf_k", "RRF constant"),
-    "alpha": (RerankConfig, "alpha", "re-rank retrieval weight; vector variant: 0.5 unless set"),
+    "alpha": (RerankConfig, "alpha",
+              f"re-rank retrieval weight; vector variant: {VECTOR_ALPHA} unless set"),
     "n_task_terms": (ExpansionConfig, "n_task_terms", "task terms per topic"),
     "dup_query": (ExpansionConfig, "dup_query", "occurrences of each query token"),
     "dup_question": (ExpansionConfig, "dup_question", "occurrences of each question token"),
@@ -188,11 +190,11 @@ def cmd_eval(args) -> int:
     qrels = parse_qrels(args.qrels)
     if args.residual_qrels:
         run = residual_filter(run, parse_qrels(args.residual_qrels))
-    judged = qrels.topic_ids()
+    judged = qrels.grades.keys()
     unjudged = [t for t in run.topic_ids() if t not in judged]
     if unjudged:
         print(f"warning: no judgments for topics {unjudged}; scored 0", file=sys.stderr)
-    absent = sorted(judged.difference(run.rankings))
+    absent = sorted(judged - run.rankings.keys())
     if absent:
         print(f"warning: judged topics {absent} not in the run; not scored", file=sys.stderr)
     report = evaluate_run(run, qrels, k=k)

@@ -43,14 +43,8 @@ class Qrels:
 
     grades: dict[int, dict[str, int]] = field(default_factory=dict)
 
-    def grade(self, topic_id: int, doc_id: str) -> int:
-        return self.grades.get(topic_id, {}).get(doc_id, 0)
-
     def judged(self, topic_id: int) -> KeysView[str]:
         return self.grades.get(topic_id, {}).keys()
-
-    def topic_ids(self) -> set[int]:
-        return set(self.grades)
 
     def __len__(self) -> int:
         return sum(map(len, self.grades.values()))
@@ -111,9 +105,6 @@ class Ranking(Sequence):
             scores.append(score)
         return cls(list(table), np.array(positions, np.int64), np.array(scores, np.float64))
 
-    def docs(self) -> list[str]:
-        return list(map(self.doc_ids.__getitem__, self.positions.tolist()))
-
     def __len__(self) -> int:
         return len(self.positions)
 
@@ -123,7 +114,7 @@ class Ranking(Sequence):
         return self.doc_ids[self.positions[i]], float(self.scores[i])
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
-        return zip(self.docs(), self.scores.tolist())
+        return zip(map(self.doc_ids.__getitem__, self.positions.tolist()), self.scores.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Ranking, list, tuple)):

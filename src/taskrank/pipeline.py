@@ -51,6 +51,7 @@ from .querygen import (
     select_task_terms,
 )
 from .rerank import (
+    VECTOR_ALPHA,
     InMemoryVectorProvider,
     RerankConfig,
     build_journal_priors,
@@ -102,9 +103,6 @@ class PipelineConfig:
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
     rerank: RerankConfig | None = None
     top_k: int = 1000
-
-    def resolved_tag(self) -> str:
-        return self.run_tag or self.variant.value
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -222,7 +220,7 @@ class Pipeline:
         # Re-ranking's score by position, per topic: the one prior table's
         # (journal.prior), or the topic's task's priors or proximities.
         self._rerank_config = config.rerank or RerankConfig(
-            alpha=0.5 if variant is RunVariant.VECTOR else RerankConfig.alpha)
+            alpha=VECTOR_ALPHA if variant is RunVariant.VECTOR else RerankConfig.alpha)
         self._rerank_scores: dict[int, np.ndarray] = {}
         qrels = lambda: get(("qrels", config.qrels_path), lambda: parse_qrels(config.qrels_path))
         by_task: dict[str, np.ndarray] = {}
@@ -292,6 +290,6 @@ class Pipeline:
         """Run every topic in file order; emit rankings in topic-id order."""
         by_topic = {topic.topic_id: self.run_topic(topic) for topic in self.topics}
         return Run(
-            run_tag=self.config.resolved_tag(),
+            run_tag=self.config.run_tag or self.config.variant.value,
             rankings={topic_id: by_topic[topic_id] for topic_id in sorted(by_topic)},
         )

@@ -1,11 +1,11 @@
 """Post-hoc re-ranking of a fused ranking by journal priors or by vector
 proximity to a task description.
 
-Both re-rankers min-max normalize the retrieval scores within the ranking and
-combine them linearly with an auxiliary score in [-1, 1] (journal prior) or
-[0, 1] (mapped cosine proximity), ties by position (doc_id order). Rankings
-are (document position, score) arrays, and the auxiliary score is an array
-indexed by document position, built once per prior table
+One re-ranker, ``rerank``, min-max normalizes the retrieval scores within the
+ranking and combines them linearly with an auxiliary score in [-1, 1] (journal
+prior) or [0, 1] (mapped cosine proximity), ties by position (doc_id order).
+Rankings are (document position, score) arrays, and the auxiliary score is an
+array indexed by document position, built once per prior table
 (``JournalPriorTable.by_position``) or per task
 (``InMemoryVectorProvider.proximities``) before any topic runs. Journal priors
 count the judgments of ``Qrels.grades`` for all topics, or per task for the
@@ -52,6 +52,10 @@ class RerankConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
+
+
+# The vector variant's alpha when none is set.
+VECTOR_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -124,34 +128,34 @@ def build_per_task_priors(qrels, journal_of: Mapping[str, str],
     return tables
 
 
-def _rerank(ranking: tuple[np.ndarray, np.ndarray], aux: np.ndarray, alpha: float,
-            top_k: int) -> tuple[np.ndarray, np.ndarray]:
+def rerank(ranking: tuple[np.ndarray, np.ndarray], aux: np.ndarray, config: RerankConfig,
+           top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """``alpha * minmax(score) + (1 - alpha) * aux[doc]``, best ``top_k`` first,
-    ties by position. Equal scores normalize to 1. Each combined score is the
-    elementwise IEEE result of that formula, as a scalar loop gives it."""
+    ties by position; ``aux`` is indexed by position. Equal scores normalize to
+    1. Each combined score is the elementwise IEEE result of that formula, as a
+    scalar loop gives it."""
     docs, scores = ranking
     if len(docs):
         lo, hi = scores.min(), scores.max()
         normalized = np.ones(len(scores)) if hi == lo else (scores - lo) / (hi - lo)
-        scores = alpha * normalized + (1.0 - alpha) * aux[docs]
+        scores = config.alpha * normalized + (1.0 - config.alpha) * aux[docs]
     return top_ranked(docs, scores, top_k)
 
 
-def rerank_by_journal(ranking: tuple[np.ndarray, np.ndarray], prior: np.ndarray,
-                      config: RerankConfig, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linear combination of min-max normalized retrieval score and journal
-    prior; ``prior[p]`` is position p's, from ``JournalPriorTable.by_position``."""
-    return _rerank(ranking, prior, config.alpha, top_k)
+# perfbench/spans.py times re-ranking by patching these names in taskrank.pipeline.
+rerank_by_journal = rerank_by_task_vector = rerank
 
 
 class InMemoryVectorProvider:
-    """Fixed-dimension dense vectors by key (doc_id or task_id)."""
+    """Fixed-dimension dense vectors by key (doc_id or task_id). Each vector's
+    scaled form and norm (``_scaled``) are computed once, when it is loaded."""
 
     def __init__(self, vectors: dict[str, "np.ndarray | list[float]"]):
         self._vectors = {key: np.asarray(value, dtype=float) for key, value in vectors.items()}
         shapes = sorted({arr.shape for arr in self._vectors.values()})
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError(f"vectors must be one-dimensional and of one length: {shapes}")
+        self._scaled = {key: _scaled(value) for key, value in self._vectors.items()}
 
     @classmethod
     def from_file(cls, path) -> "InMemoryVectorProvider":
@@ -182,31 +186,33 @@ class InMemoryVectorProvider:
     def proximities(self, task_id: str, doc_ids) -> np.ndarray:
         """``cosine_proximity`` of each of ``doc_ids`` to the task's vector, in
         their order; a document without a vector gets the neutral 0.5."""
-        task_vector = self.vector(task_id)
-        if task_vector is None:
+        task = self._scaled.get(task_id)
+        if task is None:
             raise MissingTaskVector(task_id)
-        vectors = map(self._vectors.get, doc_ids)
-        return np.array([0.5 if v is None else cosine_proximity(v, task_vector)
-                         for v in vectors], dtype=np.float64)
+        return np.array([0.5 if doc is None else _proximity(doc, task)
+                         for doc in map(self._scaled.get, doc_ids)], dtype=np.float64)
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` scaled exactly, by a power of two, to a largest |component| in
+    [0.5, 1), so nothing overflows or underflows; and the scaled form's norm."""
+    v = np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1])
+    return v, float(np.linalg.norm(v))
+
+
+def _proximity(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """``cosine_proximity`` of two ``_scaled`` vectors."""
+    denom = a[1] * b[1]
+    if denom == 0.0:
+        return 0.5
+    cos = min(max(float(np.dot(a[0], b[0])) / denom, -1.0), 1.0)
+    return (cos + 1.0) / 2.0
 
 
 def cosine_proximity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity mapped to [0, 1] via (cos+1)/2; zero vectors map to 0.5.
-    Each vector is scaled exactly, by a power of two, to a largest |component|
-    in [0.5, 1), so nothing overflows or underflows; cos is clamped to [-1, 1]."""
-    a, b = (np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (a, b))
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.5
-    cos = min(max(float(np.dot(a, b)) / denom, -1.0), 1.0)
-    return (cos + 1.0) / 2.0
-
-
-def rerank_by_task_vector(ranking: tuple[np.ndarray, np.ndarray], proximity: np.ndarray,
-                          config: RerankConfig, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Combine retrieval score with proximity to the task description vector;
-    ``proximity[p]`` is position p's, from ``InMemoryVectorProvider.proximities``."""
-    return _rerank(ranking, proximity, config.alpha, top_k)
+    Each vector is ``_scaled`` first, and cos is clamped to [-1, 1]."""
+    return _proximity(_scaled(a), _scaled(b))
 
 
 def export_priors(table: JournalPriorTable) -> str:

@@ -73,9 +73,6 @@ class TaskFramework:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    def task_ids(self) -> list[str]:
-        return [t.task_id for t in self.tasks]
-
     def get(self, task_id: str) -> Task:
         for task in self.tasks:
             if task.task_id == task_id:
@@ -209,7 +206,7 @@ def load_manual_map(path, framework: TaskFramework) -> dict[int, TaskAssignment]
     ``#`` starts a comment line; confidence defaults to 3. A row is malformed
     if it has not two or three columns, does not parse, repeats a topic or
     names a task the framework lacks."""
-    valid_ids = set(framework.task_ids())
+    valid_ids = {task.task_id for task in framework}
     assignments: dict[int, TaskAssignment] = {}
 
     def parse(line: str) -> TaskAssignment | None:

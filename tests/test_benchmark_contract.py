@@ -6,7 +6,8 @@ end-to-end metric that ``BENCHMARK.json`` declares present and finite, and
 one run file digest across all cycles. Traced, the result must also hold
 every per-layer metric that ``BENCHMARK.json`` declares: the tracer wraps
 library functions by name, so a renamed or merged function would otherwise
-drop its whole layer from the result without an error.
+drop its whole layer from the result without an error. The benchmark's own
+self-tests (``perfbench/selftest.py``) must pass as well.
 """
 
 import json
@@ -60,3 +61,9 @@ def test_worker_result_is_strict_json_with_every_end_to_end_metric(
     assert len(set(result["observed"]["run_sha256"])) == 1
     if trace:
         assert [name for name in PER_LAYER if name not in result["per_layer"]] == []
+
+
+def test_benchmark_self_tests_pass():
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

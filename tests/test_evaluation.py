@@ -38,7 +38,7 @@ def test_parse_qrels_direct_row(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("1 0 doc7 2\n", encoding="utf-8")
     qrels = parse_qrels(path)
-    assert qrels.grade(1, "doc7") == 2
+    assert qrels.grades[1]["doc7"] == 2
 
 
 def test_parse_qrels_empty_file(tmp_path):
@@ -51,7 +51,7 @@ def test_parse_qrels_duplicate_last_wins(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("1 0 d 0\n1 0 d 2\n", encoding="utf-8")
     qrels = parse_qrels(path)
-    assert qrels.grade(1, "d") == 2
+    assert qrels.grades[1]["d"] == 2
     assert list(qrels.grades[1].items()) == [("d", 2)]
 
 
@@ -193,12 +193,13 @@ def test_metrics_bounded_and_promoting_relevant_never_hurts():
         assert 0.0 <= ndcg <= 1.0 and 0.0 <= ap <= 1.0
 
         # Swap a relevant doc one step up past a strictly lower-graded doc.
+        grade = lambda d: qrels.grades[1].get(d, 0)
         rel_positions = [
             i
             for i, d in enumerate(ranked)
             if i > 0
-            and qrels.grade(1, d) >= 1
-            and qrels.grade(1, ranked[i - 1]) < qrels.grade(1, d)
+            and grade(d) >= 1
+            and grade(ranked[i - 1]) < grade(d)
         ]
         if not rel_positions:
             continue
@@ -360,8 +361,9 @@ def assert_metrics_equal_per_topic_definitions(run, qrels, k):
     definition, equal the library's, bit for bit."""
     want_ndcg, want_ap, want_residual = {}, {}, {}
     for topic_id, ranking in run.rankings.items():
-        grades = list(qrels.grades.get(topic_id, {}).values())
-        dcg = sum(qrels.grade(topic_id, d) / math.log2(i + 1)
+        judged = qrels.grades.get(topic_id, {})
+        grades = list(judged.values())
+        dcg = sum(judged.get(d, 0) / math.log2(i + 1)
                   for i, (d, _) in enumerate(ranking[:k], start=1))
         ideal = sorted(grades, reverse=True)[:k]
         idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
@@ -369,7 +371,7 @@ def assert_metrics_equal_per_topic_definitions(run, qrels, k):
         relevant = sum(1 for g in grades if g >= 1)
         hits, precision_sum = 0, 0.0
         for rank, (d, _) in enumerate(ranking, start=1):
-            if qrels.grade(topic_id, d) >= 1:
+            if judged.get(d, 0) >= 1:
                 hits += 1
                 precision_sum += hits / rank
         want_ap[topic_id] = precision_sum / relevant if relevant else 0.0

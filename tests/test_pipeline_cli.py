@@ -184,6 +184,26 @@ def test_run_rerank_variants_and_requirements(mini, tmp_path):
     assert ok == 0
 
 
+def test_vector_run_without_alpha_uses_the_alpha_its_help_names(mini, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    named = re.search(r"vector variant: (\S+) unless set",
+                      " ".join(capsys.readouterr().out.split())).group(1)
+    runs = {}
+    for alpha in [None, named, str(RerankConfig.alpha)]:
+        out = tmp_path / f"{alpha}.run"
+        assert main([
+            "run", *mini_args(mini, "--vectors", mini["vectors"],
+                              "--manual-map", mini["manual_map"]),
+            "--variant", "vector", "--output", str(out),
+            *(["--alpha", alpha] if alpha else []),
+        ]) == 0
+        runs[alpha] = out.read_bytes()
+    assert runs[None] == runs[named]
+    # The mini fixture's vector run tells the help's alpha from the dataclass default.
+    assert runs[None] != runs[str(RerankConfig.alpha)]
+
+
 def test_run_output_roundtrips(mini, golden_dir, tmp_path):
     run = parse_run(golden_dir / "query.run")
     rewritten = tmp_path / "rewritten.run"

@@ -295,16 +295,18 @@ TERM_LEXICON = LexiconExtractor(TERM_WORDS)
 words = st.lists(st.sampled_from(TERM_WORDS + OTHER_WORDS), max_size=6)
 
 
-def oracle_tokens(query, question, task_terms, udel, config, confidence, variant):
+def oracle_tokens(query, question, task_terms, udel, config, confidence, variant,
+                  term_words=TERM_WORDS):
     """One index's query list, from the rules: each query token dup_query
     times in place, then each question token dup_question times, then each
     task-term token dup_task times, on full text only unless routing is off.
-    With ``udel`` the base keeps the lexicon words of each field, or else
-    the plain query; without, it keeps the query alone."""
+    With ``udel`` the base keeps the lexicon words (``term_words``, one-word
+    terms) of each field, or else the plain query; without, it keeps the
+    query alone."""
     query_kept, question_kept = query, []
     if udel:
-        terms_q = [w for w in query if w in TERM_WORDS]
-        terms_question = [w for w in question if w in TERM_WORDS]
+        terms_q = [w for w in query if w in term_words]
+        terms_question = [w for w in question if w in term_words]
         if terms_q or terms_question:
             query_kept, question_kept = terms_q, terms_question
     dup_task = config.dup_task

@@ -17,6 +17,9 @@ from taskrank.rerank import (
     cosine_proximity,
     export_priors,
     normalize_journal,
+    rerank,
+    rerank_by_journal,
+    rerank_by_task_vector,
 )
 from taskrank.tasks import Task, TaskAssignment
 
@@ -292,6 +295,39 @@ def test_vectors_file_at_extreme_magnitudes(tmp_path, scale):
                                 RerankConfig(alpha=0.5), 5)
     assert proximity == pytest.approx([0.8, 0.0, (0.5**0.5 + 1) / 2, 0.5], abs=1e-12)
     assert out == [("a", pytest.approx(0.9)), ("b", 0.0)]
+
+
+def test_both_re_rank_names_are_the_one_re_ranker():
+    assert rerank_by_journal is rerank_by_task_vector is rerank
+    # The package exports the two names but not ``rerank``, which would
+    # shadow the module: ``import taskrank.rerank as m`` would bind the function.
+    import taskrank.rerank as module
+    assert module.rerank is rerank
+
+
+# Zero, or a magnitude anywhere from 1e-300 to 1e300, of either sign.
+wide_components = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 9.99),
+              st.integers(-300, 299), st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 8), data=st.data())
+def test_proximities_equal_per_document_cosine_proximity_bit_for_bit(dim, data):
+    vectors = st.one_of(st.just([0.0] * dim),
+                        st.lists(wide_components, min_size=dim, max_size=dim))
+    task = data.draw(vectors)
+    docs = data.draw(st.dictionaries(st.text("abc", min_size=1, max_size=3), vectors,
+                                     max_size=8))
+    missing = data.draw(st.lists(st.text("xyz", min_size=1, max_size=2), max_size=3))
+    provider = InMemoryVectorProvider({"task": task, **docs})
+    doc_ids = data.draw(st.permutations([*docs, *missing]))
+    want = [cosine_proximity(np.array(docs[d]), np.array(task)) if d in docs else 0.5
+            for d in doc_ids]
+    got = provider.proximities("task", doc_ids)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 def test_export_priors_format():

@@ -142,7 +142,7 @@ def test_shipped_map_topic_8_is_diagnostics():
 def test_shipped_map_per_task_counts():
     counts = Counter(a.task_id for a in default_manual_map().values())
     framework = default_framework()
-    assert [counts[t] for t in framework.task_ids()] == list(EXPECTED_COUNTS.values())
+    assert [counts[t.task_id] for t in framework] == list(EXPECTED_COUNTS.values())
     assert sum(counts.values()) == 50
 
 
@@ -150,7 +150,7 @@ def test_shipped_map_original_thirty_topics():
     first_batch = [a for a in default_manual_map().values() if a.topic_id <= 29]
     assert len(first_batch) == 30
     counts = Counter(a.task_id for a in first_batch)
-    assert [counts[t] for t in default_framework().task_ids()] == [
+    assert [counts[t.task_id] for t in default_framework()] == [
         7, 5, 1, 5, 2, 4, 1, 5, 0, 0,
     ]
 
@@ -238,7 +238,7 @@ def test_load_tasks_and_topics_roundtrip(tmp_path):
         encoding="utf-8",
     )
     framework = load_tasks(tasks_path)
-    assert framework.task_ids() == ["a", "b"]
+    assert [t.task_id for t in framework] == ["a", "b"]
 
     topics_path = tmp_path / "topics.jsonl"
     topics_path.write_text(
