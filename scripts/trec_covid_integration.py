@@ -36,6 +36,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from taskrank import Pipeline, PipelineConfig, RunVariant, TaskRankError, cli, write_run
+from taskrank.evaluation import DEFAULT_K
 
 
 def convert_metadata(metadata_csv: Path, corpus_out: Path) -> int:
@@ -119,7 +120,7 @@ def main() -> int:
     parser.add_argument("--manual-map", help="manual topic-task map (required by journal.task)")
     parser.add_argument("--vectors", help="vectors file (required by vector)")
     parser.add_argument("--topic-id-offset", type=int, default=-1)
-    parser.add_argument("--k", type=int, default=20)
+    parser.add_argument("--k", type=int, default=DEFAULT_K)
     args = parser.parse_args()
 
     corpus = args.workdir / "corpus.jsonl"

@@ -21,7 +21,8 @@ from enum import Enum
 
 from .corpus import load_collection
 from .errors import TaskRankError, integer, json_object, number, read_rows
-from .evaluation import evaluate_run, parse_qrels, parse_run, residual_filter, sweep, write_run
+from .evaluation import (DEFAULT_K, evaluate_run, parse_qrels, parse_run, residual_filter, sweep,
+                         write_run)
 from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant
 from .pipeline import TASK_EXPANDED, Pipeline, PipelineConfig, RunVariant, load_corpus
@@ -191,7 +192,7 @@ def cmd_eval(args) -> int:
     if args.residual_qrels:
         run = residual_filter(run, parse_qrels(args.residual_qrels))
     judged = qrels.grades.keys()
-    unjudged = [t for t in run.topic_ids() if t not in judged]
+    unjudged = [t for t in sorted(run.rankings) if t not in judged]
     if unjudged:
         print(f"warning: no judgments for topics {unjudged}; scored 0", file=sys.stderr)
     absent = sorted(judged - run.rankings.keys())
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a run file against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", default=20)
+    p.add_argument("--k", default=DEFAULT_K, help=f"NDCG cut-off (default {DEFAULT_K})")
     p.add_argument("--residual-qrels", dest="residual_qrels", help="filter judged docs first")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_eval)
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid-sweep expansion configs")
     _add_pipeline_options(p, _SWEEP_VARIANT)
     p.add_argument("--grid", required=True, help="JSON-lines grid of expansion configs")
-    p.add_argument("--k", default=20)
+    p.add_argument("--k", default=DEFAULT_K, help=f"NDCG cut-off (default {DEFAULT_K})")
     p.set_defaults(func=cmd_sweep)
 
     return parser

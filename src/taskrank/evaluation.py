@@ -8,11 +8,11 @@ judged documents scored 0.
 built once by ``parse_qrels``; residual filtering, the metrics and the journal
 priors read each topic's grades from it as stored.
 
-A run holds one ``Ranking`` per topic: positions into a doc-id table that the
-topics of one pipeline run (or one parsed run file) share, and their float64
-scores. Writing, residual filtering and the metrics work on those arrays and
-look doc ids up once per judged document, not once per ranked row; a list of
-(doc_id, score) pairs is converted when it enters a ``Run``.
+A run holds one ``Ranking`` per topic: positions into the run's one doc-id
+table, and their float64 scores. Writing, residual filtering and the metrics
+work on those arrays and look doc ids up once per judged document, not once
+per ranked row; a list of (doc_id, score) pairs, or a Ranking over another
+table, is put on the run's table when it enters a ``Run``.
 
 ``write_run`` assembles the file's bytes from arrays, a block of rows at a
 time, and prints each score from its integer count of micro-units; only a
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator, KeysView, Mapping, Sequence
+from collections.abc import Iterator, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable
@@ -73,8 +73,8 @@ def parse_qrels(path) -> Qrels:
 class Ranking(Sequence):
     """One topic's ranking: row i is ``(doc_ids[positions[i]], scores[i])``.
 
-    ``doc_ids`` is a table shared by reference, typically by every topic of a
-    run; ``positions`` and ``scores`` are read-only arrays. A position
+    ``doc_ids`` is a table shared by reference, in a ``Run`` by every topic
+    of the run; ``positions`` and ``scores`` are read-only arrays. A position
     outside ``[0, len(doc_ids))`` raises ValueError. As a sequence a
     ranking yields (doc_id, float) pairs, and a slice is a ranking again.
     """
@@ -91,19 +91,6 @@ class Ranking(Sequence):
             raise ValueError(f"positions must lie in [0, {len(doc_ids)})")
         positions.flags.writeable = scores.flags.writeable = False
         self.doc_ids, self.positions, self.scores = doc_ids, positions, scores
-
-    @classmethod
-    def of(cls, rows: Ranking | Iterable[tuple[str, float]]) -> Ranking:
-        """``rows`` itself if it is a Ranking, else its (doc_id, score) pairs
-        over a table of their distinct doc ids."""
-        if isinstance(rows, Ranking):
-            return rows
-        table: dict[str, int] = {}
-        positions, scores = [], []
-        for doc_id, score in rows:
-            positions.append(table.setdefault(doc_id, len(table)))
-            scores.append(score)
-        return cls(list(table), np.array(positions, np.int64), np.array(scores, np.float64))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -129,19 +116,33 @@ class Ranking(Sequence):
 class Run:
     """Ranked result lists per topic, with a run tag.
 
-    ``rankings`` is a read-only mapping whose every value is a Ranking; one
-    given as a list of (doc_id, score) pairs is converted here.
+    ``rankings`` is a read-only mapping whose every value is a Ranking over
+    the run's one doc-id table, ``doc_ids``. Rankings that already share one
+    table are kept as given; any other input (a list of (doc_id, score)
+    pairs, a Ranking over another table) is put here on one table of the
+    doc ids in order of first appearance.
     """
 
     run_tag: str
     rankings: Mapping[int, Ranking] = field(default_factory=dict)
+    doc_ids: Sequence[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rankings = {topic_id: Ranking.of(rows) for topic_id, rows in self.rankings.items()}
+        rankings = dict(self.rankings)
+        first = next(iter(rankings.values()), None)
+        if isinstance(first, Ranking) and all(
+                isinstance(r, Ranking) and r.doc_ids is first.doc_ids for r in rankings.values()):
+            doc_ids = first.doc_ids
+        else:
+            table: dict[str, int] = {}
+            for topic_id, rows in rankings.items():
+                rows = list(rows)
+                rankings[topic_id] = ([table.setdefault(doc_id, len(table)) for doc_id, _ in rows],
+                                      [score for _, score in rows])
+            doc_ids = list(table)
+            rankings = {topic_id: Ranking(doc_ids, *rows) for topic_id, rows in rankings.items()}
         object.__setattr__(self, "rankings", MappingProxyType(rankings))
-
-    def topic_ids(self) -> list[int]:
-        return sorted(self.rankings)
+        object.__setattr__(self, "doc_ids", doc_ids)
 
 
 _PAD = 0xFF  # a byte that UTF-8 never uses
@@ -209,38 +210,31 @@ def write_run(run: Run, path) -> None:
     ascending id order.
 
     Each field is a uint8 matrix, right-aligned and padded with ``_PAD``:
-    ``"{topic} Q0 "`` by topic, ``"{doc_id} "`` by doc id ranked (each
-    distinct doc-id table of the run gives its ranked ids once, stacked),
-    ``"{rank} "`` by rank, the score text by row and ``" {tag}\n"``. A
-    block of up to ``_BLOCK_ROWS`` rows gathers each field by row,
-    concatenates them along columns, drops the padding with one boolean
-    compress and is written with one call. A score is
-    printed from its integer micro-units unless ``|s| * 1e6`` lies within an
-    ulp of a half-integer, reaches 2**52 or is not finite; those rows take
-    ``'%.6f' % s``. The ranked ids and the tag are encoded before the file
-    is opened, so an id or tag that UTF-8 cannot encode raises
-    UnicodeEncodeError and leaves the file as it was. A failure after the
+    ``"{topic} Q0 "`` by topic, ``"{doc_id} "`` by ranked position of the
+    run's table (each ranked doc id encoded once), ``"{rank} "`` by rank,
+    the score text by row and ``" {tag}\n"``. A block of up to
+    ``_BLOCK_ROWS`` rows gathers each field by row, concatenates them along
+    columns, drops the padding with one boolean compress and is written with
+    one call. A score is printed from its integer micro-units unless
+    ``|s| * 1e6`` lies within an ulp of a half-integer, reaches 2**52 or is
+    not finite; those rows take ``'%.6f' % s``. The ranked ids and the tag
+    are encoded before the file is opened, so an id or tag that UTF-8 cannot
+    encode raises UnicodeEncodeError and leaves the file as it was. A failure after the
     file is opened removes it, so a failed write leaves no partial file.
     """
-    topic_ids = run.topic_ids()
+    topic_ids = sorted(run.rankings)
     rankings = [run.rankings[topic_id] for topic_id in topic_ids]
-    used: dict[int, tuple[Sequence[str], np.ndarray]] = {}  # by id() of a live table
+    ranked = np.zeros(len(run.doc_ids), bool)
     for ranking in rankings:
-        if id(ranking.doc_ids) not in used:
-            used[id(ranking.doc_ids)] = ranking.doc_ids, np.zeros(len(ranking.doc_ids), bool)
-        used[id(ranking.doc_ids)][1][ranking.positions] = True
-    row_of: dict[int, np.ndarray] = {}  # by id() of a table: each used position's row in doc_texts
-    doc_texts: list[bytes] = []
-    for key, (doc_ids, ranked) in used.items():
-        at = np.flatnonzero(ranked)
-        row_of[key] = np.zeros(len(doc_ids), np.int64)
-        row_of[key][at] = np.arange(len(doc_texts), len(doc_texts) + len(at))
-        doc_texts += [f"{doc_ids[p]} ".encode() for p in at.tolist()]
+        ranked[ranking.positions] = True
+    at = np.flatnonzero(ranked)
+    row_of = np.zeros(len(run.doc_ids), np.int64)  # each ranked position's row in doc_texts
+    row_of[at] = np.arange(len(at))
+    doc_texts = [f"{run.doc_ids[p]} ".encode() for p in at.tolist()]
     lengths = [len(ranking) for ranking in rankings]
     starts = np.cumsum([0] + lengths[:-1])
     topic_of = np.repeat(np.arange(len(rankings)), lengths)
-    docs = np.concatenate([np.zeros(0, np.int64)]
-                          + [row_of[id(r.doc_ids)][r.positions] for r in rankings])
+    docs = row_of[np.concatenate([np.zeros(0, np.int64)] + [r.positions for r in rankings])]
     scores = np.concatenate([np.zeros(0)] + [r.scores for r in rankings])
     # Gathered as one void item per row, then seen as bytes again.
     fields = [_right_aligned(texts) for texts in (
@@ -309,17 +303,13 @@ def _rows_judged(run: Run, qrels: Qrels, dtype=np.int64
     """Each topic of the run in id order, with an array by row: the row's
     grade (0 if unjudged), or with ``dtype=bool`` whether it is judged.
 
-    Per doc-id table, a zeroed array by position takes one topic's values,
+    A zeroed array by position of the run's table takes one topic's values,
     is read at the ranking's positions and is cleared again.
     """
-    tables: dict[int, tuple[dict[str, int], np.ndarray]] = {}  # by id() of a live table
-    for topic_id in run.topic_ids():
+    position = {d: i for i, d in enumerate(run.doc_ids)}
+    by_position = np.zeros(len(run.doc_ids), dtype)
+    for topic_id in sorted(run.rankings):
         ranking = run.rankings[topic_id]
-        doc_ids = ranking.doc_ids
-        if id(doc_ids) not in tables:
-            tables[id(doc_ids)] = ({d: i for i, d in enumerate(doc_ids)},
-                                   np.zeros(len(doc_ids), dtype))
-        position, by_position = tables[id(doc_ids)]
         grades = qrels.grades.get(topic_id, {})
         judged = [(position[d], g) for d, g in grades.items() if d in position]
         at = [p for p, _ in judged]
@@ -374,7 +364,10 @@ class MetricReport:
     topic_count: int
 
 
-def evaluate_run(run: Run, qrels: Qrels, k: int = 20) -> MetricReport:
+DEFAULT_K = 20  # the rank cut-off of NDCG@k, as the paper scores every run
+
+
+def evaluate_run(run: Run, qrels: Qrels, k: int = DEFAULT_K) -> MetricReport:
     """NDCG@k and MAP over the run's topics; the means divide by their count.
 
     Judged topics absent from the run are not scored; ``trec_eval -c`` would
@@ -405,7 +398,7 @@ class SweepRow:
 
 
 def sweep(grid: list, pipeline: Callable[[object], Run], qrels: Qrels,
-          k: int = 20) -> list[SweepRow]:
+          k: int = DEFAULT_K) -> list[SweepRow]:
     """Run the pipeline once per grid config and score each resulting run;
     rows sort by mean NDCG@k descending, ties in grid order.
 

@@ -25,25 +25,27 @@ from .tasks import Task, TaskAssignment, Topic
 class LexiconExtractor:
     """Extracts candidate terms by matching a fixed term lexicon against text.
 
-    Stand-in for a biomedical named-entity recognizer. Scanning is greedy
-    longest-match (up to 4 tokens) over the text's ``token_runs``, nothing
-    dropped, so multi-token entries match in place; matched terms are returned
-    in normalized form, one entry per occurrence, so repeated terms stay
-    repeated.
+    Stand-in for a biomedical named-entity recognizer. A term is its
+    ``token_runs``, of any number; a term with none is left out. Scanning is
+    greedy longest-match (up to the longest term) over the text's
+    ``token_runs``, nothing dropped, so multi-token entries match in place;
+    matched terms are returned in normalized form, one entry per occurrence,
+    so repeated terms stay repeated.
     """
 
     def __init__(self, terms):
-        self._terms: set[tuple[str, ...]] = set()
-        for term in terms:
-            tokens = tuple(token_runs(term))
-            if tokens and len(tokens) <= 4:
-                self._terms.add(tokens)
+        self._terms: set[tuple[str, ...]] = {tuple(token_runs(term)) for term in terms} - {()}
         self._max_len = max((len(t) for t in self._terms), default=1)
 
     @classmethod
     def from_file(cls, path) -> "LexiconExtractor":
-        """One term per non-blank line."""
-        return cls(term for _, _, term in read_rows(path, str.strip))
+        """One term per non-blank line; a line without a ``[0-9a-z]`` run
+        raises MalformedRow."""
+        def parse(line: str) -> str:
+            if not token_runs(line):
+                raise ValueError("term has no [0-9a-z] run")
+            return line
+        return cls(term for _, _, term in read_rows(path, parse))
 
     def __len__(self) -> int:
         return len(self._terms)

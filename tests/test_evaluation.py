@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank import evaluation
-from taskrank.cli import main
+from taskrank.cli import build_parser, main
 from taskrank.errors import MalformedRow
 from taskrank.evaluation import (
     Qrels,
@@ -21,6 +23,8 @@ from taskrank.evaluation import (
     write_run,
 )
 from taskrank.querygen import ExpansionConfig
+
+from test_one_reader import call_sites
 
 
 def make_qrels(rows):
@@ -279,6 +283,23 @@ def test_sweep_identical_configs_identical_metrics():
     assert rows[0].mean_ap == rows[1].mean_ap
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: evaluate_run(make_run({1: [("a", 1.0)]}), Qrels(), k=0), "k must be >= 1"),
+    (lambda: sweep([], run_for_config, Qrels()), "sweep grid is empty"),
+], ids=["k-0", "empty-grid"])
+def test_evaluation_rejects_a_cut_off_below_one_and_an_empty_grid(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_every_k_defaults_to_evaluate_runs_cut_off():
+    k = inspect.signature(evaluate_run).parameters["k"].default
+    assert inspect.signature(sweep).parameters["k"].default == k
+    parser = build_parser()
+    assert parser.parse_args(["eval", "--run", "r", "--qrels", "q"]).k == k
+    assert parser.parse_args(["sweep", "--grid", "g"]).k == k
+
+
 VALID_RUN = "1 Q0 a 1 0.5 t\n"
 VALID_QRELS = "1 0 a 1\n"
 
@@ -532,3 +553,30 @@ def test_parse_run_shares_one_doc_id_table(tmp_path):
     run = parse_run(path)
     assert run.rankings == {1: [("b", 0.5), ("a", 0.25)], 2: [("b", 0.5)]}
     assert run.rankings[1].doc_ids is run.rankings[2].doc_ids
+
+
+TABLE = ("x", "a", "b", "c")
+PAIRS = {3: [("b", 0.5), ("a", 0.25)], 1: [("c", 1.0), ("b", -2.0)], 2: []}
+
+
+@pytest.mark.parametrize("form, given", [
+    ("one table", {3: Ranking(TABLE, [2, 1], [0.5, 0.25]), 1: Ranking(TABLE, [3, 2], [1.0, -2.0]),
+                   2: Ranking(TABLE, [], [])}),
+    ("pairs", PAIRS),
+    ("two tables", {3: Ranking(TABLE, [2, 1], [0.5, 0.25]),
+                    1: Ranking(("c", "b"), [0, 1], [1.0, -2.0]), 2: Ranking(TABLE, [], [])}),
+    ("mixed", {3: Ranking(TABLE, [2, 1], [0.5, 0.25]), 1: PAIRS[1], 2: []}),
+])
+def test_a_run_holds_one_doc_id_table(form, given):
+    run = Run(run_tag="t", rankings=given)
+    assert all(ranking.doc_ids is run.doc_ids for ranking in run.rankings.values())
+    assert list(run.rankings) == [3, 1, 2]
+    assert run.rankings == PAIRS
+    if form == "one table":
+        assert run.doc_ids is TABLE
+    else:  # the doc ids in order of first appearance
+        assert run.doc_ids == ["b", "a", "c"]
+
+
+def test_evaluation_tracks_no_table_by_id():
+    assert call_sites(Path(evaluation.__file__), "id") == set()

@@ -183,6 +183,14 @@ def test_tokenized_collection_reads_a_one_pass_generator(mini):
             TokenizedCollection(documents, bodies=bodies))
 
 
+@pytest.mark.parametrize("variant", [IndexVariant.FULL_TEXT, IndexVariant.TITLE_ABSTRACT_PARAGRAPH])
+def test_a_variant_that_reads_bodies_needs_tokenized_bodies(mini, variant):
+    tokens = TokenizedCollection(load_collection(mini["corpus"]), bodies=False)
+    with pytest.raises(ValueError, match=f"the {variant.value} variant needs tokenized bodies"):
+        InvertedIndex(tokens, variant)
+    assert InvertedIndex(tokens, IndexVariant.TITLE_ABSTRACT).doc_ids == tokens.doc_ids
+
+
 def synthetic_corpus(n_docs, seed, with_paragraphs=True):
     rng = random.Random(seed)
     vocab = [f"term{i:02d}" for i in range(40)]

@@ -992,6 +992,36 @@ def test_with_config_rejects_a_confidence_mode_without_a_manual_map(mini):
             expansion=ExpansionConfig(confidence_mode=ConfidenceMode.GATE))  # builds
 
 
+@pytest.mark.parametrize("case", ["run without corpus", "sweep without topics",
+                                  "sweep without qrels", "priors per task without map",
+                                  "topics missing from the map"])
+def test_a_missing_input_is_one_error(mini, tmp_path, capsys, case):
+    grid = tmp_path / "grid.jsonl"
+    grid.write_text('{"n_task_terms": 1}\n', encoding="utf-8")
+    partial_map = tmp_path / "map.txt"
+    partial_map.write_text("2 vaccines\n", encoding="utf-8")
+    out = ["--output", str(tmp_path / "never.run")]
+    argv, complaint = {
+        "run without corpus": (["run", "--topics", mini["topics"], *out],
+                               "run requires --corpus and --topics"),
+        "sweep without topics": (["sweep", "--corpus", mini["corpus"], "--qrels", mini["qrels"],
+                                  "--grid", str(grid)], "sweep requires --corpus and --topics"),
+        "sweep without qrels": (["sweep", *mini_args(mini), "--grid", str(grid)],
+                                "sweep requires --qrels"),
+        "priors per task without map": (["priors", "--qrels", mini["qrels"], "--corpus",
+                                         mini["corpus"], "--per-task"],
+                                        "--per-task requires --manual-map"),
+        "topics missing from the map": (["run", *mini_args(mini, "--manual-map", str(partial_map)),
+                                         "--variant", "journal.task", "--qrels", mini["qrels"],
+                                         *out], "topics missing from the manual map: [1, 3]"),
+    }[case]
+    assert main(argv) == 1
+    assert not (tmp_path / "never.run").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {complaint}"]
+
+
 def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):
     grid = tmp_path / "grid.jsonl"
     grid.write_text('{"n_task_terms": 1}\n{"n_task_terms": 2}\n', encoding="utf-8")
@@ -1387,7 +1417,8 @@ def test_non_finite_bm25_and_fusion_parameters_are_one_error(
     (b'{"corpus": "c.jsonl",\n}', "Expecting property name"),
     (b'{"run_tag": "\xff"}', "can't decode byte 0xff"),
     (b"[" * 100_000, "maximum recursion depth"),
-], ids=["invalid-json", "byte-0xff", "deep-nesting"])
+    (b'["corpus", "c.jsonl"]', "config file must contain a JSON object"),
+], ids=["invalid-json", "byte-0xff", "deep-nesting", "not-an-object"])
 def test_config_file_that_does_not_parse_is_one_error_naming_file(
         tmp_path, capsys, content, complaint):
     config_path = tmp_path / "config.json"

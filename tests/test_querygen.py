@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank.corpus import Document
-from taskrank.errors import EmptyQuery
+from taskrank.errors import EmptyQuery, MalformedRow
 from taskrank.indexing import IndexVariant, Tokenizer, build_index
 from taskrank.querygen import (
     ConfidenceMode,
@@ -100,6 +100,25 @@ def test_lexicon_extractor_greedy_longest_match():
     extractor = LexiconExtractor(["incubation", "incubation period", "period"])
     assert extractor.extract("the incubation period varies") == ["incubation period"]
     assert extractor.extract("an incubation phase") == ["incubation"]
+
+
+def test_a_term_of_five_words_matches_before_its_four_word_prefix():
+    extractor = LexiconExtractor(["severe acute respiratory syndrome coronavirus",
+                                  "severe acute respiratory syndrome", "acute respiratory"])
+    assert len(extractor) == 3
+    assert extractor.extract("a severe acute respiratory syndrome coronavirus strain") == [
+        "severe acute respiratory syndrome coronavirus"]
+    assert extractor.extract("severe acute respiratory syndrome virus") == [
+        "severe acute respiratory syndrome"]
+
+
+def test_a_lexicon_line_without_a_word_is_malformed_at_its_line(tmp_path):
+    path = tmp_path / "lexicon.txt"
+    path.write_text("severe acute respiratory syndrome coronavirus\n---\nacute respiratory\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRow, match="term has no") as excinfo:
+        LexiconExtractor.from_file(path)
+    assert (excinfo.value.path, excinfo.value.line_no) == (path, 2)
 
 
 def abstracts_collection(texts):
@@ -267,13 +286,16 @@ def test_too_many_task_terms_rejected():
         )
 
 
-def test_expansion_config_validation():
-    with pytest.raises(ValueError):
-        ExpansionConfig(dup_query=0)
-    with pytest.raises(ValueError):
-        ExpansionConfig(n_task_terms=-1)
-    with pytest.raises(ValueError):
-        ExpansionConfig(dup_task=0)
+@pytest.mark.parametrize("changes, message", [
+    ({"dup_query": 0}, "dup_query must be >= 1"),
+    ({"n_task_terms": -1}, "n_task_terms must be >= 0"),
+    ({"dup_task": 0}, "dup_task must be >= 1"),
+    ({"dup_question": -1}, "dup_question must be >= 0"),
+    ({"gate_threshold": 4}, "gate_threshold must be 1, 2 or 3"),
+], ids=["dup_query", "n_task_terms", "dup_task", "dup_question", "gate_threshold"])
+def test_expansion_config_validation(changes, message):
+    with pytest.raises(ValueError, match=message):
+        ExpansionConfig(**changes)
 
 
 def test_multi_token_task_terms_are_tokenized():

@@ -133,6 +133,10 @@ def test_build_per_task_priors_covers_all_mapped_tasks():
     assert set(tables) == {"alpha", "beta"}
     assert tables["alpha"].score("J") == 1.0
     assert tables["beta"].score("K") == -1.0
+    # Beta's one topic judges only a document outside the collection.
+    tables = build_per_task_priors(qrels_from([(1, "d0", 1), (3, "d9", 1)]), journal_of,
+                                   manual_map())
+    assert tables["beta"].scores == {} and tables["beta"].score("K") == 0.0
 
 
 def test_rerank_alpha_one_preserves_order():

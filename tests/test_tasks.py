@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from taskrank.errors import EmptyQuery, MalformedRow, TopicSetMismatch
+from taskrank.errors import (EmptyFramework, EmptyQuery, MalformedRow, TopicSetMismatch,
+                             UnknownTaskId)
 from taskrank.tasks import (
     Task,
     TaskAssignment,
@@ -126,11 +127,24 @@ def test_agreement_is_symmetric():
     assert agreement(a, b) == agreement(b, a)
 
 
-def test_agreement_topic_set_mismatch():
-    a = make_assignments({1: "x", 3: "y"})
-    b = make_assignments({2: "x", 3: "y"})
-    with pytest.raises(TopicSetMismatch, match=r"only one of the two: \[1, 2\]$"):
-        agreement(a, b)
+@pytest.mark.parametrize("a, b, message", [
+    ({1: "x", 3: "y"}, {2: "x", 3: "y"}, r"only one of the two: \[1, 2\]$"),
+    ({}, {}, "assignments are empty"),
+], ids=["different-topics", "empty"])
+def test_agreement_topic_set_mismatch(a, b, message):
+    with pytest.raises(TopicSetMismatch, match=message):
+        agreement(make_assignments(a), make_assignments(b))
+
+
+def test_task_framework_rejects_no_tasks_and_repeated_ids_and_gets_only_its_own():
+    with pytest.raises(EmptyFramework):
+        TaskFramework(tasks=())
+    task = Task(task_id="a", title="A", description="alpha")
+    with pytest.raises(ValueError, match="task ids must be unique"):
+        TaskFramework(tasks=(task, task))
+    assert TaskFramework(tasks=(task,)).get("a") is task
+    with pytest.raises(UnknownTaskId, match="unknown task_id 'b'"):
+        TaskFramework(tasks=(task,)).get("b")
 
 
 def test_shipped_map_topic_8_is_diagnostics():

@@ -1,14 +1,20 @@
-"""Whole runs of the variants without golden files, against a reference run.
+"""Whole runs of the variants, against a reference run.
 
 The reference is composed of the tests' component oracles only: each
 topic's tokens from the documented rules (``oracle_tokens``), an exhaustive
 search of every unit (``oracle_search``), fusion by ``math.fsum``
-(``fsum_oracle``) and one f-string per row (``per_line_write_run``). Its bytes
-must equal ``write_run(Pipeline(config).run())`` for ``query+udel``, and for
-``query+task`` with a manual map and classified, on generated corpora (their
-lines shuffled) and topics over the mini fixture's tasks and lexicon. Task
-terms and the classifier's choice are ranked by brute force; only the lexicon
-terms of the two fixed task descriptions come from ``LexiconExtractor``.
+(``fsum_oracle``) and one f-string per row (``per_line_write_run``). The
+re-ranked variants mix the min-max normalized fused score with a journal
+prior, counted by brute force over hand-normalized journal names, or with a
+task-vector proximity from per-document ``cosine_proximity``, in the order of
+IEEE operations the formula states, ties by doc_id. The reference's bytes must
+equal ``write_run(Pipeline(config).run())`` for ``query+udel``,
+``query+task`` and ``query+udel+task`` (with a manual map and classified),
+``journal.prior``, ``journal.task`` and ``vector``, on generated corpora
+(their lines shuffled), topics over the mini fixture's tasks and lexicon,
+qrels and vectors. Task terms and the classifier's choice are ranked by brute
+force; only the lexicon terms of the two fixed task descriptions come from
+``LexiconExtractor``.
 """
 
 import json
@@ -21,12 +27,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from taskrank.corpus import Document
+from taskrank.errors import EmptyQrels
 from taskrank.evaluation import write_run
 from taskrank.fusion import FusionConfig
 from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, default_stopwords
 from taskrank.pipeline import Pipeline, PipelineConfig, RunVariant
 from taskrank.querygen import ConfidenceMode, ExpansionConfig, LexiconExtractor
+from taskrank.rerank import RerankConfig, cosine_proximity
 from taskrank.tasks import load_tasks
 
 from test_evaluation import per_line_write_run
@@ -52,6 +62,10 @@ TOPIC_WORDS = sorted(set(TERM_WORDS + TASK_WORDS + OTHER) - IN_MULTI_WORD_TERMS)
 OFF_TASK_WORDS = sorted(set(TOPIC_WORDS) - set(TASK_WORDS))  # the classifier's fallback
 CORPUS_WORDS = sorted(set(TOPIC_WORDS) | IN_MULTI_WORD_TERMS)
 
+# Each journal spelling with its normalized name, written out by hand.
+JOURNALS = {"": "", "--": "", "The Lancet": "the lancet", "the  LANCET.": "the lancet",
+            "BMJ": "bmj", "B.M.J.": "b m j"}
+vector_values = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 3.0])
 corpus_words = st.lists(st.sampled_from(CORPUS_WORDS), max_size=6).map(" ".join)
 topic_words = st.lists(st.sampled_from(TOPIC_WORDS), max_size=5).map(" ".join)
 off_task_words = st.lists(st.sampled_from(OFF_TASK_WORDS), max_size=5).map(" ".join)
@@ -64,7 +78,8 @@ def corpora(draw):
     numbers = draw(st.lists(st.integers(0, 99), min_size=1, max_size=8, unique=True))
     documents = [Document(doc_id=f"d{n}", title=draw(corpus_words),
                           abstract=draw(corpus_words),
-                          body=tuple(draw(st.lists(corpus_words.filter(str.strip), max_size=3))))
+                          body=tuple(draw(st.lists(corpus_words.filter(str.strip), max_size=3))),
+                          journal=draw(st.sampled_from(list(JOURNALS))))
                  for n in numbers]
     return documents, draw(st.permutations(range(len(documents))))
 
@@ -99,32 +114,69 @@ def reference_task(query_tokens, params, tokenizer):
     return best[0][0] if best else TASKS.tasks[0].task_id
 
 
-def reference_run(case, documents, topics, assignments, params, rrf_k, expansion, top_k):
-    """``{topic_id: [(doc_id, score), ...]}`` composed from the oracles."""
+def reference_prior(qrels, journal_of, topics):
+    """``{normalized journal: 2r/(r+i) - 1}`` over the judgments of ``topics``
+    whose document has a journal: r graded 1 or more, i graded 0."""
+    counts = {}
+    for (topic_id, doc_id), grade in qrels.items():
+        journal = JOURNALS[journal_of.get(doc_id, "")]
+        if topic_id in topics and journal:
+            relevant, irrelevant = counts.get(journal, (0, 0))
+            counts[journal] = (relevant + (grade >= 1), irrelevant + (grade == 0))
+    return {journal: 2 * r / (r + i) - 1 for journal, (r, i) in counts.items()}
+
+
+def reference_rerank(fused, aux, alpha):
+    """``alpha * minmax(score) + (1 - alpha) * aux(doc_id)``, operation by
+    operation; equal scores normalize to 1. Best first, ties by doc_id."""
+    if not fused:
+        return []
+    lo, hi = min(score for _, score in fused), max(score for _, score in fused)
+    mixed = [(doc_id, alpha * (1.0 if hi == lo else (score - lo) / (hi - lo))
+              + (1.0 - alpha) * aux(doc_id)) for doc_id, score in fused]
+    return sorted(mixed, key=lambda item: (-item[1], item[0]))
+
+
+def reference_run(variant, documents, topics, assignments, params, rrf_k, expansion, top_k,
+                  aux=None, alpha=None):
+    """``{topic_id: [(doc_id, score), ...]}`` composed from the oracles;
+    ``aux(task_id, doc_id)`` is a re-ranked variant's auxiliary score."""
     tokenizer = Tokenizer()
+    udel = variant in ("query+udel", "query+udel+task")
+    expanded = variant in ("query+task", "query+udel+task")
     task_terms = {task.task_id: reference_task_terms(task, documents, tokenizer)
                   for task in TASKS}
     rankings = {}
     for topic in topics:
         query, question = (character_scanner_tokens(topic[field], STOPWORDS)
                            for field in ("query", "question"))
-        if case == "query+udel":
-            terms, config, confidence = [], ExpansionConfig(dup_query=1, dup_question=1), None
-        else:
+        task_id, confidence = None, None
+        if expanded or variant in ("journal.task", "vector"):
             task_id, confidence = assignments.get(topic["topic_id"]) or (
                 reference_task(query, params, tokenizer), None)
+        if expanded:
             terms, config = task_terms[task_id][:expansion.n_task_terms], expansion
+        else:  # the udel query, or else the plain query alone
+            terms, config = [], ExpansionConfig(dup_query=1, dup_question=1)
         lists = []
-        for variant in IndexVariant:
-            tokens = oracle_tokens(query, question, terms, case == "query+udel", config,
-                                   confidence, variant, TERM_WORDS)
-            ranked = oracle_search(documents, variant, tokenizer, params, tokens, top_k)
+        for index_variant in IndexVariant:
+            tokens = oracle_tokens(query, question, terms, udel, config, confidence,
+                                   index_variant, TERM_WORDS)
+            ranked = oracle_search(documents, index_variant, tokenizer, params, tokens, top_k)
             lists.append([doc_id for doc_id, _score in ranked])
-        rankings[topic["topic_id"]] = fsum_oracle(lists, rrf_k, top_k)
+        fused = fsum_oracle(lists, rrf_k, top_k)
+        if aux is not None:
+            fused = reference_rerank(fused, lambda doc_id: aux(task_id, doc_id), alpha)
+        rankings[topic["topic_id"]] = fused
     return rankings
 
 
-@pytest.mark.parametrize("case", ["query+udel", "query+task manual", "query+task classified"])
+CASES = ["query+udel", "query+task manual", "query+task classified", "query+udel+task",
+         "journal.prior", "journal.task", "vector"]
+RERANKED = ("journal.prior", "journal.task", "vector")
+
+
+@pytest.mark.parametrize("case", CASES)
 @settings(max_examples=80, deadline=None)
 @given(corpus=corpora(), topics=topic_sets(), data=st.data(),
        params=st.sampled_from([Bm25Params(), Bm25Params(k1=1.2, b=0.75),
@@ -132,12 +184,16 @@ def reference_run(case, documents, topics, assignments, params, rrf_k, expansion
        rrf_k=st.sampled_from([60.0, 1.0, 2.5]), top_k=st.integers(1, 12))
 def test_whole_run_equals_the_reference_run(case, corpus, topics, data, params, rrf_k, top_k):
     documents, line_order = corpus
-    manual = case == "query+task manual"
+    variant = case.split()[0]
+    if variant in ("query+udel+task", "vector"):
+        manual = data.draw(st.booleans())
+    else:
+        manual = case.endswith("manual") or variant == "journal.task"
     assignments = {topic["topic_id"]: (data.draw(st.sampled_from([t.task_id for t in TASKS])),
                                        data.draw(st.integers(1, 3)))
                    for topic in topics} if manual else {}
     expansion = ExpansionConfig()
-    if case != "query+udel":
+    if variant in ("query+task", "query+udel+task"):
         expansion = ExpansionConfig(
             n_task_terms=data.draw(st.integers(0, 4)), dup_query=data.draw(st.integers(1, 3)),
             dup_task=data.draw(st.integers(1, 2)),
@@ -145,25 +201,69 @@ def test_whole_run_equals_the_reference_run(case, corpus, topics, data, params, 
                                       else st.just(ConfidenceMode.IGNORE)),
             gate_threshold=data.draw(st.integers(1, 3)),
             route_task_terms_fulltext_only=data.draw(st.booleans()))
+    # Judgments of the run's topics and one other, of its documents and one other.
+    qrels = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from([topic["topic_id"] for topic in topics] + [61]),
+                  st.sampled_from([doc.doc_id for doc in documents] + ["d100"])),
+        st.integers(0, 2), max_size=12)) if variant.startswith("journal") else {}
+    vectors = {}
+    if variant == "vector":
+        dim = data.draw(st.integers(1, 3))
+        vector = st.lists(vector_values, min_size=dim, max_size=dim)
+        vectors = {task.task_id: data.draw(vector) for task in TASKS}
+        vectors.update(data.draw(st.dictionaries(
+            st.sampled_from([doc.doc_id for doc in documents]), vector)))
+    alpha = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0])) if variant in RERANKED else None
+    aux = None
+    journal_of = {doc.doc_id: doc.journal for doc in documents}
+    if variant == "journal.prior":
+        prior = reference_prior(qrels, journal_of, {topic_id for topic_id, _ in qrels})
+        aux = lambda _task_id, doc_id: prior.get(JOURNALS[journal_of[doc_id]], 0.0)
+    elif variant == "journal.task":
+        # A task whose topics count no judgment has an empty table: every prior 0.
+        topics_of = {task.task_id: {topic_id for topic_id, (task_id, _) in assignments.items()
+                                    if task_id == task.task_id} for task in TASKS}
+        priors = {task_id: reference_prior(qrels, journal_of, mapped)
+                  for task_id, mapped in topics_of.items()}
+        aux = lambda task_id, doc_id: priors[task_id].get(JOURNALS[journal_of[doc_id]], 0.0)
+    elif variant == "vector":
+        aux = lambda task_id, doc_id: (cosine_proximity(
+            np.array(vectors[doc_id]), np.array(vectors[task_id])) if doc_id in vectors else 0.5)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "corpus.jsonl").write_text("".join(json.dumps({
             "doc_id": documents[i].doc_id, "title": documents[i].title,
-            "abstract": documents[i].abstract, "body": list(documents[i].body)}) + "\n"
-            for i in line_order), encoding="utf-8")
+            "abstract": documents[i].abstract, "body": list(documents[i].body),
+            "journal": documents[i].journal}) + "\n" for i in line_order), encoding="utf-8")
         (tmp / "topics.jsonl").write_text(
             "".join(json.dumps(topic) + "\n" for topic in topics), encoding="utf-8")
         (tmp / "map.txt").write_text("".join(
             f"{topic_id} {task_id} {confidence}\n"
             for topic_id, (task_id, confidence) in assignments.items()), encoding="utf-8")
+        (tmp / "qrels.txt").write_text("".join(
+            f"{topic_id} 0 {doc_id} {grade}\n" for (topic_id, doc_id), grade in qrels.items()),
+            encoding="utf-8")
+        (tmp / "vectors.txt").write_text("".join(
+            f"{key} {' '.join(map(repr, values))}\n" for key, values in vectors.items()),
+            encoding="utf-8")
         config = PipelineConfig(
             corpus_path=str(tmp / "corpus.jsonl"), topics_path=str(tmp / "topics.jsonl"),
-            variant=RunVariant(case.split()[0]), tasks_path=str(MINI / "tasks.jsonl"),
+            variant=RunVariant(variant), tasks_path=str(MINI / "tasks.jsonl"),
             lexicon_path=str(MINI / "lexicon.txt"),
             manual_map_path=str(tmp / "map.txt") if manual else None,
-            bm25=params, fusion=FusionConfig(rrf_k=rrf_k), expansion=expansion, top_k=top_k)
+            qrels_path=str(tmp / "qrels.txt") if variant.startswith("journal") else None,
+            vectors_path=str(tmp / "vectors.txt") if vectors else None,
+            bm25=params, fusion=FusionConfig(rrf_k=rrf_k), expansion=expansion,
+            rerank=None if alpha is None else RerankConfig(alpha=alpha), top_k=top_k)
+        if variant == "journal.prior" and not prior:
+            with pytest.raises(EmptyQrels):
+                Pipeline(config)
+            return
         write_run(Pipeline(config).run(), tmp / "got.run")
+        # Without a setting, alpha is 0.5 for the vector variant and 0.7 otherwise.
+        if alpha is None:
+            alpha = 0.5 if variant == "vector" else 0.7
         per_line_write_run(config.variant.value, reference_run(
-            case, documents, topics, assignments, params, rrf_k, expansion, top_k),
-            tmp / "want.run")
+            variant, documents, topics, assignments, params, rrf_k, expansion, top_k, aux,
+            alpha), tmp / "want.run")
         assert (tmp / "got.run").read_bytes() == (tmp / "want.run").read_bytes()
