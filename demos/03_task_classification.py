@@ -6,9 +6,9 @@ share no term with any description fall back to the first task, flagged as
 low confidence.
 """
 
-from taskrank import TaskClassifier, default_framework, default_manual_map
+from taskrank import TaskClassifier, load_manual_map, load_tasks
 
-framework = default_framework()
+framework = load_tasks()
 print("task framework:")
 for task in framework:
     print(f"  {task.task_id:<20} {task.title}")
@@ -30,7 +30,7 @@ for query in queries:
     print(f"  {query!r:<48} -> {pred.task_id}{flag}")
 
 # The shipped manual map covers the 50 TREC-COVID topics (ids 0-49).
-manual = default_manual_map(framework)
+manual = load_manual_map(framework=framework)
 per_task = {}
 for assignment in manual.values():
     per_task[assignment.task_id] = per_task.get(assignment.task_id, 0) + 1

@@ -11,11 +11,11 @@ from taskrank import (
     Document,
     ExpansionConfig,
     IndexVariant,
+    LexiconExtractor,
     Topic,
     build_index,
-    default_framework,
-    default_lexicon,
     generate_task_expanded,
+    load_tasks,
     select_task_terms,
 )
 from taskrank.tasks import TaskAssignment
@@ -36,8 +36,8 @@ abstracts_index = build_index(
     IndexVariant.TITLE_ABSTRACT,
 )
 
-framework = default_framework()
-extractor = default_lexicon()
+framework = load_tasks()
+extractor = LexiconExtractor.from_file()
 for task_id in ("transmission", "vaccines", "diagnostics"):
     task = framework.get(task_id)
     terms = select_task_terms(task, abstracts_index, extractor, n=3)

@@ -37,7 +37,6 @@ from .querygen import (
     ExpansionConfig,
     GeneratedQuery,
     LexiconExtractor,
-    default_lexicon,
     generate_plain,
     generate_task_expanded,
     generate_udel,
@@ -63,8 +62,6 @@ from .tasks import (
     Topic,
     agreement,
     classify_topics,
-    default_framework,
-    default_manual_map,
     load_manual_map,
     load_tasks,
     load_topics,

@@ -19,21 +19,19 @@ import typing
 from dataclasses import replace
 from enum import Enum
 
-from .corpus import load_collection
 from .errors import TaskRankError, integer, json_object, number, read_rows
 from .evaluation import (DEFAULT_K, evaluate_run, parse_qrels, parse_run, residual_filter, sweep,
                          write_run)
 from .fusion import FusionConfig
 from .indexing import Bm25Params, IndexVariant
 from .pipeline import TASK_EXPANDED, Pipeline, PipelineConfig, RunVariant, load_corpus
-from .querygen import ExpansionConfig, LexiconExtractor, default_lexicon, select_task_terms
+from .querygen import ExpansionConfig, LexiconExtractor, select_task_terms
 from .rerank import (VECTOR_ALPHA, RerankConfig, build_journal_priors, build_per_task_priors,
                      export_priors)
 from .tasks import (
     TaskAssignment,
     TaskClassifier,
     agreement,
-    default_framework,
     load_manual_map,
     load_tasks,
     load_topics,
@@ -224,7 +222,7 @@ def cmd_eval(args) -> int:
 
 def cmd_classify(args) -> int:
     topics = load_topics(args.topics)
-    framework = load_tasks(args.tasks) if args.tasks else default_framework()
+    framework = load_tasks(args.tasks)
     classifier = TaskClassifier(framework)
     predictions = {t.topic_id: classifier.classify(t.query) for t in topics}
     print(f"{'topic':<8} {'task':<28} {'low_confidence'}")
@@ -240,10 +238,8 @@ def cmd_classify(args) -> int:
 
 def cmd_select_terms(args) -> int:
     n = _count_flag(args, "n", 0)
-    framework = load_tasks(args.tasks) if args.tasks else default_framework()
-    extractor = (
-        LexiconExtractor.from_file(args.lexicon) if args.lexicon else default_lexicon()
-    )
+    framework = load_tasks(args.tasks)
+    extractor = LexiconExtractor.from_file(args.lexicon)
     _journal_of, indices = load_corpus(args.corpus, [IndexVariant.TITLE_ABSTRACT])
     for task in framework:
         terms = select_task_terms(task, indices[IndexVariant.TITLE_ABSTRACT], extractor, n)
@@ -252,13 +248,16 @@ def cmd_select_terms(args) -> int:
 
 
 def cmd_priors(args) -> int:
+    if args.per_task and not args.manual_map:
+        raise TaskRankError("--per-task requires --manual-map")
+    unread = [flag for flag, value in [("--manual-map", args.manual_map), ("--tasks", args.tasks)]
+              if value and not args.per_task]
+    if unread:
+        raise TaskRankError(f"priors without --per-task does not read: {', '.join(unread)}")
     qrels = parse_qrels(args.qrels)
-    journal_of = {doc.doc_id: doc.journal for doc in load_collection(args.corpus)}
+    journal_of, _indices = load_corpus(args.corpus, ())
     if args.per_task:
-        if not args.manual_map:
-            raise TaskRankError("--per-task requires --manual-map")
-        framework = load_tasks(args.tasks) if args.tasks else default_framework()
-        manual = load_manual_map(args.manual_map, framework)
+        manual = load_manual_map(args.manual_map, load_tasks(args.tasks))
         tables = build_per_task_priors(qrels, journal_of, manual)
         text = "".join(
             f"{task_id}\t{line}\n"

@@ -43,7 +43,6 @@ class Document:
     abstract: str = ""
     body: tuple[str, ...] = ()
     journal: str = ""
-    publish_date: str = ""
 
 
 def _text(value, name: str) -> str:
@@ -73,14 +72,15 @@ def _record_to_document(record: dict) -> Document:
         paragraphs = [p.strip() for p in body if p.strip()]
     else:
         paragraphs = segment_paragraphs(_text(body, "body"))
-    return Document(
+    document = Document(
         doc_id=doc_id,
         title=_text(record.get("title"), "title"),
         abstract=_text(record.get("abstract"), "abstract"),
         body=tuple(paragraphs),
         journal=_text(record.get("journal"), "journal"),
-        publish_date=_text(record.get("date"), "date"),
     )
+    _text(record.get("date"), "date")  # kept by no field, but it must be a string
+    return document
 
 
 def load_collection(path) -> tuple[Document, ...]:

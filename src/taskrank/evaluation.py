@@ -46,9 +46,6 @@ class Qrels:
     def judged(self, topic_id: int) -> KeysView[str]:
         return self.grades.get(topic_id, {}).keys()
 
-    def __len__(self) -> int:
-        return sum(map(len, self.grades.values()))
-
 
 def parse_qrels(path) -> Qrels:
     """Parse ``topic_id iteration doc_id grade`` rows.

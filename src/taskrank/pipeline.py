@@ -44,7 +44,6 @@ from .querygen import (
     ExpansionConfig,
     GeneratedQuery,
     LexiconExtractor,
-    default_lexicon,
     generate_plain,
     generate_udel,
     generate_task_expanded,
@@ -63,7 +62,6 @@ from .tasks import (
     TaskAssignment,
     Topic,
     classify_topics,
-    default_framework,
     load_manual_map,
     load_tasks,
     load_topics,
@@ -86,8 +84,8 @@ _RERANKED = {RunVariant.JOURNAL_PRIOR, RunVariant.JOURNAL_TASK, RunVariant.VECTO
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs; paths default to the shipped data files.
-    Building it, ``replace`` included, raises TaskRankError for a bad setting."""
+    """Everything a run needs; an unset tasks or lexicon path reads the shipped
+    file. Building it, ``replace`` included, raises TaskRankError for a bad setting."""
 
     corpus_path: str
     topics_path: str
@@ -146,11 +144,14 @@ class PipelineConfig:
 def load_corpus(path, variants: Collection[IndexVariant], tokenizer: Tokenizer | None = None
                 ) -> tuple[dict[str, str], dict[IndexVariant, InvertedIndex]]:
     """``{doc_id: journal}`` and an index per variant (documents in doc_id
-    order) of the corpus file at ``path``. Bodies are tokenized only for a
-    variant other than title+abstract (as in ``build_index``), and the
-    documents are dropped before the builds."""
+    order) of the corpus file at ``path``; with no variant, the journals and
+    ``{}``, and nothing is tokenized. Bodies are tokenized only for a variant
+    other than title+abstract (as in ``build_index``), and the documents are
+    dropped before the builds."""
     documents = load_collection(path)
     journal_of = {doc.doc_id: doc.journal for doc in documents}
+    if not variants:
+        return journal_of, {}
     bodies = any(variant is not IndexVariant.TITLE_ABSTRACT for variant in variants)
     tokens = TokenizedCollection(documents, tokenizer, bodies)
     del documents  # the index builds need only the token ids
@@ -197,10 +198,8 @@ class Pipeline:
         config, variant, get = self.config, self.config.variant, self._input
         tasks, lexicon, manual_path = config.tasks_path, config.lexicon_path, config.manual_map_path
         self.topics = get("topics", lambda: load_topics(config.topics_path))
-        framework = get(("framework", tasks),
-                        lambda: load_tasks(tasks) if tasks else default_framework())
-        self.extractor = get(("extractor", lexicon), lambda: (
-            LexiconExtractor.from_file(lexicon) if lexicon else default_lexicon()))
+        framework = get(("framework", tasks), lambda: load_tasks(tasks))
+        self.extractor = get(("extractor", lexicon), lambda: LexiconExtractor.from_file(lexicon))
         self.indices, journals = get("corpus", self._load_corpus)
         self._doc_ids = doc_ids = self.indices[IndexVariant.FULL_TEXT].doc_ids
         self._assignments: dict[int, TaskAssignment] = {}

@@ -38,9 +38,13 @@ class LexiconExtractor:
         self._max_len = max((len(t) for t in self._terms), default=1)
 
     @classmethod
-    def from_file(cls, path) -> "LexiconExtractor":
+    def from_file(cls, path=None) -> "LexiconExtractor":
         """One term per non-blank line; a line without a ``[0-9a-z]`` run
-        raises MalformedRow."""
+        raises MalformedRow. Unset (any falsy path): the lexicon shipped with
+        the package."""
+        if not path:
+            with resources.as_file(resources.files("taskrank.data") / "lexicon.txt") as shipped:
+                return cls.from_file(shipped)
         def parse(line: str) -> str:
             if not token_runs(line):
                 raise ValueError("term has no [0-9a-z] run")
@@ -64,12 +68,6 @@ class LexiconExtractor:
                     break
             i += matched or 1
         return found
-
-
-def default_lexicon() -> LexiconExtractor:
-    """Extractor over the term lexicon shipped with the package."""
-    with resources.as_file(resources.files("taskrank.data").joinpath("lexicon.txt")) as p:
-        return LexiconExtractor.from_file(p)
 
 
 class ConfidenceMode(Enum):

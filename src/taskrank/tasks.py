@@ -164,8 +164,12 @@ def agreement(a: Mapping[int, TaskAssignment], b: Mapping[int, TaskAssignment]) 
     return sum(a[topic_id].task_id == b[topic_id].task_id for topic_id in a) / len(a)
 
 
-def load_tasks(path) -> TaskFramework:
-    """Load a task file: one JSON record per line with task_id/title/description."""
+def load_tasks(path=None) -> TaskFramework:
+    """Load a task file: one JSON record per line with task_id/title/description.
+    Unset (any falsy path): the ten research-goal tasks shipped with the package."""
+    if not path:
+        with resources.as_file(resources.files("taskrank.data") / "tasks.jsonl") as shipped:
+            return load_tasks(shipped)
     seen: set[str] = set()
 
     def parse(line: str) -> Task:
@@ -199,14 +203,20 @@ def load_topics(path) -> list[Topic]:
     return [topic for _, _, topic in read_rows(path, parse)]
 
 
-def load_manual_map(path, framework: TaskFramework) -> dict[int, TaskAssignment]:
+def load_manual_map(path=None, framework: TaskFramework | None = None
+                    ) -> dict[int, TaskAssignment]:
     """Load manual topic-to-task rows, ``topic_id task_id [confidence]``, as
-    ``{topic_id: TaskAssignment}`` in file order.
+    ``{topic_id: TaskAssignment}`` in file order. Unset (any falsy path): the
+    map shipped with the package over the 50 search topics; unset framework:
+    ``load_tasks()``.
 
     ``#`` starts a comment line; confidence defaults to 3. A row is malformed
     if it has not two or three columns, does not parse, repeats a topic or
     names a task the framework lacks."""
-    valid_ids = {task.task_id for task in framework}
+    if not path:
+        with resources.as_file(resources.files("taskrank.data") / "manual_map.txt") as shipped:
+            return load_manual_map(shipped, framework)
+    valid_ids = {task.task_id for task in framework or load_tasks()}
     assignments: dict[int, TaskAssignment] = {}
 
     def parse(line: str) -> TaskAssignment | None:
@@ -228,16 +238,3 @@ def load_manual_map(path, framework: TaskFramework) -> dict[int, TaskAssignment]
         if assignment is not None:
             assignments[assignment.topic_id] = assignment
     return assignments
-
-
-def default_framework() -> TaskFramework:
-    """The ten research-goal tasks shipped with the package."""
-    with resources.as_file(resources.files("taskrank.data").joinpath("tasks.jsonl")) as p:
-        return load_tasks(p)
-
-
-def default_manual_map(framework: TaskFramework | None = None) -> dict[int, TaskAssignment]:
-    """The shipped manual topic-to-task map over the 50 search topics."""
-    framework = framework or default_framework()
-    with resources.as_file(resources.files("taskrank.data").joinpath("manual_map.txt")) as p:
-        return load_manual_map(p, framework)

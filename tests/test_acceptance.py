@@ -35,7 +35,7 @@ from taskrank.tasks import (
     TaskFramework,
     Topic,
     agreement,
-    default_manual_map,
+    load_manual_map,
 )
 
 from by_id import fuse_ids, search_ids
@@ -322,7 +322,7 @@ def test_criterion_7_classifier_benchmark_and_agreement_oracle():
             correct += classifier.classify(query).task_id == f"syn-{t}"
         assert correct == 200
 
-        manual = default_manual_map()
+        manual = load_manual_map()
         task_ids = sorted({a.task_id for a in manual.values()})
         synthetic_auto = {
             topic_id: TaskAssignment(topic_id=topic_id, task_id=rng.choice(task_ids))

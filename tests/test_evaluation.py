@@ -48,7 +48,7 @@ def test_parse_qrels_direct_row(tmp_path):
 def test_parse_qrels_empty_file(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("", encoding="utf-8")
-    assert len(parse_qrels(path)) == 0
+    assert parse_qrels(path).grades == {}
 
 
 def test_parse_qrels_duplicate_last_wins(tmp_path):
@@ -68,7 +68,7 @@ def test_parse_qrels_groups_grades_by_topic_in_file_order(tmp_path):
     assert list(qrels.grades[3].items()) == [("x", 0), ("y", 2)]
     assert list(qrels.grades[1].items()) == [("b", 2), ("a", 1)]
     assert list(qrels.grades[2].items()) == [("c", 2)]
-    assert len(qrels) == 5
+    assert sum(map(len, qrels.grades.values())) == 5
 
 
 def test_parse_qrels_malformed_row(tmp_path):

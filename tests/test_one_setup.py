@@ -1,6 +1,7 @@
-"""Corpus set-up is written once: the package loads a corpus file and
-tokenizes a collection only in ``pipeline.load_corpus``, apart from the
-journals-only ``priors`` command and the one-variant ``build_index``.
+"""Corpus set-up is written once: the package loads a corpus file only in
+``pipeline.load_corpus`` and tokenizes a collection only there and in the
+one-variant ``build_index``. Each shipped data file is the default of one
+loader, which reads it when its path is unset.
 Config checks are written once too: each config dataclass is frozen and
 checks itself when built, with no separate ``validate`` to call. And a
 pipeline resolves what a config reads in one place, ``Pipeline._resolve``,
@@ -20,11 +21,12 @@ from taskrank import pipeline as pipeline_module
 from taskrank.errors import TaskRankError
 from taskrank.evaluation import write_run
 from taskrank.pipeline import Pipeline, RunVariant
+from taskrank.querygen import LexiconExtractor
 from taskrank.rerank import InMemoryVectorProvider
-from taskrank.tasks import load_tasks
+from taskrank.tasks import load_manual_map, load_tasks
 
 ALLOWED = {
-    "load_collection": {("pipeline.py", "load_corpus"), ("cli.py", "cmd_priors")},
+    "load_collection": {("pipeline.py", "load_corpus")},
     "TokenizedCollection": {("pipeline.py", "load_corpus"), ("indexing.py", "build_index")},
 }
 
@@ -35,6 +37,29 @@ def test_corpus_setup_is_called_only_by_load_corpus(callee):
     sites = set().union(*(call_sites(path, callee) for path in sorted(package.glob("*.py"))))
     assert ("pipeline.py", "load_corpus") in sites
     assert sites <= ALLOWED[callee], sorted(sites - ALLOWED[callee])
+
+
+def test_only_the_loaders_read_the_shipped_data_files():
+    package = Path(taskrank.__file__).parent
+    sites = set().union(*(call_sites(path, "files") for path in sorted(package.glob("*.py"))))
+    assert sites == {("tasks.py", "load_tasks"), ("tasks.py", "load_manual_map"),
+                     ("querygen.py", "from_file"), ("indexing.py", "default_stopwords")}
+    assert not [name for name in ("default_framework", "default_lexicon", "default_manual_map")
+                if hasattr(taskrank, name)]
+
+
+SHIPPED = Path(taskrank.__file__).parent / "data"
+
+
+@pytest.mark.parametrize("unset", [None, ""], ids=repr)
+def test_an_unset_path_loads_the_shipped_file(unset):
+    framework = load_tasks(SHIPPED / "tasks.jsonl")
+    assert load_tasks(unset) == load_tasks() == framework
+    assert vars(LexiconExtractor.from_file(unset)) == vars(LexiconExtractor.from_file()) == vars(
+        LexiconExtractor.from_file(SHIPPED / "lexicon.txt"))
+    manual = load_manual_map(SHIPPED / "manual_map.txt", framework)
+    assert load_manual_map(unset) == load_manual_map(unset, framework) == manual
+    assert load_manual_map(SHIPPED / "manual_map.txt") == manual
 
 
 @pytest.mark.parametrize("config", [Bm25Params, FusionConfig, RerankConfig, ExpansionConfig,
@@ -212,9 +237,9 @@ def test_a_copy_leaves_the_original_as_it_was(tmp_path):
 
 
 # What a config reads is resolved only by Pipeline._resolve.
-RESOLVED = ["load_topics", "load_tasks", "default_framework", "from_file", "default_lexicon",
-            "load_manual_map", "classify_topics", "select_task_terms", "parse_qrels",
-            "build_journal_priors", "build_per_task_priors", "proximities"]
+RESOLVED = ["load_topics", "load_tasks", "from_file", "load_manual_map", "classify_topics",
+            "select_task_terms", "parse_qrels", "build_journal_priors", "build_per_task_priors",
+            "proximities"]
 
 
 def test_pipeline_has_one_resolve_path():

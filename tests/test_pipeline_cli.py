@@ -994,23 +994,33 @@ def test_with_config_rejects_a_confidence_mode_without_a_manual_map(mini):
 
 @pytest.mark.parametrize("case", ["run without corpus", "sweep without topics",
                                   "sweep without qrels", "priors per task without map",
+                                  "priors map without per task", "priors tasks without per task",
                                   "topics missing from the map"])
 def test_a_missing_input_is_one_error(mini, tmp_path, capsys, case):
+    # A flag rule is checked before any input is read, so every input path of
+    # a flag-rule case names a file that does not exist.
     grid = tmp_path / "grid.jsonl"
     grid.write_text('{"n_task_terms": 1}\n', encoding="utf-8")
     partial_map = tmp_path / "map.txt"
     partial_map.write_text("2 vaccines\n", encoding="utf-8")
+    absent = {name: str(tmp_path / "absent" / name) for name in [*mini, "grid"]}
     out = ["--output", str(tmp_path / "never.run")]
+    priors = ["priors", "--qrels", absent["qrels"], "--corpus", absent["corpus"], *out]
     argv, complaint = {
-        "run without corpus": (["run", "--topics", mini["topics"], *out],
+        "run without corpus": (["run", "--topics", absent["topics"], *out],
                                "run requires --corpus and --topics"),
-        "sweep without topics": (["sweep", "--corpus", mini["corpus"], "--qrels", mini["qrels"],
-                                  "--grid", str(grid)], "sweep requires --corpus and --topics"),
-        "sweep without qrels": (["sweep", *mini_args(mini), "--grid", str(grid)],
+        "sweep without topics": (["sweep", "--corpus", absent["corpus"], "--qrels",
+                                  absent["qrels"], "--grid", absent["grid"]],
+                                 "sweep requires --corpus and --topics"),
+        "sweep without qrels": (["sweep", *mini_args(absent), "--grid", absent["grid"]],
                                 "sweep requires --qrels"),
-        "priors per task without map": (["priors", "--qrels", mini["qrels"], "--corpus",
-                                         mini["corpus"], "--per-task"],
+        "priors per task without map": ([*priors, "--per-task", "--tasks", absent["tasks"]],
                                         "--per-task requires --manual-map"),
+        "priors map without per task": (
+            [*priors, "--manual-map", absent["manual_map"], "--tasks", absent["tasks"]],
+            "priors without --per-task does not read: --manual-map, --tasks"),
+        "priors tasks without per task": ([*priors, "--tasks", absent["tasks"]],
+                                          "priors without --per-task does not read: --tasks"),
         "topics missing from the map": (["run", *mini_args(mini, "--manual-map", str(partial_map)),
                                          "--variant", "journal.task", "--qrels", mini["qrels"],
                                          *out], "topics missing from the manual map: [1, 3]"),
@@ -1020,6 +1030,18 @@ def test_a_missing_input_is_one_error(mini, tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {complaint}"]
+
+
+def test_a_corpus_without_variants_is_its_journals_and_tokenizes_nothing(mini, monkeypatch):
+    journal_of, _indices = load_corpus(mini["corpus"], IndexVariant)
+
+    def no_tokens(*args, **kwargs):
+        raise AssertionError("tokenized a corpus that no variant reads")
+
+    monkeypatch.setattr(pipeline_module, "TokenizedCollection", no_tokens)
+    journals, indices = load_corpus(mini["corpus"], ())
+    assert indices == {}
+    assert list(journals.items()) == list(journal_of.items())
 
 
 def test_sweep_missing_topics_file_is_one_error(mini, tmp_path, capsys):

@@ -13,8 +13,6 @@ from taskrank.tasks import (
     Topic,
     agreement,
     classify_topics,
-    default_framework,
-    default_manual_map,
     load_manual_map,
     load_tasks,
     load_topics,
@@ -148,23 +146,23 @@ def test_task_framework_rejects_no_tasks_and_repeated_ids_and_gets_only_its_own(
 
 
 def test_shipped_map_topic_8_is_diagnostics():
-    assignments = default_manual_map()
+    assignments = load_manual_map()
     assert assignments[8].task_id == "diagnostics"
     assert assignments[8].confidence in (1, 2, 3)
 
 
 def test_shipped_map_per_task_counts():
-    counts = Counter(a.task_id for a in default_manual_map().values())
-    framework = default_framework()
+    counts = Counter(a.task_id for a in load_manual_map().values())
+    framework = load_tasks()
     assert [counts[t.task_id] for t in framework] == list(EXPECTED_COUNTS.values())
     assert sum(counts.values()) == 50
 
 
 def test_shipped_map_original_thirty_topics():
-    first_batch = [a for a in default_manual_map().values() if a.topic_id <= 29]
+    first_batch = [a for a in load_manual_map().values() if a.topic_id <= 29]
     assert len(first_batch) == 30
     counts = Counter(a.task_id for a in first_batch)
-    assert [counts[t.task_id] for t in default_framework()] == [
+    assert [counts[t.task_id] for t in load_tasks()] == [
         7, 5, 1, 5, 2, 4, 1, 5, 0, 0,
     ]
 
@@ -172,14 +170,14 @@ def test_shipped_map_original_thirty_topics():
 def test_empty_manual_map_file(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("", encoding="utf-8")
-    assert load_manual_map(path, default_framework()) == {}
+    assert load_manual_map(path, load_tasks()) == {}
 
 
 def test_manual_map_unknown_task(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("1 no-such-task 3\n", encoding="utf-8")
     with pytest.raises(MalformedRow, match="unknown task_id 'no-such-task'") as excinfo:
-        load_manual_map(path, default_framework())
+        load_manual_map(path, load_tasks())
     assert excinfo.value.line_no == 1
 
 
@@ -187,14 +185,14 @@ def test_manual_map_duplicate_topic(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("1 vaccines 3\n1 genetics 3\n", encoding="utf-8")
     with pytest.raises(MalformedRow, match="duplicate topic_id 1") as excinfo:
-        load_manual_map(path, default_framework())
+        load_manual_map(path, load_tasks())
     assert excinfo.value.line_no == 2
 
 
 def test_manual_map_confidence_defaults_to_three(tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("4 vaccines\n5 genetics 1\n", encoding="utf-8")
-    loaded = load_manual_map(path, default_framework())
+    loaded = load_manual_map(path, load_tasks())
     assert loaded[4].confidence == 3
     assert loaded[5].confidence == 1
 
@@ -212,7 +210,7 @@ def test_manual_map_malformed_row_names_line(tmp_path, row):
     path = tmp_path / "map.txt"
     path.write_text(f"# header\n4 vaccines\n{row}\n", encoding="utf-8")
     with pytest.raises(MalformedRow) as excinfo:
-        load_manual_map(path, default_framework())
+        load_manual_map(path, load_tasks())
     assert excinfo.value.line_no == 3
     assert excinfo.value.line == row
     assert f"{path} line 3" in str(excinfo.value)
@@ -224,7 +222,7 @@ def test_manual_map_row_needs_two_or_three_columns(tmp_path, row, columns):
     path = tmp_path / "map.txt"
     path.write_text(f"4 vaccines\n{row}\n", encoding="utf-8")
     with pytest.raises(MalformedRow, match=f"{columns} columns, expected 2 or 3") as excinfo:
-        load_manual_map(path, default_framework())
+        load_manual_map(path, load_tasks())
     assert excinfo.value.line_no == 2
     assert f"{path} line 2" in str(excinfo.value)
 
