@@ -8,19 +8,21 @@ A ``TokenizedCollection`` reads the documents in one pass and splits each
 one's title+abstract ("head") once and each body paragraph once into runs,
 which one vocabulary lookup per run and a numpy mask turn into token ids
 over one vocabulary; of the documents it keeps only their ids, in doc_id
-order. Every variant is assembled from those arrays: full text = head + all
-paragraphs, title+abstract = head, paragraph = head + paragraph_i (the head
-alone for a document without a body). An ``InvertedIndex`` stores its
-postings in CSR form: per term, a contiguous run of ascending ``int32`` unit
-ids and their term frequencies, located by ``offsets``. ``search`` is the one
-BM25 scorer: it scores the units a query touches and ranks documents by their
-best unit. An index never changes once built; per ``Bm25Params`` it memoizes
-derived data, the unit length norm and each term's BM25 contributions, at
-first use, so all topics, sweep cells and classifiers sharing an index score
-each term once. A ranking is a pair of arrays, document positions and their
-float64 scores; ``top_ranked`` orders one for search, fusion and re-ranking
-alike, ties by ascending position, which is doc_id order. A run keeps them
-(``evaluation.Ranking``) and looks doc_ids up only to write a run file.
+order. Every variant is assembled from those arrays by one rule: a unit is a
+document's head followed by a run of its paragraphs, which is all of them
+(full text), none (title+abstract) or one (paragraph: a unit per paragraph,
+or the head alone for a document without a body). An ``InvertedIndex``
+stores its postings in CSR form: per term, a contiguous run of ascending
+``int32`` unit ids and their term frequencies, located by ``offsets``.
+``search`` is the one BM25 scorer: it scores the units a query touches and
+ranks documents by their best unit. An index never changes once built; per
+``Bm25Params`` it memoizes derived data, the unit length norm and each
+term's BM25 contributions, at first use, so all topics, sweep cells and
+classifiers sharing an index score each term once. A ranking is a pair of
+arrays, document positions and their float64 scores; ``top_ranked`` orders
+one for search, fusion and re-ranking alike, ties by ascending position,
+which is doc_id order. A run keeps them (``evaluation.Ranking``) and looks
+doc_ids up only to write a run file.
 """
 
 from __future__ import annotations
@@ -199,10 +201,12 @@ class TokenizedCollection:
 class InvertedIndex:
     """Immutable inverted index over one variant of a tokenized collection.
 
-    Statistics are unit-level: for the paragraph variant a "unit" is one
-    title+abstract+paragraph block, otherwise one document. Units are
-    numbered in document position (doc_id) order, a document's paragraphs in
-    their order, and ``parent[u]`` is the position of unit ``u``'s document.
+    Statistics are unit-level. A unit is a document's head followed by a run
+    of its paragraphs: all of them (full text) or none (title+abstract), one
+    unit per document; or one (paragraph), one unit per paragraph and the
+    head alone for a document without a body. Units are numbered in document
+    position (doc_id) order, a document's paragraphs in their order, and
+    ``parent[u]`` is the position of unit ``u``'s document.
     The postings of term id ``t`` are ``post_units[offsets[t]:offsets[t+1]]``
     (ascending) with frequencies ``post_tfs`` at the same positions.
 
@@ -219,30 +223,25 @@ class InvertedIndex:
         self.vocab = tokens.vocab
         self.doc_ids = tokens.doc_ids
         offsets, head, paragraphs = tokens.seg_offsets, tokens.head_segment, tokens.paragraphs
-        if variant is IndexVariant.TITLE_ABSTRACT_PARAGRAPH:
-            units_per_doc = np.maximum(paragraphs, 1)
-        else:
-            units_per_doc = np.ones(len(head), dtype=np.int64)
+        # Per document: its units, and the paragraphs in each unit's run.
+        units_per_doc, run = {
+            IndexVariant.FULL_TEXT: (np.ones_like(paragraphs), paragraphs),
+            IndexVariant.TITLE_ABSTRACT: (np.ones_like(paragraphs), np.zeros_like(paragraphs)),
+            IndexVariant.TITLE_ABSTRACT_PARAGRAPH: (np.maximum(paragraphs, 1),
+                                                    np.minimum(paragraphs, 1)),
+        }[variant]
         self.doc_count = len(head)
         self.unit_count = int(units_per_doc.sum())
-        self.parent = np.repeat(np.arange(self.doc_count, dtype=np.int32), units_per_doc)
-        if variant is IndexVariant.FULL_TEXT:
-            parts = [(offsets[head], offsets[head + 1 + paragraphs])]
-        elif variant is IndexVariant.TITLE_ABSTRACT:
-            parts = [(offsets[head], offsets[head + 1])]
-        else:
-            # Unit u is its document's head plus paragraph local[u], if any.
-            parent = self.parent
-            first = np.cumsum(units_per_doc) - units_per_doc  # each document's first unit
-            local = np.arange(self.unit_count) - first[parent]
-            with_body = paragraphs[parent] > 0
-            segment = (head[parent] + 1 + local)[with_body]
-            para_starts = np.zeros(self.unit_count, dtype=np.int64)
-            para_ends = np.zeros(self.unit_count, dtype=np.int64)
-            para_starts[with_body] = offsets[segment]
-            para_ends[with_body] = offsets[segment + 1]
-            parts = [(offsets[head[parent]], offsets[head[parent] + 1]),
-                     (para_starts, para_ends)]
+        self.parent = parent = np.repeat(np.arange(self.doc_count, dtype=np.int32), units_per_doc)
+        # A unit is its document's head segment followed by a run of paragraph
+        # segments from first, the unit's rank within its document past the
+        # head. An empty run starts where its head ends, which is at most the
+        # last entry of offsets, so a bodyless last document reads no further.
+        heads = head[parent]
+        rank = np.arange(self.unit_count) - (np.cumsum(units_per_doc) - units_per_doc)[parent]
+        first = heads + 1 + rank
+        parts = [(offsets[heads], offsets[heads + 1]),
+                 (offsets[first], offsets[first + run[parent]])]
         self.unit_lengths = sum(ends - starts for starts, ends in parts).astype(np.int32)
         # Sorted (term, unit) keys; each run of equal keys is one posting. Keys
         # are int32 when every term * unit_count + unit fits, and are written a
@@ -250,13 +249,13 @@ class InvertedIndex:
         key_type = np.int32 if len(self.vocab) * self.unit_count <= _INT32_KEY_SPACE else np.int64
         keys = np.empty(int(self.unit_lengths.sum()), dtype=key_type)
         step, filled = max(1, _BLOCK_TOKENS * self.unit_count // max(len(keys), 1)), 0
-        for (starts, ends), first in product(parts, range(0, self.unit_count, step)):
-            starts, lengths = starts[first:first + step], (ends - starts)[first:first + step]
+        for (starts, ends), unit in product(parts, range(0, self.unit_count, step)):
+            starts, lengths = starts[unit:unit + step], (ends - starts)[unit:unit + step]
             lo, filled = filled, filled + int(lengths.sum())
             # Token positions: arange(starts[i], starts[i] + lengths[i]) over i.
             pos = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(filled - lo)
             np.multiply(tokens.tokens[pos], self.unit_count, out=keys[lo:filled], dtype=key_type)
-            keys[lo:filled] += np.repeat(np.arange(first, first + len(lengths)), lengths)
+            keys[lo:filled] += np.repeat(np.arange(unit, unit + len(lengths)), lengths)
         keys.sort()
         # A run starts at the first key and wherever a key differs from the one before.
         starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))

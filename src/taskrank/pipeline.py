@@ -200,7 +200,8 @@ class Pipeline:
         self.topics = get("topics", lambda: load_topics(config.topics_path))
         framework = get(("framework", tasks), lambda: load_tasks(tasks))
         self.extractor = get(("extractor", lexicon), lambda: LexiconExtractor.from_file(lexicon))
-        self.indices, journals = get("corpus", self._load_corpus)
+        journal_of, self.indices = get("corpus", lambda: load_corpus(
+            config.corpus_path, IndexVariant, self.tokenizer))
         self._doc_ids = doc_ids = self.indices[IndexVariant.FULL_TEXT].doc_ids
         self._assignments: dict[int, TaskAssignment] = {}
         if variant in _NEEDS_ASSIGNMENT and manual_path:
@@ -225,12 +226,13 @@ class Pipeline:
         by_task: dict[str, np.ndarray] = {}
         if variant is RunVariant.JOURNAL_PRIOR:
             prior = get(("journal prior", config.qrels_path), lambda: build_journal_priors(
-                qrels(), dict(zip(doc_ids, journals))).by_position(journals))
+                qrels(), journal_of).by_position(map(journal_of.__getitem__, doc_ids)))
             self._rerank_scores = {topic.topic_id: prior for topic in self.topics}
         elif variant is RunVariant.JOURNAL_TASK:
             by_task = get(("per-task priors", config.qrels_path, tasks, manual_path), lambda: {
-                task_id: table.by_position(journals) for task_id, table in build_per_task_priors(
-                    qrels(), dict(zip(doc_ids, journals)), self._assignments).items()})
+                task_id: table.by_position(map(journal_of.__getitem__, doc_ids))
+                for task_id, table in build_per_task_priors(
+                    qrels(), journal_of, self._assignments).items()})
         elif variant is RunVariant.VECTOR:
             path = config.vectors_path
             vectors = get(("vectors", path), lambda: InMemoryVectorProvider.from_file(path))
@@ -238,11 +240,6 @@ class Pipeline:
                        for t in sorted({a.task_id for a in self._assignments.values()})}
         if by_task:
             self._rerank_scores = {t: by_task[a.task_id] for t, a in self._assignments.items()}
-
-    def _load_corpus(self) -> tuple[dict[IndexVariant, InvertedIndex], list[str]]:
-        """The three indices and each document's journal, by position."""
-        journal_of, indices = load_corpus(self.config.corpus_path, IndexVariant, self.tokenizer)
-        return indices, list(map(journal_of.__getitem__, indices[IndexVariant.FULL_TEXT].doc_ids))
 
     def _generate(self, topic: Topic) -> GeneratedQuery:
         variant = self.config.variant

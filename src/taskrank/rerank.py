@@ -88,7 +88,6 @@ def build_journal_priors(qrels, journal_of: Mapping[str, str],
     """
     relevant: dict[str, int] = {}
     judged: dict[str, int] = {}
-    n_used = 0
     for topic_id in qrels.grades if topics is None else topics:
         for doc_id, grade in qrels.grades.get(topic_id, {}).items():
             journal = normalize_journal(journal_of.get(doc_id, ""))
@@ -97,8 +96,7 @@ def build_journal_priors(qrels, journal_of: Mapping[str, str],
             judged[journal] = judged.get(journal, 0) + 1
             if grade >= 1:
                 relevant[journal] = relevant.get(journal, 0) + 1
-            n_used += 1
-    if n_used == 0:
+    if not judged:
         raise EmptyQrels("no usable judgments in the requested scope")
     scores = {
         journal: 2.0 * relevant.get(journal, 0) / total - 1.0

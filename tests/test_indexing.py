@@ -139,10 +139,19 @@ def test_fulltext_variant_single_unit():
     assert index.doc_freq("para") == 1
 
 
-def test_bodyless_doc_yields_one_paragraph_unit():
-    coll = make_collection({"d1": "only head"})
-    index = build_index(coll, IndexVariant.TITLE_ABSTRACT_PARAGRAPH)
-    assert index.unit_count == 1
+@pytest.mark.parametrize("bodyless_first", [True, False], ids=["first", "last"])
+def test_bodyless_doc_yields_one_paragraph_unit(bodyless_first):
+    # In file order the bodyless document comes first, or last, where its
+    # empty paragraph run starts at the collection's final token offset.
+    coll = (Document(doc_id="b", title="only head"),
+            Document(doc_id="a", title="head", body=("para one", "para two words")))
+    coll = coll if bodyless_first else coll[::-1]
+    tok = Tokenizer()
+    for variant in IndexVariant:
+        index = build_index(coll, variant, tok)
+        units = oracle_unit_tokens(coll, variant, tok)
+        assert_units_match_oracle(index, units, coll)
+        assert_postings_match_oracle(index, units)
 
 
 def test_title_abstract_excludes_body():
@@ -238,6 +247,16 @@ def assert_units_match_oracle(index, units, collection):
     assert index.unit_count == len(units)
     assert index.parent.tolist() == [position[doc_id] for doc_id, _k in units]
     assert index.unit_lengths.tolist() == [len(tokens) for tokens in units.values()]
+
+
+def assert_postings_match_oracle(index, units):
+    """Per term, the index's ascending units and their frequencies against
+    the token counts of an oracle's units."""
+    counts = [Counter(tokens) for tokens in units.values()]
+    for term in index.vocab:
+        postings, tfs = index.term_postings(term)
+        expected = [(u, c[term]) for u, c in enumerate(counts) if term in c]
+        assert list(zip(postings.tolist(), tfs.tolist())) == expected
 
 
 @pytest.mark.parametrize("variant", list(IndexVariant))
@@ -542,12 +561,10 @@ def test_postings_match_counter_oracle_for_any_block_and_key_width(
             mock.patch.object(indexing, "_INT32_KEY_SPACE", int32_key_space):
         indices = {variant: build_index(coll, variant, tok) for variant in IndexVariant}
     for variant, index in indices.items():
-        counts = [Counter(tokens) for tokens in oracle_unit_tokens(coll, variant, tok).values()]
+        units = oracle_unit_tokens(coll, variant, tok)
+        assert_units_match_oracle(index, units, coll)
         assert index.post_units.dtype == np.int32 and index.post_tfs.dtype == np.uint8
-        for term in index.vocab:
-            units, tfs = index.term_postings(term)
-            expected = [(u, c[term]) for u, c in enumerate(counts) if term in c]
-            assert list(zip(units.tolist(), tfs.tolist())) == expected
+        assert_postings_match_oracle(index, units)
 
 
 def oracle_unit_scores(units, params, query_tokens):
