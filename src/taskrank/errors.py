@@ -3,7 +3,8 @@ of line-based input files, and ``integer`` and ``number``, the rules by which
 those files and the settings' strings read an integer and any other number.
 A bad line in any of the files, a repeated or unknown id included, raises
 MalformedRow naming the file and the line; the in-memory APIs raise
-DuplicateDocId and UnknownTaskId instead.
+TaskRankError itself instead, its message saying what is wrong, such as a
+repeated doc_id or an unknown task_id.
 """
 
 import json
@@ -16,49 +17,8 @@ _NUMBER = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 class TaskRankError(Exception):
-    """Base class for all taskrank-specific errors."""
-
-
-class DuplicateDocId(TaskRankError):
-    def __init__(self, doc_id: str):
-        super().__init__(f"duplicate doc_id {doc_id!r}")
-        self.doc_id = doc_id
-
-
-class EmptyCollection(TaskRankError):
-    """An index build was attempted over a collection with no documents."""
-
-
-class EmptyInput(TaskRankError):
-    """Fusion was called with zero input rankings."""
-
-
-class EmptyQuery(TaskRankError):
-    """A query produced no tokens after analysis."""
-
-
-class EmptyFramework(TaskRankError):
-    """A task framework with no tasks was supplied."""
-
-
-class TopicSetMismatch(TaskRankError):
-    """Two topic-to-task assignments do not cover the same topics."""
-
-
-class UnknownTaskId(TaskRankError):
-    def __init__(self, task_id: str):
-        super().__init__(f"unknown task_id {task_id!r}")
-        self.task_id = task_id
-
-
-class EmptyQrels(TaskRankError):
-    """No judgments available in the requested scope."""
-
-
-class MissingTaskVector(TaskRankError):
-    def __init__(self, task_id: str):
-        super().__init__(f"no vector available for task {task_id!r}")
-        self.task_id = task_id
+    """A bad input or setting; the message says what is wrong. Its one
+    subclass, MalformedRow, is a bad line of an input file."""
 
 
 class MalformedRow(TaskRankError):

@@ -50,7 +50,8 @@ class Qrels:
 def parse_qrels(path) -> Qrels:
     """Parse ``topic_id iteration doc_id grade`` rows.
 
-    A repeated (topic, doc) row keeps its first position and its last grade.
+    A grade is an integer in [0, 2**63), so every grade fits an int64. A
+    repeated (topic, doc) row keeps its first position and its last grade.
     """
     def parse(line: str) -> tuple[int, str, int]:
         parts = line.split()
@@ -59,6 +60,8 @@ def parse_qrels(path) -> Qrels:
         grade = integer(parts[3], "grade")
         if grade < 0:
             raise ValueError("negative grade")
+        if grade >= 1 << 63:
+            raise ValueError("grade must be below 2**63")
         return integer(parts[0], "topic_id"), parts[2], grade
 
     qrels = Qrels()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import TaskRankError
 from .indexing import top_ranked
 
 
@@ -43,7 +43,7 @@ def rrf_fuse(rankings: list[np.ndarray], config: FusionConfig,
     below 1, raises ValueError.
     """
     if not rankings:
-        raise EmptyInput("rrf_fuse needs at least one ranking")
+        raise TaskRankError("rrf_fuse needs at least one ranking")
     rankings = [np.asarray(r, dtype=np.int64) for r in rankings]
     longest = max(map(len, rankings))
     if longest == 0:

@@ -39,7 +39,7 @@ from itertools import count, filterfalse, islice, pairwise, product
 import numpy as np
 
 from .corpus import Document
-from .errors import DuplicateDocId, EmptyCollection
+from .errors import TaskRankError
 
 _TOKEN_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _TABLE = bytes(b if chr(b) in _TOKEN_CHARS else 0x20 for b in range(256))
@@ -178,7 +178,7 @@ class TokenizedCollection:
                     _add_block(token_blocks, end_blocks, raw, seg_ends)
                     raw, seg_ends = [], []
         if not doc_ids:
-            raise EmptyCollection("cannot index an empty collection")
+            raise TaskRankError("cannot index an empty collection")
         _add_block(token_blocks, end_blocks, raw, seg_ends)
         self.tokens = np.concatenate(token_blocks)
         self.seg_offsets = np.concatenate(end_blocks)
@@ -190,7 +190,7 @@ class TokenizedCollection:
         order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         for a, b in pairwise(order):
             if doc_ids[a] == doc_ids[b]:
-                raise DuplicateDocId(doc_ids[a])
+                raise TaskRankError(f"duplicate doc_id {doc_ids[a]!r}")
         self.doc_ids = tuple(map(doc_ids.__getitem__, order))
         segments = np.array(paragraphs, dtype=np.int64) + 1  # per document, in file order
         # Segment index of each document's head; its paragraphs follow it.
@@ -294,11 +294,6 @@ class InvertedIndex:
         t = self.vocab.get(term)
         return 0 if t is None else int(self.offsets[t + 1] - self.offsets[t])
 
-    def idf(self, term: str) -> float:
-        # Lucene-style formulation: non-negative for every df <= N.
-        df = self.doc_freq(term)
-        return math.log(1.0 + (self.unit_count - df + 0.5) / (df + 0.5))
-
     def contributions(self, params: Bm25Params,
                       terms: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per entry of ``terms``: the ascending units containing it and its
@@ -318,8 +313,10 @@ class InvertedIndex:
             if length_norm is None:  # a term has postings, so avg_unit_length > 0
                 length_norm = self._length_norms[params] = params.k1 * (
                     1.0 - params.b + params.b * self.unit_lengths / self.avg_unit_length)
-            memo[term] = (units, self.idf(term) * tfs * (params.k1 + 1.0)
-                          / (tfs + length_norm[units]))
+            # Lucene-style idf: non-negative for every df <= N.
+            df = len(units)
+            idf = math.log(1.0 + (self.unit_count - df + 0.5) / (df + 0.5))
+            memo[term] = (units, idf * tfs * (params.k1 + 1.0) / (tfs + length_norm[units]))
         return [memo[term] for term in terms]
 
 

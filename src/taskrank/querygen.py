@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import EmptyQuery, read_rows
+from .errors import TaskRankError, read_rows
 from .indexing import InvertedIndex, IndexVariant, Tokenizer, token_runs
 from .tasks import Task, TaskAssignment, Topic
 
@@ -144,7 +144,7 @@ def _base_tokens(topic: Topic, tokenizer: Tokenizer, extractor: LexiconExtractor
             return query, question, False
     tokens = tokenizer.tokenize(topic.query)
     if not tokens:
-        raise EmptyQuery(f"topic {topic.topic_id}: query has no indexable tokens")
+        raise TaskRankError(f"topic {topic.topic_id}: query has no indexable tokens")
     return tokens, [], extractor is not None
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyQrels, MissingTaskVector, number, read_rows
+from .errors import TaskRankError, number, read_rows
 from .indexing import top_ranked
 from .tasks import TaskAssignment
 
@@ -77,18 +77,13 @@ class JournalPriorTable:
         return np.array([self.score(journal) for journal in journals], dtype=np.float64)
 
 
-def build_journal_priors(qrels, journal_of: Mapping[str, str],
-                         topics: Iterable[int] | None = None) -> JournalPriorTable:
-    """Compute per-journal priors from graded judgments.
-
-    For a journal with r relevant (grade >= 1) and i non-relevant judged
-    papers the prior is 2*r/(r+i) - 1: -1 when only irrelevant papers were
-    judged, +1 when only relevant ones. With ``topics`` given, only those
-    topics' judgments count.
-    """
+def _count_priors(qrels, journal_of: Mapping[str, str],
+                  topics: Iterable[int]) -> JournalPriorTable:
+    """The priors of ``topics``' judgments, as ``build_journal_priors``
+    defines them; empty when no judged document has a journal."""
     relevant: dict[str, int] = {}
     judged: dict[str, int] = {}
-    for topic_id in qrels.grades if topics is None else topics:
+    for topic_id in topics:
         for doc_id, grade in qrels.grades.get(topic_id, {}).items():
             journal = normalize_journal(journal_of.get(doc_id, ""))
             if not journal:
@@ -96,20 +91,34 @@ def build_journal_priors(qrels, journal_of: Mapping[str, str],
             judged[journal] = judged.get(journal, 0) + 1
             if grade >= 1:
                 relevant[journal] = relevant.get(journal, 0) + 1
-    if not judged:
-        raise EmptyQrels("no usable judgments in the requested scope")
-    scores = {
+    return JournalPriorTable(scores={
         journal: 2.0 * relevant.get(journal, 0) / total - 1.0
         for journal, total in judged.items()
-    }
-    return JournalPriorTable(scores=scores)
+    })
+
+
+def build_journal_priors(qrels, journal_of: Mapping[str, str],
+                         topics: Iterable[int] | None = None) -> JournalPriorTable:
+    """Compute per-journal priors from graded judgments.
+
+    For a journal with r relevant (grade >= 1) and i non-relevant judged
+    papers the prior is 2*r/(r+i) - 1: -1 when only irrelevant papers were
+    judged, +1 when only relevant ones. With ``topics`` given, only those
+    topics' judgments count. No judged document with a journal in that scope
+    raises TaskRankError.
+    """
+    table = _count_priors(qrels, journal_of, qrels.grades if topics is None else topics)
+    if not table.scores:
+        raise TaskRankError("no usable judgments in the requested scope")
+    return table
 
 
 def build_per_task_priors(qrels, journal_of: Mapping[str, str],
                           manual_map: Mapping[int, TaskAssignment]
                           ) -> dict[str, JournalPriorTable]:
     """One prior table per task appearing in the manual map, from the
-    judgments of the topics mapped to it.
+    judgments of the topics mapped to it, counted as ``build_journal_priors``
+    counts them.
 
     Tasks whose topics carry no usable judgments get an empty table (all
     lookups 0) rather than an error.
@@ -117,13 +126,8 @@ def build_per_task_priors(qrels, journal_of: Mapping[str, str],
     topics_by_task: dict[str, set[int]] = {}
     for assignment in manual_map.values():
         topics_by_task.setdefault(assignment.task_id, set()).add(assignment.topic_id)
-    tables: dict[str, JournalPriorTable] = {}
-    for task_id in sorted(topics_by_task):
-        try:
-            tables[task_id] = build_journal_priors(qrels, journal_of, topics_by_task[task_id])
-        except EmptyQrels:
-            tables[task_id] = JournalPriorTable(scores={})
-    return tables
+    return {task_id: _count_priors(qrels, journal_of, topics_by_task[task_id])
+            for task_id in sorted(topics_by_task)}
 
 
 def rerank(ranking: tuple[np.ndarray, np.ndarray], aux: np.ndarray, config: RerankConfig,
@@ -186,7 +190,7 @@ class InMemoryVectorProvider:
         their order; a document without a vector gets the neutral 0.5."""
         task = self._scaled.get(task_id)
         if task is None:
-            raise MissingTaskVector(task_id)
+            raise TaskRankError(f"no vector available for task {task_id!r}")
         return np.array([0.5 if doc is None else _proximity(doc, task)
                          for doc in map(self._scaled.get, doc_ids)], dtype=np.float64)
 

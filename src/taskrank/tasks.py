@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .corpus import Document
-from .errors import (
-    EmptyFramework,
-    EmptyQuery,
-    TopicSetMismatch,
-    UnknownTaskId,
-    integer,
-    json_object,
-    read_rows,
-)
+from .errors import TaskRankError, integer, json_object, read_rows
 from .indexing import Bm25Params, IndexVariant, Tokenizer, build_index, search
 
 
@@ -62,7 +54,7 @@ class TaskFramework:
 
     def __post_init__(self):
         if not self.tasks:
-            raise EmptyFramework("a task framework needs at least one task")
+            raise TaskRankError("a task framework needs at least one task")
         ids = [t.task_id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise ValueError("task ids must be unique")
@@ -70,14 +62,11 @@ class TaskFramework:
     def __iter__(self):
         return iter(self.tasks)
 
-    def __len__(self) -> int:
-        return len(self.tasks)
-
     def get(self, task_id: str) -> Task:
         for task in self.tasks:
             if task.task_id == task_id:
                 return task
-        raise UnknownTaskId(task_id)
+        raise TaskRankError(f"unknown task_id {task_id!r}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +124,7 @@ class TaskClassifier:
     def classify(self, query: str) -> TaskPrediction:
         tokens = self.tokenizer.tokenize(query)
         if not tokens:
-            raise EmptyQuery(f"query {query!r} produced no tokens")
+            raise TaskRankError(f"query {query!r} produced no tokens")
         docs, scores = search(self._index, self.params, tokens, top_k=1)
         if len(docs) == 0:
             return TaskPrediction(
@@ -158,9 +147,9 @@ def agreement(a: Mapping[int, TaskAssignment], b: Mapping[int, TaskAssignment]) 
     """Fraction of topics assigned the same task by both mappings."""
     if a.keys() != b.keys():
         only_one = sorted(a.keys() ^ b.keys())
-        raise TopicSetMismatch(f"topics assigned by only one of the two: {only_one}")
+        raise TaskRankError(f"topics assigned by only one of the two: {only_one}")
     if not a:
-        raise TopicSetMismatch("assignments are empty")
+        raise TaskRankError("assignments are empty")
     return sum(a[topic_id].task_id == b[topic_id].task_id for topic_id in a) / len(a)
 
 
@@ -183,7 +172,7 @@ def load_tasks(path=None) -> TaskFramework:
 
     tasks = tuple(task for _, _, task in read_rows(path, parse))
     if not tasks:
-        raise EmptyFramework(f"{path}: no tasks")
+        raise TaskRankError(f"{path}: no tasks")
     return TaskFramework(tasks=tasks)
 
 

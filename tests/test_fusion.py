@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskrank.errors import EmptyInput
+from taskrank.errors import TaskRankError
 from taskrank.fusion import FusionConfig, rrf_fuse
 
 from by_id import fuse_ids
@@ -88,7 +88,7 @@ def test_truncates_to_top_k():
 
 
 def test_empty_input_rejected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(TaskRankError, match="^rrf_fuse needs at least one ranking$"):
         rrf_fuse([], CFG, 10)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank.corpus import load_collection
-from taskrank.errors import EmptyFramework, MalformedRow, TaskRankError
+from taskrank.errors import MalformedRow, TaskRankError
 from taskrank.evaluation import parse_qrels, parse_run
 from taskrank.querygen import LexiconExtractor
 from taskrank.rerank import InMemoryVectorProvider
@@ -112,12 +112,12 @@ def test_byte_lines_load_or_raise_naming_file_and_line(tmp_path_factory, kind, d
     path.write_bytes(b"".join(line + b"\n" for line in lines))
     try:
         loader(path)
-    except EmptyFramework as exc:
+    except MalformedRow as exc:
+        assert_names_file_and_line(exc, path, lines)
+    except TaskRankError as exc:
         # A task file with no tasks names only the file.
         assert kind == "tasks" and str(exc) == f"{path}: no tasks"
         assert not any(line.decode("utf-8", "surrogateescape").strip() for line in lines)
-    except TaskRankError as exc:
-        assert_names_file_and_line(exc, path, lines)
 
 
 TWO_TASKS = TaskFramework((Task("t", "", "d"), Task("u", "", "e")))

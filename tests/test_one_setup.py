@@ -6,7 +6,9 @@ Config checks are written once too: each config dataclass is frozen and
 checks itself when built, with no separate ``validate`` to call. And a
 pipeline resolves what a config reads in one place, ``Pipeline._resolve``,
 for a new pipeline and for each ``with_config`` copy alike: every run
-variant over one corpus shares one set-up, and each input is read once."""
+variant over one corpus shares one set-up, and each input is read once.
+Errors have two types: TaskRankError, whose message says what is wrong, and
+MalformedRow, which also carries the file and the line."""
 
 import random
 from dataclasses import fields, replace
@@ -16,7 +18,8 @@ import pytest
 from test_one_reader import call_sites
 
 import taskrank
-from taskrank import Bm25Params, ExpansionConfig, FusionConfig, PipelineConfig, RerankConfig
+from taskrank import (Bm25Params, ExpansionConfig, FusionConfig, InvertedIndex, PipelineConfig,
+                      RerankConfig, errors)
 from taskrank import pipeline as pipeline_module
 from taskrank.errors import TaskRankError
 from taskrank.evaluation import write_run
@@ -68,6 +71,20 @@ def test_config_dataclasses_are_frozen_and_check_themselves_when_built(config):
     assert config.__dataclass_params__.frozen
     assert "__post_init__" in vars(config)
     assert not hasattr(config, "validate")
+
+
+REMOVED_ERRORS = ["DuplicateDocId", "EmptyCollection", "EmptyInput", "EmptyQuery",
+                  "EmptyFramework", "TopicSetMismatch", "UnknownTaskId", "EmptyQrels",
+                  "MissingTaskVector"]
+
+
+def test_two_error_types_and_no_idf_method():
+    assert {name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, BaseException)} == {
+        "TaskRankError", "MalformedRow"}
+    assert not [name for name in REMOVED_ERRORS
+                if hasattr(taskrank, name) or hasattr(errors, name)]
+    assert not hasattr(InvertedIndex, "idf")
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -1555,6 +1555,7 @@ TASK_VACCINES = b'{"task_id": "vaccines", "description": "again"}'
         ("lexicon", "0xff", b"\xff", "not valid UTF-8"),
         ("qrels", "0xff", b"\xff", "not valid UTF-8"),
         ("qrels", "deep", DEEP, "1 columns, expected 4"),
+        ("qrels", "huge-grade", b"1 0 doc01 9223372036854775808", "grade must be below 2**63"),
         ("run", "0xff", b"\xff", "not valid UTF-8"),
         ("run", "deep", DEEP, "1 columns, expected 6"),
         ("vectors", "0xff", b"\xff", "not valid UTF-8"),

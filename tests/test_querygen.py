@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrank.corpus import Document
-from taskrank.errors import EmptyQuery, MalformedRow
+from taskrank.errors import MalformedRow, TaskRankError
 from taskrank.indexing import IndexVariant, Tokenizer, build_index
 from taskrank.querygen import (
     ConfidenceMode,
@@ -36,7 +36,7 @@ def test_plain_identical_across_variants():
 
 def test_plain_stopword_only_query_rejected():
     topic = Topic(topic_id=1, query="the of and")
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(TaskRankError, match="^topic 1: query has no indexable tokens$"):
         generate_plain(topic)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskrank.errors import EmptyQrels, MissingTaskVector
+from taskrank.errors import TaskRankError
 from taskrank.evaluation import Qrels
 from taskrank.rerank import (
     InMemoryVectorProvider,
@@ -90,7 +90,7 @@ def test_journal_that_normalizes_to_nothing_gets_no_prior():
 
 def test_empty_qrels_rejected():
     journal_of = {"d0": "J"}
-    with pytest.raises(EmptyQrels):
+    with pytest.raises(TaskRankError, match="^no usable judgments in the requested scope$"):
         build_journal_priors(Qrels(), journal_of)
 
 
@@ -227,7 +227,7 @@ def test_vector_missing_doc_vector_is_neutral():
 
 def test_vector_missing_task_vector_raises():
     provider = InMemoryVectorProvider({"a": [1.0, 0.0]})
-    with pytest.raises(MissingTaskVector):
+    with pytest.raises(TaskRankError, match="^no vector available for task 't'$"):
         rerank_vector_ids([("a", 1.0)], provider, TASK, RerankConfig(), 5)
 
 

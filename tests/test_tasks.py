@@ -3,8 +3,7 @@ from collections import Counter
 
 import pytest
 
-from taskrank.errors import (EmptyFramework, EmptyQuery, MalformedRow, TopicSetMismatch,
-                             UnknownTaskId)
+from taskrank.errors import MalformedRow, TaskRankError
 from taskrank.tasks import (
     Task,
     TaskAssignment,
@@ -64,7 +63,7 @@ def test_classify_no_overlap_falls_back_to_first_task():
 
 def test_classify_empty_query_rejected():
     framework = disjoint_framework(2)
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(TaskRankError, match="^query 'the of and' produced no tokens$"):
         TaskClassifier(framework).classify("the of and")
 
 
@@ -126,22 +125,22 @@ def test_agreement_is_symmetric():
 
 
 @pytest.mark.parametrize("a, b, message", [
-    ({1: "x", 3: "y"}, {2: "x", 3: "y"}, r"only one of the two: \[1, 2\]$"),
-    ({}, {}, "assignments are empty"),
+    ({1: "x", 3: "y"}, {2: "x", 3: "y"}, r"^topics assigned by only one of the two: \[1, 2\]$"),
+    ({}, {}, "^assignments are empty$"),
 ], ids=["different-topics", "empty"])
 def test_agreement_topic_set_mismatch(a, b, message):
-    with pytest.raises(TopicSetMismatch, match=message):
+    with pytest.raises(TaskRankError, match=message):
         agreement(make_assignments(a), make_assignments(b))
 
 
 def test_task_framework_rejects_no_tasks_and_repeated_ids_and_gets_only_its_own():
-    with pytest.raises(EmptyFramework):
+    with pytest.raises(TaskRankError, match="^a task framework needs at least one task$"):
         TaskFramework(tasks=())
     task = Task(task_id="a", title="A", description="alpha")
     with pytest.raises(ValueError, match="task ids must be unique"):
         TaskFramework(tasks=(task, task))
     assert TaskFramework(tasks=(task,)).get("a") is task
-    with pytest.raises(UnknownTaskId, match="unknown task_id 'b'"):
+    with pytest.raises(TaskRankError, match="^unknown task_id 'b'$"):
         TaskFramework(tasks=(task,)).get("b")
 
 

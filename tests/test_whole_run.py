@@ -14,7 +14,10 @@ equal ``write_run(Pipeline(config).run())`` for ``query+udel``,
 (their lines shuffled), topics over the mini fixture's tasks and lexicon,
 qrels and vectors. Task terms and the classifier's choice are ranked by brute
 force; only the lexicon terms of the two fixed task descriptions come from
-``LexiconExtractor``.
+``LexiconExtractor``. The task-expanded variants also run two more expansion
+cells, as a sweep does: each a ``with_config`` copy of the one pipeline,
+sharing its search memo, with a ``dup_query`` of its own, so each cell's
+query core differs, and each cell's bytes must equal its own reference run.
 """
 
 import json
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from taskrank.corpus import Document
-from taskrank.errors import EmptyQrels
+from taskrank.errors import TaskRankError
 from taskrank.evaluation import write_run
 from taskrank.fusion import FusionConfig
 from taskrank.indexing import Bm25Params, IndexVariant, Tokenizer, default_stopwords
@@ -192,15 +195,17 @@ def test_whole_run_equals_the_reference_run(case, corpus, topics, data, params, 
     assignments = {topic["topic_id"]: (data.draw(st.sampled_from([t.task_id for t in TASKS])),
                                        data.draw(st.integers(1, 3)))
                    for topic in topics} if manual else {}
-    expansion = ExpansionConfig()
+    expansion, cells = ExpansionConfig(), []
     if variant in ("query+task", "query+udel+task"):
-        expansion = ExpansionConfig(
-            n_task_terms=data.draw(st.integers(0, 4)), dup_query=data.draw(st.integers(1, 3)),
+        # The config's cell and two sweep cells, each with its own dup_query.
+        expansion, *cells = [ExpansionConfig(
+            n_task_terms=data.draw(st.integers(0, 4)), dup_query=dup_query,
             dup_task=data.draw(st.integers(1, 2)),
             confidence_mode=data.draw(st.sampled_from(ConfidenceMode) if manual
                                       else st.just(ConfidenceMode.IGNORE)),
             gate_threshold=data.draw(st.integers(1, 3)),
             route_task_terms_fulltext_only=data.draw(st.booleans()))
+            for dup_query in data.draw(st.permutations([1, 2, 3]))]
     # Judgments of the run's topics and one other, of its documents and one other.
     qrels = data.draw(st.dictionaries(
         st.tuples(st.sampled_from([topic["topic_id"] for topic in topics] + [61]),
@@ -256,14 +261,18 @@ def test_whole_run_equals_the_reference_run(case, corpus, topics, data, params, 
             bm25=params, fusion=FusionConfig(rrf_k=rrf_k), expansion=expansion,
             rerank=None if alpha is None else RerankConfig(alpha=alpha), top_k=top_k)
         if variant == "journal.prior" and not prior:
-            with pytest.raises(EmptyQrels):
+            with pytest.raises(TaskRankError, match="^no usable judgments in the requested scope$"):
                 Pipeline(config)
             return
-        write_run(Pipeline(config).run(), tmp / "got.run")
         # Without a setting, alpha is 0.5 for the vector variant and 0.7 otherwise.
         if alpha is None:
             alpha = 0.5 if variant == "vector" else 0.7
-        per_line_write_run(config.variant.value, reference_run(
-            variant, documents, topics, assignments, params, rrf_k, expansion, top_k, aux,
-            alpha), tmp / "want.run")
-        assert (tmp / "got.run").read_bytes() == (tmp / "want.run").read_bytes()
+        # The sweep cells run as copies of the one pipeline, sharing its search memo.
+        pipeline = Pipeline(config)
+        copies = [pipeline.with_config(expansion=cell) for cell in cells]
+        for cell, each in zip([expansion, *cells], [pipeline, *copies]):
+            write_run(each.run(), tmp / "got.run")
+            per_line_write_run(config.variant.value, reference_run(
+                variant, documents, topics, assignments, params, rrf_k, cell, top_k, aux,
+                alpha), tmp / "want.run")
+            assert (tmp / "got.run").read_bytes() == (tmp / "want.run").read_bytes()
